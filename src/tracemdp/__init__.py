@@ -79,7 +79,6 @@ from .trace_model import (
     TraceLog,
     Transition,
     Value,
-    derive_features,
     parse_event_line,
     read_trace_log,
     segment_stream,

@@ -22,7 +22,7 @@ FAILURE_LABEL = "failure"
 
 
 class Amdp:
-    """Mutable during single-writer ingestion; snapshot() for readers."""
+    """Count MDP, mutable during single-writer ingestion."""
 
     def __init__(self) -> None:
         self.states: set[int] = set()
@@ -84,16 +84,6 @@ class Amdp:
 
     def label_set(self, name: str) -> set[int]:
         return self.labels.get(name, set())
-
-    def snapshot(self) -> "Amdp":
-        out = Amdp()
-        out.states = set(self.states)
-        out.actions = set(self.actions)
-        out.counts3 = dict(self.counts3)
-        out.counts2 = dict(self.counts2)
-        out.initial = Counter(self.initial)
-        out.labels = {k: set(v) for k, v in self.labels.items()}
-        return out
 
     def equal_counts(self, other: "Amdp") -> bool:
         return (

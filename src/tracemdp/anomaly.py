@@ -5,6 +5,12 @@ induced model: sum of ln P(s_i, a_i, s_{i+1}).  A factor of zero or an
 unobserved (state, action) pair yields the -inf sentinel: such runs are
 anomalous by definition and are excluded from the statistics.
 
+``RunMonitor`` is the one scorer: it alone looks up transition
+probabilities and sums their logs, left to right from 0.0.  Whole-run
+scores (``score_run``, ``run_loglik``, ``checkpoint_warnings``), the
+checkpoint statistics (``prefix_stats``, one pass per run) and the streaming
+monitor all feed one, so every path yields bit-identical sums.
+
 Offline detection flags a run when its score falls below
 mu - z_{1-alpha} * sigma (one-sided, low side).  Online detection applies
 the same rule to prefix scores at fixed checkpoints, where the statistics
@@ -60,22 +66,36 @@ class RunScore:
         return math.isfinite(self.loglik)
 
 
+def score_run(
+    model,
+    run: AbstractPath,
+    stats: Mapping[int, CheckpointStats] | None = None,
+    cfg: DetectorConfig | None = None,
+    trace_id: str = "",
+) -> tuple[RunScore, list[dict]]:
+    """Scores a whole run in one pass: its RunScore and checkpoint warnings.
+
+    The warnings are the ones a monitor would emit, as {"k", "loglik_k",
+    "threshold"}; feeding stops at the first unseen transition.
+    """
+    monitor = RunMonitor(model, stats, cfg)
+    warnings: list[dict] = []
+    for step in run.steps():
+        for alert in monitor.feed(*step):
+            if alert["kind"] == "checkpoint":
+                warnings.append({key: value for key, value in alert.items() if key != "kind"})
+        if monitor.dead:
+            return RunScore(trace_id, -math.inf, run.n_transitions, monitor.steps - 1), warnings
+    return RunScore(trace_id, monitor.loglik, run.n_transitions), warnings
+
+
 def run_loglik(model, run: AbstractPath, trace_id: str = "") -> RunScore:
     """Natural-log likelihood of a run; empty runs score 0.
 
     An unseen transition is data, not an error: the score becomes -inf and
     the first offending step index is recorded.
     """
-    total = 0.0
-    for i, (src, action, dst) in enumerate(run.steps()):
-        try:
-            p = model.probability(src, action, dst)
-        except UnobservedStateAction:
-            p = 0.0
-        if p <= 0.0:
-            return RunScore(trace_id, -math.inf, run.n_transitions, unseen_transition_at=i)
-        total += math.log(p)
-    return RunScore(trace_id, total, run.n_transitions)
+    return score_run(model, run, trace_id=trace_id)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -233,26 +253,35 @@ def prefix_stats(
     """Checkpoint statistics over historical runs.
 
     For each k, runs shorter than k are excluded and longer runs are
-    truncated to their first k transitions before scoring.
+    truncated to their first k transitions before scoring.  Each run is fed
+    once, up to the last checkpoint it reaches or its first unseen
+    transition, and its prefix score is read off at every checkpoint.
     """
-    out: dict[int, CheckpointStats] = {}
-    for k in sorted(set(checkpoints)):
-        eligible = [r for r in runs if r.n_transitions >= k]
-        finite: list[float] = []
-        unseen = 0
-        for run in eligible:
-            score = run_loglik(model, run.prefix(k))
-            if score.finite:
-                finite.append(score.loglik)
+    ks = sorted(set(checkpoints))
+    unseen = dict.fromkeys(ks, 0)
+    finite: dict[int, list[float]] = {k: [] for k in ks}
+    for run in runs:
+        monitor = RunMonitor(model)
+        steps = run.steps()
+        for k in ks:
+            if k > run.n_transitions:
+                break
+            while monitor.steps < k and not monitor.dead:
+                monitor.feed(*next(steps))
+            if monitor.dead:
+                unseen[k] += 1
             else:
-                unseen += 1
-        finite.sort()
-        if len(finite) >= 2:
-            arr = np.asarray(finite)
+                finite[k].append(monitor.loglik)
+    out: dict[int, CheckpointStats] = {}
+    for k in ks:
+        scores = sorted(finite[k])
+        if len(scores) >= 2:
+            arr = np.asarray(scores)
             mu, sigma = float(arr.mean()), float(arr.std(ddof=1))
         else:
             mu = sigma = None
-        out[k] = CheckpointStats(k, len(eligible), len(finite), unseen, mu, sigma, tuple(finite))
+        n_runs = len(scores) + unseen[k]  # every run reaching k ends up finite or unseen
+        out[k] = CheckpointStats(k, n_runs, len(scores), unseen[k], mu, sigma, tuple(scores))
     return out
 
 
@@ -308,39 +337,26 @@ def checkpoint_warnings(
     Returns (warnings, unseen_transition_at).  After the run leaves the
     model's support the unseen-transition alert supersedes later checkpoints.
     """
-    cfg = cfg or DetectorConfig()
-    warnings: list[dict] = []
-    loglik = 0.0
-    unseen_at: int | None = None
-    armed = {k: cp for k, cp in stats.items() if cp.armed}
-    for i, (src, action, dst) in enumerate(run.steps()):
-        try:
-            p = model.probability(src, action, dst)
-        except UnobservedStateAction:
-            p = 0.0
-        if p <= 0.0:
-            unseen_at = i
-            break
-        loglik += math.log(p)
-        step = i + 1
-        cp = armed.get(step)
-        if cp is not None:
-            threshold = offline_threshold(cp.mu, cp.sigma, cfg.alpha, cfg.mode, cp.scores)
-            if loglik < threshold:
-                warnings.append({"k": step, "loglik_k": loglik, "threshold": threshold})
-    return warnings, unseen_at
+    score, warnings = score_run(model, run, stats, cfg)
+    return warnings, score.unseen_transition_at
 
 
 class RunMonitor:
-    """Incremental per-run monitor for streaming transition feeds.
+    """Incremental per-run scorer for streaming transition feeds.
 
     feed() returns the alert records triggered by that transition: at most
-    one unseen-transition alert per run, plus checkpoint warnings.
+    one unseen-transition alert per run, plus checkpoint warnings.  Without
+    checkpoint statistics it only reports the unseen transition.
     """
 
-    def __init__(self, model, stats: Mapping[int, CheckpointStats], cfg: DetectorConfig | None = None):
+    def __init__(
+        self,
+        model,
+        stats: Mapping[int, CheckpointStats] | None = None,
+        cfg: DetectorConfig | None = None,
+    ):
         self.model = model
-        self.stats = {k: cp for k, cp in stats.items() if cp.armed}
+        self.stats = {k: cp for k, cp in (stats or {}).items() if cp.armed}
         self.cfg = cfg or DetectorConfig()
         self.loglik = 0.0
         self.steps = 0

@@ -22,19 +22,18 @@ import threading
 import time
 
 from . import __version__
-from .amdp import export_explicit
 from .anomaly import (
     DetectorConfig,
     OfflineDetector,
     RunMonitor,
-    checkpoint_warnings,
     prefix_stats,
     run_loglik,
+    score_run,
 )
 from .checker import check, parse_property
-from .errors import PropertySyntaxError, TraceMdpError
+from .errors import InvalidConfig, PropertySyntaxError, TraceMdpError
 from .generator import GeneratorConfig, generate_corpus
-from .linked_store import LabelingConfig, LinkedStore, load_store, save_store
+from .linked_store import LabelingConfig, load_store, load_store_inputs, save_store, write_model
 from .predicate_tree import PredicateTree, TreeConfig, build_initial_tree
 from .refinement import RefinementConfig, verify_refine_loop
 from .trace_model import parse_event_line, read_trace_log
@@ -60,7 +59,12 @@ def _labeling(args: argparse.Namespace) -> LabelingConfig:
     rules = ()
     if getattr(args, "labels", None):
         with open(args.labels, "r", encoding="utf-8") as fh:
-            rules = tuple(LabelingConfig.from_json_dict({"rules": json.load(fh)}).rules)
+            try:
+                rules = LabelingConfig.from_json_dict({"rules": json.load(fh)}).rules
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InvalidConfig(
+                    f"label rules {args.labels!r} are malformed: {type(exc).__name__}: {exc}"
+                ) from None
     return LabelingConfig(
         terminal_labels=not args.no_terminal_labels,
         success_mode=args.success_mode,
@@ -73,8 +77,12 @@ def _checkpoints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-def _abstract_runs(store: LinkedStore, log) -> list:
-    return [abstract_trace(store.tree, trace)[0] for trace in log]
+def _detector_setup(args) -> tuple:
+    """(store, detector config, abstracted training runs, their prefix statistics)."""
+    store = load_store(args.store)
+    cfg = DetectorConfig(alpha=args.alpha, checkpoints=_checkpoints(args.checkpoints))
+    train_runs = [abstract_trace(store.tree, trace)[0] for trace in store.log]
+    return store, cfg, train_runs, prefix_stats(train_runs, store.amdp, cfg.checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +137,19 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    store = load_store(args.store)
-    cfg = DetectorConfig(alpha=args.alpha, checkpoints=_checkpoints(args.checkpoints))
-    train_runs = _abstract_runs(store, store.log)
+    store, cfg, train_runs, stats = _detector_setup(args)
     detector = OfflineDetector(cfg).fit(
         run_loglik(store.amdp, run, trace.trace_id)
         for run, trace in zip(train_runs, store.log)
     )
-    stats = prefix_stats(train_runs, store.amdp, cfg.checkpoints)
 
     target_log = read_trace_log(args.log)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for trace in target_log:
             run, _refs = abstract_trace(store.tree, trace)
-            score = run_loglik(store.amdp, run, trace.trace_id)
+            score, warnings = score_run(store.amdp, run, stats, cfg, trace.trace_id)
             verdict = detector.flag(score)
-            warnings, unseen_at = checkpoint_warnings(store.amdp, run, stats, cfg)
             _print_json(
                 {
                     "trace_id": trace.trace_id,
@@ -153,7 +157,7 @@ def _cmd_score(args) -> int:
                     "length": score.length,
                     "verdict": verdict["verdict"],
                     "checkpoint_warnings": warnings,
-                    "unseen_transition_at": unseen_at,
+                    "unseen_transition_at": score.unseen_transition_at,
                 },
                 out,
             )
@@ -188,10 +192,7 @@ def _follow_lines(path: str, line_queue: "queue.Queue[str | None]", once: bool, 
 
 
 def _cmd_monitor(args) -> int:
-    store = load_store(args.store)
-    cfg = DetectorConfig(alpha=args.alpha, checkpoints=_checkpoints(args.checkpoints))
-    train_runs = _abstract_runs(store, store.log)
-    stats = prefix_stats(train_runs, store.amdp, cfg.checkpoints)
+    store, cfg, _train_runs, stats = _detector_setup(args)
     schema = store.log.schema
 
     # One reader thread tails the file; this thread evaluates.  The bounded
@@ -236,7 +237,7 @@ def _cmd_monitor(args) -> int:
 
 def _cmd_refine(args) -> int:
     query = parse_property(args.prop)
-    store = load_store(args.store)
+    log, tree, labeling = load_store_inputs(args.store)
     cfg = RefinementConfig(
         property=query,
         min_gain=args.gamma,
@@ -245,7 +246,7 @@ def _cmd_refine(args) -> int:
         max_iterations=args.max_iters,
         min_leaf_size=args.min_leaf,
     )
-    outcome = verify_refine_loop(store.log, store.tree, cfg, store.labeling)
+    outcome = verify_refine_loop(log, tree, cfg, labeling)
     if args.iteration_log:
         with open(args.iteration_log, "w", encoding="utf-8") as fh:
             for entry in outcome.iterations:
@@ -272,13 +273,7 @@ def _cmd_export(args) -> int:
         raise TraceMdpError(f"unsupported export format {args.format!r}")
     store = load_store(args.store)
     os.makedirs(args.out, exist_ok=True)
-    tra, lab = export_explicit(store.amdp)
-    tra_path = os.path.join(args.out, "model.tra")
-    lab_path = os.path.join(args.out, "model.lab")
-    with open(tra_path, "w", encoding="utf-8") as fh:
-        fh.write(tra)
-    with open(lab_path, "w", encoding="utf-8") as fh:
-        fh.write(lab)
+    tra_path, lab_path = write_model(store.amdp, args.out)
     _print_json({"transitions": tra_path, "labels": lab_path})
     return 0
 

@@ -45,6 +45,10 @@ class StaleSplit(TraceMdpError):
     """A leaf split was computed against a tree the store no longer holds."""
 
 
+class StaleLog(TraceMdpError):
+    """A saved store's training log no longer matches the hash in its manifest."""
+
+
 class UnarmedCheckpoint(TraceMdpError):
     """Checkpoint statistics exist but have fewer than two finite scores."""
 

@@ -14,6 +14,13 @@ The synthetic trie root carries no abstract state and stays outside the
 endpoint accounting.  apply_split currently realizes the refined store by a
 full rebuild, which the equality-with-rebuild property keeps honest if an
 incremental path is added later.
+
+A saved store is a directory holding the tree, the explicit-state export
+(``write_model``) and a manifest naming the training log and its SHA-256.
+``load_store_inputs`` reads the manifest, tree and log back; it refuses a
+log whose hash no longer matches the manifest (``StaleLog``) unless the
+caller names the log explicitly.  ``load_store`` rebuilds the store from
+those inputs.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from dataclasses import dataclass, field
 from . import amdp as amdp_mod
 from . import trace_trie as trie_mod
 from .amdp import Amdp, LabelReport, LabelRule
-from .errors import StaleSplit
-from .predicate_tree import LeafSplit, PredicateTree
+from .errors import StaleLog, StaleSplit
+from .predicate_tree import LeafSplit, PredicateTree, predicate_from_json, predicate_to_json
 from .trace_model import ConcreteState, TraceLog, read_trace_log
 
 
@@ -52,39 +59,17 @@ class LabelingConfig:
             "success_mode": self.success_mode,
             "failure_mode": self.failure_mode,
             "rules": [
-                {
-                    "name": r.name,
-                    "mode": r.mode,
-                    "atoms": [
-                        {
-                            "type": a.kind,
-                            "var": a.var,
-                            **(
-                                {"expected": a.expected}
-                                if a.kind == "bool_eq"
-                                else {"threshold": a.threshold}
-                            ),
-                        }
-                        for a in r.atoms
-                    ],
-                }
+                {"name": r.name, "mode": r.mode, "atoms": [predicate_to_json(a) for a in r.atoms]}
                 for r in self.rules
             ],
         }
 
     @staticmethod
     def from_json_dict(raw: dict) -> "LabelingConfig":
-        from .predicate_tree import BooleanEq, ScalarThreshold
-
-        rules = []
-        for r in raw.get("rules", []):
-            atoms = []
-            for a in r["atoms"]:
-                if a["type"] == "bool_eq":
-                    atoms.append(BooleanEq(a["var"], bool(a["expected"])))
-                else:
-                    atoms.append(ScalarThreshold(a["var"], float(a["threshold"])))
-            rules.append(LabelRule(r["name"], tuple(atoms), r["mode"]))
+        rules = [
+            LabelRule(r["name"], tuple(predicate_from_json(a) for a in r["atoms"]), r["mode"])
+            for r in raw.get("rules", [])
+        ]
         return LabelingConfig(
             terminal_labels=bool(raw.get("terminal_labels", True)),
             success_mode=raw.get("success_mode", "all"),
@@ -267,15 +252,20 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def write_model(mdp: Amdp, directory: str) -> tuple[str, str]:
+    """Writes the explicit-state export into a directory; returns (tra, lab) paths."""
+    paths = (os.path.join(directory, TRA_FILE), os.path.join(directory, LAB_FILE))
+    for path, text in zip(paths, amdp_mod.export_explicit(mdp)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return paths
+
+
 def save_store(store: LinkedStore, directory: str, log_path: str) -> None:
     """Writes tree JSON, explicit-state export, and a rebuild manifest."""
     os.makedirs(directory, exist_ok=True)
     store.tree.save(os.path.join(directory, TREE_FILE))
-    tra, lab = amdp_mod.export_explicit(store.amdp)
-    with open(os.path.join(directory, TRA_FILE), "w", encoding="utf-8") as fh:
-        fh.write(tra)
-    with open(os.path.join(directory, LAB_FILE), "w", encoding="utf-8") as fh:
-        fh.write(lab)
+    write_model(store.amdp, directory)
     manifest = {
         "log": os.path.abspath(log_path),
         "log_sha256": _sha256_file(log_path),
@@ -287,11 +277,28 @@ def save_store(store: LinkedStore, directory: str, log_path: str) -> None:
         fh.write("\n")
 
 
-def load_store(directory: str, log_path: str | None = None) -> LinkedStore:
-    """Rebuilds the store from a saved directory (bit-identical inputs)."""
+def load_store_inputs(
+    directory: str, log_path: str | None = None
+) -> tuple[TraceLog, PredicateTree, LabelingConfig]:
+    """Reads a saved store's training log, tree and labeling config.
+
+    Without ``log_path`` the manifest's log is read, and it must still hash
+    to the manifest's SHA-256, else StaleLog.  An explicit ``log_path``
+    overrides the manifest's log and skips the comparison.
+    """
     with open(os.path.join(directory, MANIFEST_FILE), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     tree = PredicateTree.load(os.path.join(directory, manifest["tree_file"]))
     labeling = LabelingConfig.from_json_dict(manifest.get("labeling", {}))
-    log = read_trace_log(log_path or manifest["log"])
-    return build(log, tree, labeling)
+    if not log_path:
+        log_path = manifest["log"]
+        if _sha256_file(log_path) != manifest.get("log_sha256"):
+            raise StaleLog(
+                f"store {directory!r}: training log {log_path!r} changed since the store was built"
+            )
+    return read_trace_log(log_path), tree, labeling
+
+
+def load_store(directory: str, log_path: str | None = None) -> LinkedStore:
+    """Rebuilds the store from a saved directory (bit-identical inputs)."""
+    return build(*load_store_inputs(directory, log_path))

@@ -524,9 +524,6 @@ class PredicateTree:
             node = self.nodes[node.ch1 if node.predicate.evaluate(state) else node.ch0]
         return node.abstract_id
 
-    def abstract_leaf_node(self, state: ConcreteState) -> int:
-        return self.leaf_node_of(self.abstract(state))
-
     # -- splitting ---------------------------------------------------------
 
     def split(self, leaf_node_id: int, predicate: Predicate) -> tuple["PredicateTree", int, int]:

@@ -121,21 +121,6 @@ class Value:
         return self.cardinality == 0
 
 
-def derive_features(value: Value) -> dict[str, object]:
-    """Features exposed to the predicate grammar for one value.
-
-    Collections contribute their derived features (cardinality, emptiness);
-    text contributes only its identity (no embeddings).
-    """
-    if value.kind in (NUMBER, INTEGER):
-        return {"value": value.numeric}
-    if value.kind == BOOLEAN:
-        return {"value": bool(value.data)}
-    if value.kind == TEXT:
-        return {"value": value.data}
-    return {"cardinality": value.cardinality, "empty": value.is_empty}
-
-
 @dataclass(frozen=True)
 class ConcreteState:
     """Snapshot of goal/check/state variables at one point of a run."""

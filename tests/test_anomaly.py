@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracemdp.amdp import Amdp
 from tracemdp.anomaly import (
@@ -238,6 +240,23 @@ class TestPrefixStats:
         manual = sum(math.log(m.probability(0, "go", 0)) for _ in range(10))
         assert stats[10].mu == pytest.approx(manual, abs=1e-9)
 
+    def test_one_probability_lookup_per_transition(self):
+        class CountingModel:
+            def __init__(self, model):
+                self.model = model
+                self.calls = 0
+
+            def probability(self, src, action, dst):
+                self.calls += 1
+                return self.model.probability(src, action, dst)
+
+        runs = self.runs([25, 35, 31])  # reach 4, 5 and 5 checkpoints
+        checkpoints = (5, 10, 15, 20, 30)
+        counting = CountingModel(self.model())
+        stats = prefix_stats(runs, counting, checkpoints)
+        assert counting.calls <= sum(run.n_transitions for run in runs)
+        assert stats == prefix_stats(runs, self.model(), checkpoints)
+
     def test_all_short_runs_unarmed(self):
         stats = prefix_stats(self.runs([2, 3]), self.model(), checkpoints=(10, 20))
         assert not any(cp.armed for cp in stats.values())
@@ -345,6 +364,102 @@ class TestMonitorAgainstBatch:
                         )
             assert streamed == batch_warnings
             assert unseen == batch_unseen
+
+
+def reference_prefix(m, run, k):
+    """(Log-likelihood of the first k transitions or None, first unseen index or None)."""
+    total = 0.0
+    for i in range(k):
+        src, action, dst = run.states[i], run.actions[i], run.states[i + 1]
+        count = m.counts3.get((src, action, dst), 0)
+        if count == 0:
+            return None, i
+        total += math.log(count / m.counts2[(src, action)])
+    return total, None
+
+
+@st.composite
+def models_and_runs(draw):
+    """A small count MDP (zero-weight entries included) and runs that mostly follow it."""
+    key = st.tuples(st.integers(0, 3), st.sampled_from("ab"), st.integers(0, 3))
+    counts = draw(st.dictionaries(key, st.integers(0, 3), min_size=4, max_size=24))
+    m = Amdp()
+    for (src, action, dst), weight in sorted(counts.items()):
+        m.ingest(src, action, dst, weight=weight)
+    support = sorted(k for k, weight in counts.items() if weight > 0)
+    runs = []
+    for _ in range(draw(st.integers(0, 8))):
+        states, actions = [draw(st.integers(0, 3))], []
+        for _ in range(draw(st.integers(0, 10))):
+            successors = [(a, d) for s, a, d in support if s == states[-1]]
+            if not draw(st.integers(0, 9)):  # "c" is never observed; other pairs may have zero counts
+                action, dst = draw(st.sampled_from("abc")), draw(st.integers(0, 3))
+            elif successors:
+                action, dst = draw(st.sampled_from(successors))
+            else:
+                break
+            actions.append(action)
+            states.append(dst)
+        runs.append(AbstractPath(tuple(states), tuple(actions)))
+    cfg = DetectorConfig(
+        alpha=draw(st.sampled_from((0.05, 0.2, 0.45))),
+        checkpoints=tuple(sorted(draw(st.sets(st.integers(1, 10), min_size=1, max_size=5)))),
+        mode=draw(st.sampled_from(("normal", "empirical"))),
+    )
+    return m, runs, cfg
+
+
+class TestScorersAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(models_and_runs())
+    def test_every_scorer_equals_naive_sum(self, case):
+        m, runs, cfg = case
+        stats = prefix_stats(runs, m, cfg.checkpoints)
+        assert sorted(stats) == list(cfg.checkpoints)
+        for k in cfg.checkpoints:
+            eligible = [run for run in runs if run.n_transitions >= k]
+            finite = sorted(
+                value
+                for value, _ in (reference_prefix(m, run, k) for run in eligible)
+                if value is not None
+            )
+            cp = stats[k]
+            assert (cp.n_runs, cp.n_finite, cp.n_unseen, cp.scores) == (
+                len(eligible),
+                len(finite),
+                len(eligible) - len(finite),
+                tuple(finite),
+            )
+            if len(finite) >= 2:
+                assert cp.mu == float(np.mean(finite))
+                assert cp.sigma == float(np.std(finite, ddof=1))
+
+        for run in runs:
+            total, unseen_at = reference_prefix(m, run, run.n_transitions)
+            score = run_loglik(m, run, "t")
+            assert score == RunScore(
+                "t", -math.inf if total is None else total, run.n_transitions, unseen_at
+            )
+
+            expected = []
+            for k in cfg.checkpoints:
+                cp = stats[k]
+                if k > run.n_transitions or not cp.armed:
+                    continue
+                value, _ = reference_prefix(m, run, k)
+                if value is None:
+                    continue
+                threshold = offline_threshold(cp.mu, cp.sigma, cfg.alpha, cfg.mode, cp.scores)
+                if value < threshold:
+                    expected.append({"k": k, "loglik_k": value, "threshold": threshold})
+            assert checkpoint_warnings(m, run, stats, cfg) == (expected, unseen_at)
+
+            monitor = RunMonitor(m, stats, cfg)
+            alerts = [alert for step in run.steps() for alert in monitor.feed(*step)]
+            unseen = [] if unseen_at is None else [{"kind": "unseen_transition", "step": unseen_at}]
+            assert alerts == [{"kind": "checkpoint", **w} for w in expected] + unseen
+            if total is not None:
+                assert monitor.loglik == total
 
 
 # ---------------------------------------------------------------------------

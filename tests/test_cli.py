@@ -195,6 +195,46 @@ class TestPipeline:
         assert (tmp_path / "c2" / "baseline.jsonl").read_bytes() == original
 
 
+class TestSavedStore:
+    def test_changed_log_is_refused(self, pipeline, capsys, tmp_path):
+        log = tmp_path / "train.jsonl"
+        log.write_bytes((pipeline["corpus"] / "baseline.jsonl").read_bytes())
+        store = tmp_path / "store"
+        argv = ["build", "--log", str(log), "--tree", str(pipeline["tree"]), "--out", str(store)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        log.write_bytes((pipeline["corpus"] / "anomalous.jsonl").read_bytes())
+        prop = 'Pmax=? [F "success"]'
+        code, out, err = run_cli(capsys, "check", "--store", str(store), "--prop", prop)
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "StaleLog"
+        assert str(store) in error["message"] and str(log) in error["message"]
+        # Naming the log explicitly overrides the manifest's log and its hash.
+        code, _, _ = run_cli(capsys, "check", "--store", str(store), "--prop", prop, "--log", str(log))
+        assert code == 0
+
+    def test_refine_builds_the_store_once(self, pipeline, capsys, monkeypatch):
+        import tracemdp.linked_store as linked_store
+        import tracemdp.refinement as refinement
+
+        builds = []
+        original = linked_store.build
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linked_store, "build", counting_build)
+        monkeypatch.setattr(refinement, "build", counting_build)
+        code, out, _ = run_cli(
+            capsys, "refine", "--store", str(pipeline["store"]), "--prop", 'Pmin<=0.05 [F "failure"]'
+        )
+        assert code == 0
+        assert json.loads(out)["outcome"] == "verified"
+        assert len(builds) == 1
+
+
 class TestErrors:
     def test_bad_property_exit_2(self, pipeline, capsys):
         code, _, err = run_cli(
@@ -223,3 +263,33 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["learn"])  # missing required flags
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[{"name":"x","mode":"all","atoms":[{"type":"text_eq","var":"lastFileRead","expected":"b"}]}]',
+            '[{"name":"x","mode":"most","atoms":[{"type":"bool_eq","var":"opsCompleted","expected":true}]}]',
+            '[{"name":"x","mode":"all","atoms":[{"type":"num_gt","var":"iteration"}]}]',
+            "not json",
+        ],
+        ids=["text_atom", "unknown_mode", "missing_threshold", "not_json"],
+    )
+    def test_malformed_labels_exit_3(self, pipeline, capsys, tmp_path, text):
+        labels = tmp_path / "labels.json"
+        labels.write_text(text)
+        code, out, err = run_cli(
+            capsys,
+            "build",
+            "--log",
+            str(pipeline["corpus"] / "baseline.jsonl"),
+            "--tree",
+            str(pipeline["tree"]),
+            "--labels",
+            str(labels),
+            "--out",
+            str(tmp_path / "store"),
+        )
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "InvalidConfig"
+        assert str(labels) in error["message"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_log, mk_trace
+from tracemdp.amdp import LabelRule
 from tracemdp.errors import StaleSplit
 from tracemdp.linked_store import (
     LabelingConfig,
@@ -12,7 +13,9 @@ from tracemdp.linked_store import (
     save_store,
 )
 from tracemdp.predicate_tree import (
+    BooleanEq,
     PredicateTree,
+    ScalarThreshold,
     SplitRejected,
     TreeConfig,
     build_initial_tree,
@@ -213,6 +216,33 @@ class TestApplySplit:
 
 
 class TestPersistence:
+    def test_labeling_json_format(self):
+        labeling = LabelingConfig(
+            rules=(
+                LabelRule("done", (BooleanEq("opsCompleted", True),), "all"),
+                LabelRule("late", (ScalarThreshold("iteration", 59.5),), "any"),
+            )
+        )
+        raw = {
+            "failure_mode": "any",
+            "rules": [
+                {
+                    "atoms": [{"expected": True, "type": "bool_eq", "var": "opsCompleted"}],
+                    "mode": "all",
+                    "name": "done",
+                },
+                {
+                    "atoms": [{"threshold": 59.5, "type": "num_gt", "var": "iteration"}],
+                    "mode": "any",
+                    "name": "late",
+                },
+            ],
+            "success_mode": "all",
+            "terminal_labels": True,
+        }
+        assert labeling.to_json_dict() == raw
+        assert LabelingConfig.from_json_dict(raw) == labeling
+
     def test_save_load_round_trip(self, tmp_path):
         log = small_log()
         log_path = tmp_path / "log.jsonl"

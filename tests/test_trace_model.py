@@ -11,7 +11,6 @@ from tracemdp.trace_model import (
     Trace,
     Transition,
     Value,
-    derive_features,
     parse_event_line,
     read_events,
     segment_stream,
@@ -53,14 +52,6 @@ class TestValue:
     def test_json_round_trip(self):
         raw = [1, 2.5, False, "a", [3, "b"]]
         assert Value.from_json(raw).to_json() == raw
-
-    def test_derived_features(self):
-        assert derive_features(Value.from_json([])) == {"cardinality": 0, "empty": True}
-        assert derive_features(Value.from_json(["x", "y", "z"])) == {
-            "cardinality": 3,
-            "empty": False,
-        }
-        assert derive_features(Value.integer(5)) == {"value": 5.0}
 
 
 class TestParseEventLine:
