@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import queue
 import sys
@@ -167,7 +168,28 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _follow_lines(path: str, line_queue: "queue.Queue[str | None]", once: bool, interval: float) -> None:
+def _interval(text: str) -> float:
+    """A finite, non-negative number of seconds (argparse type of ``--interval``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number of seconds >= 0, got {text!r}")
+    return value
+
+
+def _follow_lines(path: str, line_queue: "queue.Queue[str | Exception | None]", once: bool, interval: float) -> None:
+    """Reader thread: queues each line, then None at the end, or the error that stopped it."""
+    try:
+        _read_lines(path, line_queue, once, interval)
+    except Exception as exc:
+        line_queue.put(exc)
+        return
+    line_queue.put(None)
+
+
+def _read_lines(path: str, line_queue: "queue.Queue[str | Exception | None]", once: bool, interval: float) -> None:
     with open(path, "r", encoding="utf-8") as fh:
         while True:
             line = fh.readline()
@@ -188,7 +210,6 @@ def _follow_lines(path: str, line_queue: "queue.Queue[str | None]", once: bool, 
             if once:
                 break
             time.sleep(interval)
-    line_queue.put(None)
 
 
 def _cmd_monitor(args) -> int:
@@ -197,7 +218,7 @@ def _cmd_monitor(args) -> int:
 
     # One reader thread tails the file; this thread evaluates.  The bounded
     # queue keeps memory flat and preserves event order.
-    line_queue: "queue.Queue[str | None]" = queue.Queue(maxsize=1024)
+    line_queue: "queue.Queue[str | Exception | None]" = queue.Queue(maxsize=1024)
     reader = threading.Thread(
         target=_follow_lines, args=(args.follow, line_queue, args.once, args.interval), daemon=True
     )
@@ -209,6 +230,8 @@ def _cmd_monitor(args) -> int:
         line = line_queue.get()
         if line is None:
             break
+        if isinstance(line, Exception):
+            raise line
         line = line.strip()
         if not line:
             continue
@@ -396,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--follow", required=True)
     p.add_argument("--once", action="store_true", help="stop at end of file")
-    p.add_argument("--interval", type=float, default=0.2)
+    p.add_argument("--interval", type=_interval, default=0.2)
     _add_detector_flags(p)
     p.set_defaults(func=_cmd_monitor)
 
@@ -437,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     except TraceMdpError as exc:
         _print_json({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _print_json({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         return 3
 

@@ -91,9 +91,6 @@ class LinkedStore:
     labeling: LabelingConfig = field(default_factory=LabelingConfig)
     label_report: LabelReport = field(default_factory=LabelReport)
 
-    def handle_for_leaf(self, abstract_id: int) -> Handle:
-        return self.map_graph[abstract_id]
-
     def evidence_by_state(self) -> dict[int, list[ConcreteState]]:
         """Concrete states observed per abstract state, via trie endpoints."""
         out: dict[int, list[ConcreteState]] = {}

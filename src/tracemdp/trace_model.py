@@ -21,15 +21,31 @@ The wire format is JSONL, one event per line:
 Unknown top-level keys are ignored.  The variable schema (names and type
 tags) is frozen on first sight; any later event that disagrees is rejected
 with :class:`~tracemdp.errors.SchemaViolation`, never coerced.
+
+Parsing costs little more than ``json.loads``:
+
+* ``Value.from_json`` dispatches on the exact type of each JSON value and
+  falls back to ``isinstance`` tests only for subclasses;
+* ``str``, ``int`` and ``bool`` Values are interned (one shared instance
+  per value, through a bounded cache, so an endless stream cannot grow it);
+  floats never are, as ``-0.0 == 0.0`` would let a shared instance print
+  the wrong sign;
+* a snapshot is checked against the schema by comparing each partition's
+  size and each variable's type tag with a layout computed once per schema
+  object; only a mismatch builds the full schema, to name the difference;
+* consecutive steps of a trace share one snapshot per chain link: once a
+  step's ``pre`` is found equal to the previous ``post``, the step keeps the
+  previous ``post`` as its ``pre``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     ChainBreak,
@@ -85,7 +101,11 @@ class Value:
 
     @staticmethod
     def from_json(raw: object) -> "Value":
-        # bool must be tested before int: bool is a subclass of int.
+        make = _FROM_JSON.get(type(raw))
+        if make is not None:
+            return make(raw)
+        # Subclasses of the JSON types, and anything else.  bool must be
+        # tested before int: bool is a subclass of int.
         if isinstance(raw, bool):
             return Value(BOOLEAN, raw)
         if isinstance(raw, int):
@@ -116,9 +136,26 @@ class Value:
             raise SchemaViolation(f"value of kind {self.kind!r} has no cardinality")
         return len(self.data)  # type: ignore[arg-type]
 
-    @property
-    def is_empty(self) -> bool:
-        return self.cardinality == 0
+
+@functools.lru_cache(maxsize=4096)
+def _interned(kind: str, data: int | str) -> Value:
+    """Shared Value of an exact ``int`` or ``str``; bounded, so a stream that
+    never ends cannot grow it.  Floats are never interned: ``-0.0 == 0.0``,
+    so a shared instance could carry the wrong sign."""
+    return Value(kind, data)
+
+
+_TRUE = Value(BOOLEAN, True)
+_FALSE = Value(BOOLEAN, False)
+
+# Parsers for the exact types json.loads produces, keyed by type(raw).
+_FROM_JSON = {
+    bool: lambda raw: _TRUE if raw else _FALSE,
+    int: lambda raw: _interned(INTEGER, raw),
+    str: lambda raw: _interned(TEXT, raw),
+    float: lambda raw: Value(NUMBER, raw),
+    list: lambda raw: Value(COLLECTION, tuple([Value.from_json(x) for x in raw])),
+}
 
 
 @dataclass(frozen=True)
@@ -168,16 +205,42 @@ class ConcreteState:
 
     @staticmethod
     def from_json(raw: Mapping[str, object]) -> "ConcreteState":
-        if not isinstance(raw, Mapping):
+        if type(raw) is not dict and not isinstance(raw, Mapping):
             raise MalformedRecord(f"snapshot must be an object, got {type(raw).__name__}")
+        return ConcreteState(_partition(raw, GOAL), _partition(raw, CHECK), _partition(raw, STATE))
 
-        def part(key: str) -> dict[str, Value]:
-            sub = raw.get(key, {})
-            if not isinstance(sub, Mapping):
-                raise MalformedRecord(f"snapshot partition {key!r} must be an object")
-            return {str(k): Value.from_json(v) for k, v in sub.items()}
 
-        return ConcreteState(part("goal"), part("check"), part("state"))
+def _partition(raw: Mapping[str, object], key: str) -> dict[str, Value]:
+    sub = raw.get(key, {})
+    if type(sub) is not dict and not isinstance(sub, Mapping):
+        raise MalformedRecord(f"snapshot partition {key!r} must be an object")
+    return {str(k): Value.from_json(v) for k, v in sub.items()}
+
+
+def _layout_of(state: ConcreteState) -> tuple[dict[str, str], ...]:
+    """The layout of ``state``'s own schema.
+
+    A layout is a schema split by partition: one dict per partition, in
+    goal/check/state order, from variable name to type tag.
+    """
+    return tuple(
+        {name: value.kind for name, value in part.items()}
+        for part in (state.goal_vars, state.check_vars, state.state_vars)
+    )
+
+
+def _conforms(state: ConcreteState, layout: tuple[dict[str, str], ...] | None) -> bool:
+    """Whether ``state.schema()`` equals the schema whose layout is given,
+    without building it: partition sizes and type tags are compared."""
+    if layout is None:
+        return False
+    for variables, kinds in zip((state.goal_vars, state.check_vars, state.state_vars), layout):
+        if len(variables) != len(kinds):
+            return False
+        for name, value in variables.items():
+            if kinds.get(name) != value.kind:
+                return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +268,7 @@ class Transition:
     post: ConcreteState
 
     def __post_init__(self) -> None:
-        if self.pre.schema() != self.post.schema():
+        if not _conforms(self.post, _layout_of(self.pre)):
             raise SchemaViolation("pre and post snapshots of a transition must share one schema")
 
 
@@ -225,8 +288,10 @@ class Trace:
     terminal_status: TerminalStatus = TerminalStatus.TRUNCATED
 
     def __post_init__(self) -> None:
-        for i in range(len(self.steps) - 1):
-            if self.steps[i].post != self.steps[i + 1].pre:
+        steps = self.steps
+        for i in range(len(steps) - 1):
+            post, pre = steps[i].post, steps[i + 1].pre
+            if post is not pre and post != pre:
                 raise ChainBreak(
                     f"trace {self.trace_id!r}: post of step {i} differs from pre of step {i + 1}"
                 )
@@ -327,7 +392,35 @@ def _digest_args(raw: object) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+# The last schema object seen by _check_schema and its per-partition layout.
+_layout_cache: tuple[object, tuple[dict[str, str], ...] | None] = (None, None)
+
+
+def _schema_layout(schema: dict[str, tuple[str, str]]) -> tuple[dict[str, str], ...] | None:
+    """The layout of ``schema``; None if its entries are not (partition, tag) pairs.
+
+    Computed once per schema object: a schema is frozen, so callers never
+    mutate one they have passed in.
+    """
+    global _layout_cache
+    cached_schema, layout = _layout_cache
+    if cached_schema is schema:
+        return layout
+    parts: dict[str, dict[str, str]] = {GOAL: {}, CHECK: {}, STATE: {}}
+    for name, entry in schema.items():
+        if not (isinstance(entry, tuple) and len(entry) == 2 and entry[0] in parts):
+            layout = None
+            break
+        parts[entry[0]][name] = entry[1]
+    else:
+        layout = (parts[GOAL], parts[CHECK], parts[STATE])
+    _layout_cache = (schema, layout)
+    return layout
+
+
 def _check_schema(state: ConcreteState, schema: dict[str, tuple[str, str]], where: str) -> None:
+    if _conforms(state, _schema_layout(schema)):
+        return
     actual = state.schema()
     if actual == schema:
         return
@@ -449,10 +542,13 @@ def segment_stream(events: Iterable[Event]) -> Trace:
                     f"trace {trace_id!r}#{ev.seq}: no 'pre' snapshot and no prior state"
                 )
             pre = prev_post
-        elif prev_post is not None and pre != prev_post:
-            raise ChainBreak(
-                f"trace {trace_id!r}#{ev.seq}: pre snapshot differs from previous post"
-            )
+        elif prev_post is not None:
+            if pre != prev_post:
+                raise ChainBreak(
+                    f"trace {trace_id!r}#{ev.seq}: pre snapshot differs from previous post"
+                )
+            # One snapshot per chain link: the step reuses the previous post.
+            pre = prev_post
         assert ev.post is not None
         steps.append(Transition(pre, ActionSymbol(ev.action or "", ev.args_digest), ev.post))
         prev_post = ev.post

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -293,3 +296,32 @@ class TestErrors:
         error = json.loads(err)
         assert error["error"] == "InvalidConfig"
         assert str(labels) in error["message"]
+
+
+def run_monitor(store, follow, *flags):
+    """`tracemdp monitor` in a subprocess; a reader that hangs fails the test."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = [sys.executable, "-m", "tracemdp.cli", "monitor", "--store", str(store), "--follow", str(follow)]
+    return subprocess.run([*argv, *flags], capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestMonitorReaderErrors:
+    def test_missing_file_exit_3(self, pipeline, tmp_path):
+        proc = run_monitor(pipeline["store"], tmp_path / "nope.jsonl")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "FileNotFoundError"
+
+    def test_undecodable_file_exit_3(self, pipeline, tmp_path):
+        bad = tmp_path / "latin1.jsonl"
+        bad.write_bytes(b'{"trace_id":"\xe9"}\n')
+        proc = run_monitor(pipeline["store"], bad)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "UnicodeDecodeError"
+
+    @pytest.mark.parametrize("interval", ["-1", "nan", "inf", "soon"])
+    def test_bad_interval_exit_2(self, pipeline, interval):
+        log = pipeline["corpus"] / "anomalous.jsonl"
+        proc = run_monitor(pipeline["store"], log, "--interval", interval)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "--interval" in proc.stderr
