@@ -15,13 +15,12 @@ from tracemdp import (
     generate_corpus,
     read_trace_log,
 )
-from tracemdp.trace_trie import rebuild
+from tracemdp.trace_trie import abstract_trace, rebuild
 
-workdir = tempfile.mkdtemp(prefix="tracemdp-demo1-")
-paths = generate_corpus(GeneratorConfig(seed=42, n_baseline=200, n_anomalous=0), workdir)
-print(f"wrote corpus under {workdir}")
-
-log = read_trace_log(paths.baseline)
+with tempfile.TemporaryDirectory(prefix="tracemdp-demo1-") as workdir:
+    paths = generate_corpus(GeneratorConfig(seed=42, n_baseline=200, n_anomalous=0), workdir)
+    print(f"wrote corpus under {workdir} (removed once it is read)")
+    log = read_trace_log(paths.baseline)
 print(f"\ningested {len(log)} traces, {log.n_transitions} transitions")
 print("schema:")
 for name, (partition, kind) in sorted(log.schema.items()):
@@ -31,16 +30,11 @@ tree = build_initial_tree(log, TreeConfig())
 print(f"\nlearned predicate tree with {tree.n_leaves} leaves:")
 print(tree.to_json())
 
-sample = log[0]
-print(f"trace {sample.trace_id!r} routes through abstract states:")
-path_states = [tree.abstract(sample.state_at(i)) for i in range(sample.n_states)]
-actions = [step.action.name for step in sample.steps]
-rendered = str(path_states[0])
-for state, action in zip(path_states[1:], actions):
-    rendered += f" -{action}-> {state}"
-print(" ", rendered)
+runs = [abstract_trace(tree, trace)[0] for trace in log]
+print(f"trace {log[0].trace_id!r} routes through abstract states:")
+print(" ", runs[0])
 
-trie = rebuild(log, tree)
+trie = rebuild(runs)
 print(f"\nprefix trie over all {len(log)} abstracted traces: {trie.node_count} nodes")
 print("first lines of the debug dump:")
 print("\n".join(trie.dump().splitlines()[:8]))

@@ -20,9 +20,9 @@ from tracemdp import (
     read_trace_log,
 )
 
-workdir = tempfile.mkdtemp(prefix="tracemdp-demo2-")
-paths = generate_corpus(GeneratorConfig(seed=7, n_baseline=300, n_anomalous=0), workdir)
-log = read_trace_log(paths.baseline)
+with tempfile.TemporaryDirectory(prefix="tracemdp-demo2-") as workdir:
+    paths = generate_corpus(GeneratorConfig(seed=7, n_baseline=300, n_anomalous=0), workdir)
+    log = read_trace_log(paths.baseline)
 tree = build_initial_tree(log, TreeConfig())
 store = build(log, tree)
 

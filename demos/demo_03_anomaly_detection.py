@@ -24,30 +24,27 @@ from tracemdp import (
 from tracemdp.anomaly import checkpoint_warnings
 from tracemdp.trace_trie import abstract_trace
 
-workdir = tempfile.mkdtemp(prefix="tracemdp-demo3-")
-train = generate_corpus(GeneratorConfig(seed=0, n_baseline=500, n_anomalous=400), workdir + "/train")
-held = generate_corpus(GeneratorConfig(seed=1, n_baseline=100, n_anomalous=0), workdir + "/held")
+with tempfile.TemporaryDirectory(prefix="tracemdp-demo3-") as workdir:
+    train = generate_corpus(GeneratorConfig(seed=0, n_baseline=500, n_anomalous=400), workdir + "/train")
+    held = generate_corpus(GeneratorConfig(seed=1, n_baseline=100, n_anomalous=0), workdir + "/held")
+    log = read_trace_log(train.baseline)
+    anomalous_log = read_trace_log(train.anomalous)
+    held_log = read_trace_log(held.baseline)
+    with open(train.sidecar) as fh:
+        truth = {record["trace_id"]: record["anomaly"] for record in map(json.loads, fh)}
 
-log = read_trace_log(train.baseline)
 tree = build_initial_tree(log, TreeConfig())
 store = build(log, tree)
 model = store.amdp
 
-train_runs = [abstract_trace(tree, t)[0] for t in log]
 detector = OfflineDetector(DetectorConfig(alpha=0.05)).fit(
-    run_loglik(model, run, t.trace_id) for run, t in zip(train_runs, log)
+    run_loglik(model, run, t.trace_id) for run, t in zip(store.runs, log)
 )
 print(f"detector: mode={detector.effective_mode}  threshold={detector.threshold:.4f}")
 print(f"training scores: mu={detector.stats.mu:.4f} sigma={detector.stats.sigma:.4f}")
 
-truth = {}
-with open(train.sidecar) as fh:
-    for line in fh:
-        record = json.loads(line)
-        truth[record["trace_id"]] = record["anomaly"]
-
 flagged: dict[str, list[bool]] = {}
-for trace in read_trace_log(train.anomalous):
+for trace in anomalous_log:
     score = run_loglik(model, abstract_trace(tree, trace)[0], trace.trace_id)
     verdict = detector.flag(score)
     flagged.setdefault(truth[trace.trace_id], []).append(verdict["verdict"] == "anomalous")
@@ -56,7 +53,6 @@ print(f"\n{'class':<16}{'n':>6}{'recall':>9}")
 for kind, hits in sorted(flagged.items()):
     print(f"{kind:<16}{len(hits):>6}{sum(hits) / len(hits):>9.3f}")
 
-held_log = read_trace_log(held.baseline)
 false_positives = sum(
     detector.flag(run_loglik(model, abstract_trace(tree, t)[0]))["verdict"] == "anomalous"
     for t in held_log
@@ -64,9 +60,9 @@ false_positives = sum(
 print(f"{'held-out FPR':<16}{len(held_log):>6}{false_positives / len(held_log):>9.3f}")
 
 # Prefix-conditioned warnings for one long anomalous run.
-stats = prefix_stats(train_runs, model, checkpoints=range(5, 101, 5))
+stats = prefix_stats(store.runs, model, checkpoints=range(5, 101, 5))
 long_run = max(
-    (abstract_trace(tree, t)[0] for t in read_trace_log(train.anomalous)),
+    (abstract_trace(tree, t)[0] for t in anomalous_log),
     key=lambda run: run.n_transitions,
 )
 warnings, unseen_at = checkpoint_warnings(model, long_run, stats)

@@ -29,7 +29,6 @@ from .anomaly import (
     normal_quantile,
     offline_flag,
     offline_stats,
-    online_check,
     prefix_stats,
     run_loglik,
 )

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import SchemaViolation, UnknownVariable, UnobservedStateAction
-from .predicate_tree import BooleanEq, Predicate, PredicateTree, ScalarThreshold
+from .predicate_tree import BooleanEq, Predicate, ScalarThreshold
 from .trace_model import CHECK, GOAL, ConcreteState, TerminalStatus, TraceLog
+from .trace_trie import AbstractPath
 
 SUCCESS_LABEL = "success"
 FAILURE_LABEL = "failure"
@@ -95,22 +96,21 @@ class Amdp:
         )
 
 
-def induce(log: TraceLog, tree: PredicateTree) -> Amdp:
-    """MDP induction from a log abstracted under a tree.
+def induce(runs: Iterable[AbstractPath], states: Iterable[int]) -> Amdp:
+    """MDP induction from abstract runs over the given abstract states.
 
-    Every tree leaf becomes a vertex even when no trace visits it, so the
-    state set stays aligned with the abstraction.
+    Every state given becomes a vertex even when no run visits it, so with
+    ``tree.abstract_ids()`` the state set stays aligned with the abstraction.
     """
     mdp = Amdp()
-    for abstract_id in tree.abstract_ids():
+    for abstract_id in states:
         mdp.add_state(abstract_id)
-    for trace in log:
-        if trace.n_states == 0:
+    for run in runs:
+        if not run.states:
             continue
-        abstracted = [tree.abstract(trace.state_at(i)) for i in range(trace.n_states)]
-        mdp.record_initial(abstracted[0])
-        for i, step in enumerate(trace.steps):
-            mdp.ingest(abstracted[i], step.action.name, abstracted[i + 1])
+        mdp.record_initial(run.states[0])
+        for src, action, dst in run.steps():
+            mdp.ingest(src, action, dst)
     return mdp
 
 
@@ -185,6 +185,27 @@ class LabelReport:
     mixed: dict[str, set[int]] = field(default_factory=dict)
 
 
+def _lift(mode: str, matching: int, others: int) -> str | None:
+    """Lifts one state's evidence to "labeled", "mixed" or None (no label).
+
+    Mode "all" labels a state whose evidence all matches and reports it
+    mixed when only some does; mode "any" labels it when any evidence
+    matches.
+    """
+    if not matching:
+        return None
+    return "mixed" if mode == "all" and others else "labeled"
+
+
+def _record_labels(
+    mdp: Amdp, report: LabelReport, name: str, lifted: Mapping[int, str | None]
+) -> None:
+    labeled = {state_id for state_id, verdict in lifted.items() if verdict == "labeled"}
+    mdp.labels.setdefault(name, set()).update(labeled)
+    report.labeled[name] = labeled
+    report.mixed[name] = {state_id for state_id, verdict in lifted.items() if verdict == "mixed"}
+
+
 def label_states(
     mdp: Amdp,
     rules: Sequence[LabelRule],
@@ -197,70 +218,48 @@ def label_states(
     """
     report = LabelReport()
     for rule in rules:
-        labeled: set[int] = set()
-        mixed: set[int] = set()
+        lifted: dict[int, str | None] = {}
         for state_id in sorted(mdp.states):
-            states = evidence.get(state_id, ())
-            if not states:
-                continue
-            outcomes = [rule.holds(s) for s in states]
-            if rule.mode == "all":
-                if all(outcomes):
-                    labeled.add(state_id)
-                elif any(outcomes):
-                    mixed.add(state_id)
-            else:
-                if any(outcomes):
-                    labeled.add(state_id)
-        mdp.labels.setdefault(rule.name, set()).update(labeled)
-        report.labeled[rule.name] = labeled
-        report.mixed[rule.name] = mixed
+            outcomes = [rule.holds(s) for s in evidence.get(state_id, ())]
+            matching = sum(outcomes)
+            lifted[state_id] = _lift(rule.mode, matching, len(outcomes) - matching)
+        _record_labels(mdp, report, rule.name, lifted)
     return report
 
 
 def label_by_terminal(
     mdp: Amdp,
     log: TraceLog,
-    tree: PredicateTree,
+    runs: Sequence[AbstractPath],
     success_mode: str = "all",
     failure_mode: str = "any",
 ) -> LabelReport:
     """Labels abstract states from the terminal status of traces ending there.
 
-    Success is lifted conservatively (mode "all" by default: every trace
-    ending in the state succeeded), failure permissively (mode "any": some
-    trace ending there failed).  Truncated traces contribute no evidence.
+    ``runs[i]`` is the abstract run of ``log[i]``; its last state is where
+    the trace ended.  Success is lifted conservatively (mode "all" by
+    default: every trace ending in the state succeeded), failure
+    permissively (mode "any": some trace ending there failed).  Truncated
+    traces contribute no evidence.
     """
     endings: dict[int, Counter[str]] = {}
-    for trace in log:
-        if trace.n_states == 0:
+    for trace, run in zip(log, runs):
+        if not run.states:
             continue
         if trace.terminal_status not in (TerminalStatus.SUCCESS, TerminalStatus.FAILURE):
             continue
-        final = tree.abstract(trace.state_at(trace.n_states - 1))
-        endings.setdefault(final, Counter())[trace.terminal_status.value] += 1
+        endings.setdefault(run.states[-1], Counter())[trace.terminal_status.value] += 1
 
     report = LabelReport()
     for name, status, mode in (
         (SUCCESS_LABEL, "success", success_mode),
         (FAILURE_LABEL, "failure", failure_mode),
     ):
-        labeled: set[int] = set()
-        mixed: set[int] = set()
+        lifted: dict[int, str | None] = {}
         for state_id, counts in endings.items():
             matching = counts.get(status, 0)
-            others = sum(counts.values()) - matching
-            if mode == "all":
-                if matching and not others:
-                    labeled.add(state_id)
-                elif matching:
-                    mixed.add(state_id)
-            else:
-                if matching:
-                    labeled.add(state_id)
-        mdp.labels.setdefault(name, set()).update(labeled)
-        report.labeled[name] = labeled
-        report.mixed[name] = mixed
+            lifted[state_id] = _lift(mode, matching, sum(counts.values()) - matching)
+        _record_labels(mdp, report, name, lifted)
     return report
 
 

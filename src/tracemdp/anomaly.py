@@ -26,12 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InsufficientData,
-    UnarmedCheckpoint,
-    UnobservedStateAction,
-)
+from .errors import DomainError, InsufficientData, UnobservedStateAction
 from .trace_trie import AbstractPath
 
 DEFAULT_CHECKPOINTS = tuple(range(10, 201, 10))
@@ -283,47 +278,6 @@ def prefix_stats(
         n_runs = len(scores) + unseen[k]  # every run reaching k ends up finite or unseen
         out[k] = CheckpointStats(k, n_runs, len(scores), unseen[k], mu, sigma, tuple(scores))
     return out
-
-
-@dataclass(frozen=True)
-class CheckpointVerdict:
-    k: int
-    warn: bool
-    reason: str  # normal | low_likelihood | unseen_transition
-    loglik: float
-    threshold: float | None
-
-
-def online_check(
-    model,
-    prefix: AbstractPath,
-    k: int,
-    stats: Mapping[int, CheckpointStats] | CheckpointStats,
-    cfg: DetectorConfig | None = None,
-) -> CheckpointVerdict:
-    """Applies the one-sided checkpoint rule to a length-k prefix.
-
-    A prefix that already left the model's support warns immediately with
-    reason "unseen_transition", independent of the checkpoint statistics.
-    """
-    cfg = cfg or DetectorConfig()
-    if prefix.n_transitions != k:
-        raise ValueError(f"prefix has {prefix.n_transitions} transitions, checkpoint is {k}")
-    if isinstance(stats, Mapping):
-        if k not in stats:
-            raise UnarmedCheckpoint(f"no statistics collected for checkpoint {k}")
-        cp = stats[k]
-    else:
-        cp = stats
-    score = run_loglik(model, prefix)
-    if not score.finite:
-        return CheckpointVerdict(k, True, "unseen_transition", score.loglik, None)
-    if not cp.armed:
-        raise UnarmedCheckpoint(f"checkpoint {k} has fewer than two finite historical scores")
-    threshold = offline_threshold(cp.mu, cp.sigma, cfg.alpha, cfg.mode, cp.scores)
-    if score.loglik < threshold:
-        return CheckpointVerdict(k, True, "low_likelihood", score.loglik, threshold)
-    return CheckpointVerdict(k, False, "normal", score.loglik, threshold)
 
 
 def checkpoint_warnings(

@@ -90,25 +90,27 @@ class ValueIterationResult:
     history: list[dict[int, float]] | None = None
 
 
-def _cannot_reach(model, target: set[int]) -> set[int]:
-    """States with no support-graph path to the target under any action."""
-    states = set(model.states)
+def _cannot_reach(tables: list[list[tuple[np.ndarray, np.ndarray]]], target: set[int]) -> set[int]:
+    """Indices of states with no support-graph path to the target under any action.
+
+    ``tables`` are reach_values's per-state action tables and ``target``
+    holds state indices.
+    """
     # Reverse reachability from the target over positive-probability edges.
-    reverse: dict[int, set[int]] = {s: set() for s in states}
-    for s in states:
-        for action in model.enabled_actions(s):
-            for dst, prob in model.successors(s, action):
-                if prob > 0:
-                    reverse.setdefault(dst, set()).add(s)
-    reached = set(t for t in target if t in states)
+    reverse: list[set[int]] = [set() for _ in tables]
+    for src, rows in enumerate(tables):
+        for dsts, probs in rows:
+            for dst in dsts[probs > 0].tolist():
+                reverse[dst].add(src)
+    reached = set(target)
     frontier = list(reached)
     while frontier:
         node = frontier.pop()
-        for src in reverse.get(node, ()):
+        for src in reverse[node]:
             if src not in reached:
                 reached.add(src)
                 frontier.append(src)
-    return states - reached
+    return set(range(len(tables))) - reached
 
 
 def reach_values(
@@ -145,7 +147,7 @@ def reach_values(
 
     frozen = {index[t] for t in target}
     if query.direction == MAX:
-        frozen |= {index[s] for s in _cannot_reach(model, target)}
+        frozen |= _cannot_reach(tables, frozen)
     active = [i for i, s in enumerate(states) if i not in frozen and tables[i]]
 
     x = np.zeros(len(states))

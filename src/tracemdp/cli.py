@@ -79,11 +79,10 @@ def _checkpoints(text: str) -> tuple[int, ...]:
 
 
 def _detector_setup(args) -> tuple:
-    """(store, detector config, abstracted training runs, their prefix statistics)."""
+    """(store, detector config, prefix statistics of the store's training runs)."""
     store = load_store(args.store)
     cfg = DetectorConfig(alpha=args.alpha, checkpoints=_checkpoints(args.checkpoints))
-    train_runs = [abstract_trace(store.tree, trace)[0] for trace in store.log]
-    return store, cfg, train_runs, prefix_stats(train_runs, store.amdp, cfg.checkpoints)
+    return store, cfg, prefix_stats(store.runs, store.amdp, cfg.checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +137,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    store, cfg, train_runs, stats = _detector_setup(args)
+    store, cfg, stats = _detector_setup(args)
     detector = OfflineDetector(cfg).fit(
         run_loglik(store.amdp, run, trace.trace_id)
-        for run, trace in zip(train_runs, store.log)
+        for run, trace in zip(store.runs, store.log)
     )
 
     target_log = read_trace_log(args.log)
@@ -213,7 +212,7 @@ def _read_lines(path: str, line_queue: "queue.Queue[str | Exception | None]", on
 
 
 def _cmd_monitor(args) -> int:
-    store, cfg, _train_runs, stats = _detector_setup(args)
+    store, cfg, stats = _detector_setup(args)
     schema = store.log.schema
 
     # One reader thread tails the file; this thread evaluates.  The bounded

@@ -49,10 +49,6 @@ class StaleLog(TraceMdpError):
     """A saved store's training log no longer matches the hash in its manifest."""
 
 
-class UnarmedCheckpoint(TraceMdpError):
-    """Checkpoint statistics exist but have fewer than two finite scores."""
-
-
 class InsufficientData(TraceMdpError):
     """Offline statistics need at least two finite run scores."""
 

@@ -11,9 +11,17 @@ consistent under four invariants:
 * I4  the MDP's state set is exactly the handles' vertex set.
 
 The synthetic trie root carries no abstract state and stays outside the
-endpoint accounting.  apply_split currently realizes the refined store by a
-full rebuild, which the equality-with-rebuild property keeps honest if an
-incremental path is added later.
+endpoint accounting.
+
+``build`` routes every state of the log through the tree exactly once and
+keeps the abstract runs (``LinkedStore.runs``, one per trace, in log
+order).  The trie, the count MDP, the terminal labels and the detectors of
+``score`` and ``monitor`` all read those runs; the concrete states behind
+an abstract state come from its trie endpoints (``batch_for_leaf``).
+
+apply_split currently realizes the refined store by a full rebuild, which
+the equality-with-rebuild property keeps honest if an incremental path is
+added later.
 
 A saved store is a directory holding the tree, the explicit-state export
 (``write_model``) and a manifest naming the training log and its SHA-256.
@@ -33,8 +41,16 @@ from . import amdp as amdp_mod
 from . import trace_trie as trie_mod
 from .amdp import Amdp, LabelReport, LabelRule
 from .errors import StaleLog, StaleSplit
-from .predicate_tree import LeafSplit, PredicateTree, predicate_from_json, predicate_to_json
-from .trace_model import ConcreteState, TraceLog, read_trace_log
+from .predicate_tree import (
+    LabeledBatch,
+    LeafSplit,
+    PredicateTree,
+    labeled_batch_from_log,
+    predicate_from_json,
+    predicate_to_json,
+)
+from .trace_model import TraceLog, read_trace_log
+from .trace_trie import AbstractPath
 
 
 @dataclass(frozen=True)
@@ -84,23 +100,13 @@ class LinkedStore:
     amdp: Amdp
     trie: trie_mod.TraceTrie
     log: TraceLog
+    runs: tuple[AbstractPath, ...]  # runs[i] is log[i] routed through tree
     handles: tuple[Handle, ...]
     map_tree: dict[int, Handle]
     map_graph: dict[int, Handle]
     map_trie: dict[int, Handle]
     labeling: LabelingConfig = field(default_factory=LabelingConfig)
     label_report: LabelReport = field(default_factory=LabelReport)
-
-    def evidence_by_state(self) -> dict[int, list[ConcreteState]]:
-        """Concrete states observed per abstract state, via trie endpoints."""
-        out: dict[int, list[ConcreteState]] = {}
-        for handle in self.handles:
-            states: list[ConcreteState] = []
-            for node_id in sorted(handle.endpoints):
-                for trace_idx, state_idx in sorted(self.trie.nodes[node_id].record_refs):
-                    states.append(self.log.state_at(trace_idx, state_idx))
-            out[handle.graph] = states
-        return out
 
 
 def build(
@@ -110,8 +116,9 @@ def build(
 ) -> LinkedStore:
     """Assembles trie, MDP, handles, and labels for a log under a tree."""
     labeling = labeling or LabelingConfig()
-    trie = trie_mod.rebuild(log, tree)
-    mdp = amdp_mod.induce(log, tree)
+    runs = tuple(trie_mod.abstract_trace(tree, trace)[0] for trace in log)
+    trie = trie_mod.rebuild(runs)
+    mdp = amdp_mod.induce(runs, tree.abstract_ids())
 
     handles: list[Handle] = []
     map_tree: dict[int, Handle] = {}
@@ -130,6 +137,7 @@ def build(
         amdp=mdp,
         trie=trie,
         log=log,
+        runs=runs,
         handles=tuple(handles),
         map_tree=map_tree,
         map_graph=map_graph,
@@ -140,14 +148,26 @@ def build(
     report = LabelReport()
     if labeling.terminal_labels:
         report = amdp_mod.label_by_terminal(
-            mdp, log, tree, labeling.success_mode, labeling.failure_mode
+            mdp, log, runs, labeling.success_mode, labeling.failure_mode
         )
     if labeling.rules:
-        rule_report = amdp_mod.label_states(mdp, labeling.rules, store.evidence_by_state())
+        evidence = {h.graph: batch_for_leaf(store, h.graph).states for h in store.handles}
+        rule_report = amdp_mod.label_states(mdp, labeling.rules, evidence)
         report.labeled.update(rule_report.labeled)
         report.mixed.update(rule_report.mixed)
     store.label_report = report
     return store
+
+
+def batch_for_leaf(store: LinkedStore, abstract_id: int) -> LabeledBatch:
+    """Concrete states behind a leaf, via its trie endpoints, labeled by their next action."""
+    trie_nodes = store.trie.nodes
+    refs = (
+        ref
+        for node_id in sorted(store.map_graph[abstract_id].endpoints)
+        for ref in sorted(trie_nodes[node_id].record_refs)
+    )
+    return labeled_batch_from_log(store.log, refs)
 
 
 def check_invariants(store: LinkedStore) -> list[str]:

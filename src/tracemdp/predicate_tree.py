@@ -278,14 +278,24 @@ class LabeledBatch:
         return sub
 
 
-def labeled_batch_from_log(log: TraceLog) -> LabeledBatch:
-    """All observed states of a log, labeled by the next action (⊥ at ends)."""
+def labeled_batch_from_log(
+    log: TraceLog, refs: Iterable[tuple[int, int]] | None = None
+) -> LabeledBatch:
+    """States of a log, labeled by the next action (⊥ at ends).
+
+    ``refs`` names the states as (trace index, state index) pairs, in batch
+    order; without it the batch holds every observed state of the log.
+    """
+    if refs is None:
+        refs = ((t, i) for t, trace in enumerate(log) for i in range(trace.n_states))
     states: list[ConcreteState] = []
     labels: list[str] = []
-    for trace in log:
-        for i in range(trace.n_states):
-            states.append(trace.state_at(i))
-            labels.append(trace.steps[i].action.name if i < len(trace.steps) else END_LABEL)
+    for trace_idx, state_idx in refs:
+        trace = log[trace_idx]
+        states.append(trace.state_at(state_idx))
+        labels.append(
+            trace.steps[state_idx].action.name if state_idx < len(trace.steps) else END_LABEL
+        )
     return LabeledBatch(states, labels)
 
 

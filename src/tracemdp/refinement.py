@@ -16,16 +16,8 @@ from typing import Callable
 
 from .checker import ReachQuery, check
 from .errors import UnknownLeaf
-from .linked_store import LabelingConfig, LinkedStore, apply_split, build
-from .predicate_tree import (
-    END_LABEL,
-    LabeledBatch,
-    LeafSplit,
-    PredicateTree,
-    SplitRejected,
-    TreeConfig,
-    split_leaf,
-)
+from .linked_store import LabelingConfig, LinkedStore, apply_split, batch_for_leaf, build
+from .predicate_tree import LeafSplit, PredicateTree, SplitRejected, TreeConfig, split_leaf
 from .trace_model import TraceLog
 from .trace_trie import AbstractPath, Ref
 
@@ -92,23 +84,6 @@ def concretize(store: LinkedStore, witness: AbstractPath) -> Real | Spurious:
     k = store.trie.earliest_divergence(witness)
     assert k is not None  # an unsupported path always has a divergence index
     return Spurious(k, witness.states[k])
-
-
-def batch_for_leaf(store: LinkedStore, abstract_id: int) -> LabeledBatch:
-    """Concrete states behind a leaf, labeled by their next action."""
-    handle = store.map_graph[abstract_id]
-    states = []
-    labels = []
-    for node_id in sorted(handle.endpoints):
-        for trace_idx, state_idx in sorted(store.trie.nodes[node_id].record_refs):
-            trace = store.log[trace_idx]
-            states.append(trace.state_at(state_idx))
-            labels.append(
-                trace.steps[state_idx].action.name
-                if state_idx < len(trace.steps)
-                else END_LABEL
-            )
-    return LabeledBatch(states, labels)
 
 
 def refine_once(

@@ -5,15 +5,16 @@ keyed by the pair (action, next abstract state) so that realizability checks
 cover full state-action-state steps; the synthetic root carries no abstract
 state, and a trace's initial state hangs under it keyed by (None, state).
 
-Nodes keep back-references (trace index, state index) into the append-only
-trace log so that refinement can recover the concrete states behind any
-abstract state.
+Nodes keep back-references (run index, state index).  ``rebuild`` inserts
+the abstract runs of a log in log order, so a run index is the trace index
+in the append-only trace log, and refinement can recover the concrete
+states behind any abstract state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ROOT_ID = 0
 
@@ -87,7 +88,6 @@ class TraceTrie:
         self.nodes: dict[int, TrieNode] = {ROOT_ID: TrieNode(ROOT_ID, None)}
         self._by_state: dict[int, set[int]] = {}
         self._next_id = ROOT_ID + 1
-        self._seen: set[tuple] = set()
 
     @property
     def root(self) -> TrieNode:
@@ -113,23 +113,23 @@ class TraceTrie:
     def insert(self, path: AbstractPath, refs: Sequence[Ref] = ()) -> int:
         """Inserts a path with per-state concrete references.
 
-        Every prefix of the path becomes a node; re-inserting an identical
-        (path, refs) pair is a no-op.  Returns the end node id.
+        Every prefix of the path becomes a node.  An insert whose end node
+        already holds ``refs[-1]`` repeats an earlier one and changes
+        nothing; a path without refs counts each insert in the end node's
+        ``end_count``.  Returns the end node id.
         """
         if refs and len(refs) != len(path.states):
             raise ValueError("need one concrete reference per path state")
-        seen_key = (path.states, path.actions, tuple(refs))
-        already = seen_key in self._seen
-        self._seen.add(seen_key)
-
+        nodes = []
         node = self.root
         for i, state in enumerate(path.states):
-            key = (path.actions[i - 1] if i else None, state)
-            node = self._child(node, key)
-            if refs and not already:
-                node.record_refs.add(refs[i])
-        if not already:
-            node.end_count += 1
+            node = self._child(node, (path.actions[i - 1] if i else None, state))
+            nodes.append(node)
+        if refs and refs[-1] in node.record_refs:
+            return node.node_id
+        for on_path, ref in zip(nodes, refs):
+            on_path.record_refs.add(ref)
+        node.end_count += 1
         return node.node_id
 
     def walk(self, path: AbstractPath) -> TrieNode | None:
@@ -208,10 +208,9 @@ def abstract_trace(tree, trace, trace_index: int = 0) -> tuple[AbstractPath, tup
     return AbstractPath(states, actions), refs
 
 
-def rebuild(log, tree) -> TraceTrie:
-    """Fresh trie holding every trace of the log abstracted under the tree."""
+def rebuild(runs: Iterable[AbstractPath]) -> TraceTrie:
+    """Fresh trie holding every run, with refs (run index, state index)."""
     trie = TraceTrie()
-    for index, trace in enumerate(log):
-        path, refs = abstract_trace(tree, trace, index)
-        trie.insert(path, refs)
+    for index, run in enumerate(runs):
+        trie.insert(run, tuple((index, i) for i in range(len(run.states))))
     return trie

@@ -13,6 +13,7 @@ from tracemdp.trace_model import (
     Transition,
     Value,
 )
+from tracemdp.trace_trie import abstract_trace
 
 
 def mk_state(state=None, check=None, goal=None) -> ConcreteState:
@@ -50,6 +51,11 @@ def mk_log(traces) -> TraceLog:
     for trace in traces:
         log.append(trace)
     return log
+
+
+def mk_runs(log, tree) -> list:
+    """Abstract runs of a log under a tree, one per trace."""
+    return [abstract_trace(tree, trace)[0] for trace in log]
 
 
 @pytest.fixture()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import mk_log, mk_state, mk_trace
+from conftest import mk_log, mk_runs, mk_state, mk_trace
 from tracemdp.amdp import (
     Amdp,
     LabelRule,
@@ -92,7 +92,7 @@ class TestInduce:
 
     def test_counts_match_recount(self):
         log, tree = self.make()
-        m = induce(log, tree)
+        m = induce(mk_runs(log, tree), tree.abstract_ids())
         recount: dict = {}
         for trace in log:
             for i, step in enumerate(trace.steps):
@@ -102,17 +102,18 @@ class TestInduce:
 
     def test_determinism(self):
         log, tree = self.make()
-        assert induce(log, tree).equal_counts(induce(log, tree))
+        runs = mk_runs(log, tree)
+        assert induce(runs, tree.abstract_ids()).equal_counts(induce(runs, tree.abstract_ids()))
 
     def test_initial_multiset(self):
         log, tree = self.make()
-        m = induce(log, tree)
+        m = induce(mk_runs(log, tree), tree.abstract_ids())
         assert sum(m.initial.values()) == len(log)
         assert m.modal_initial() in m.states
 
     def test_all_leaves_become_states(self):
         log, tree = self.make()
-        m = induce(log, tree)
+        m = induce(mk_runs(log, tree), tree.abstract_ids())
         assert set(tree.abstract_ids()) <= m.states
 
 
@@ -148,9 +149,9 @@ class TestRemap:
         # Splitting the abstraction and re-inducing from the log is the
         # reference for any split-time remapping.
         coarse = PredicateTree.single_leaf()
-        m_coarse = induce(two_regime_log, coarse)
+        m_coarse = induce(mk_runs(two_regime_log, coarse), coarse.abstract_ids())
         fine = build_initial_tree(two_regime_log, TreeConfig(min_leaf_size=1))
-        m_fine = induce(two_regime_log, fine)
+        m_fine = induce(mk_runs(two_regime_log, fine), fine.abstract_ids())
         # Merging the fine model back through the abstraction equals coarse.
         merged = remap(m_fine, {s: 0 for s in m_fine.states})
         assert merged.counts3 == m_coarse.counts3
@@ -223,8 +224,9 @@ class TestLabeling:
         ]
         log = mk_log(traces)
         tree = build_initial_tree(log, TreeConfig(min_leaf_size=1, min_gain=0.0))
-        m = induce(log, tree)
-        label_by_terminal(m, log, tree)
+        runs = mk_runs(log, tree)
+        m = induce(runs, tree.abstract_ids())
+        label_by_terminal(m, log, runs)
         success_ends = {tree.abstract(t.state_at(t.n_states - 1)) for t in traces[:3]}
         fail_end = tree.abstract(traces[3].state_at(1))
         assert m.labels["failure"] == {fail_end}

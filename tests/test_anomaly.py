@@ -17,12 +17,11 @@ from tracemdp.anomaly import (
     offline_flag,
     offline_stats,
     offline_threshold,
-    online_check,
     prefix_stats,
     run_loglik,
     skewness,
 )
-from tracemdp.errors import DomainError, InsufficientData, UnarmedCheckpoint
+from tracemdp.errors import DomainError, InsufficientData
 from tracemdp.trace_trie import AbstractPath
 
 
@@ -295,6 +294,8 @@ class TestPrefixStats:
 
 
 class TestOnlineCheck:
+    """The checkpoint rule of online detection, applied by RunMonitor.feed."""
+
     def setup_method(self):
         self.model = chain_model({(0, 0): 50, (0, 1): 50, (1, 1): 100})
         self.stats = {
@@ -305,31 +306,30 @@ class TestOnlineCheck:
     def run_of(self, states):
         return AbstractPath(tuple(states), tuple("go" for _ in range(len(states) - 1)))
 
+    def alerts(self, run, stats):
+        monitor = RunMonitor(self.model, stats)
+        return [alert for step in run.steps() for alert in monitor.feed(*step)]
+
     def test_score_at_mean_is_normal(self):
         run = self.run_of([0, 1, 1, 1, 1, 1])  # one 0.5 factor then certainty
-        verdict = online_check(
-            self.model, run, 5, {5: CheckpointStats(5, 2, 2, 0, math.log(0.5), 1.0, ())}
-        )
-        assert not verdict.warn
+        assert self.alerts(run, {5: CheckpointStats(5, 2, 2, 0, math.log(0.5), 1.0, ())}) == []
 
     def test_low_prefix_warns(self):
         run = self.run_of([0, 0, 0, 0, 0, 0])  # five 0.5 factors
-        verdict = online_check(self.model, run, 5, self.stats)
-        assert verdict.warn and verdict.reason == "low_likelihood"
+        (alert,) = self.alerts(run, self.stats)
+        assert alert["kind"] == "checkpoint" and alert["k"] == 5
+        assert alert["loglik_k"] == pytest.approx(5 * math.log(0.5))
+        assert alert["threshold"] == pytest.approx(-2.0 - normal_quantile(0.95) * 0.5)
 
     def test_unseen_prefix_warns_without_stats(self):
         run = self.run_of([0, 2, 0, 0, 0, 0])
-        verdict = online_check(self.model, run, 5, self.stats)
-        assert verdict.warn and verdict.reason == "unseen_transition"
+        assert self.alerts(run, self.stats) == [{"kind": "unseen_transition", "step": 0}]
 
-    def test_unarmed_checkpoint(self):
-        run = self.run_of([0, 1, 1, 1, 1, 1, 1, 1])
-        with pytest.raises(UnarmedCheckpoint):
-            online_check(self.model, run, 7, self.stats)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            online_check(self.model, self.run_of([0, 1]), 5, self.stats)
+    def test_unarmed_checkpoint_emits_nothing(self):
+        # Seven 0.5 factors: far below checkpoint 7's lone score, yet only
+        # the armed checkpoint 5 warns.
+        run = self.run_of([0] * 8)
+        assert [alert["k"] for alert in self.alerts(run, self.stats)] == [5]
 
 
 class TestMonitorAgainstBatch:

@@ -237,6 +237,26 @@ class TestSavedStore:
         assert json.loads(out)["outcome"] == "verified"
         assert len(builds) == 1
 
+    def test_score_routes_each_state_once(self, pipeline, capsys, monkeypatch, tmp_path):
+        from tracemdp.predicate_tree import PredicateTree
+        from tracemdp.trace_model import read_trace_log
+
+        train = pipeline["corpus"] / "baseline.jsonl"
+        target = pipeline["corpus"] / "anomalous.jsonl"
+        states = sum(t.n_states for path in (train, target) for t in read_trace_log(str(path)))
+        calls = []
+        original = PredicateTree.abstract
+
+        def counting_abstract(self, state):
+            calls.append(state)
+            return original(self, state)
+
+        monkeypatch.setattr(PredicateTree, "abstract", counting_abstract)
+        argv = ["score", "--store", str(pipeline["store"]), "--log", str(target)]
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "scores.jsonl"))
+        assert code == 0
+        assert len(calls) == states
+
 
 class TestErrors:
     def test_bad_property_exit_2(self, pipeline, capsys):

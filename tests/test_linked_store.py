@@ -22,7 +22,7 @@ from tracemdp.predicate_tree import (
     split_leaf,
 )
 from tracemdp.refinement import batch_for_leaf
-from tracemdp.trace_trie import ROOT_ID
+from tracemdp.trace_trie import ROOT_ID, abstract_trace
 
 
 def small_log():
@@ -85,6 +85,23 @@ class TestBuild:
         log = small_log()
         tree = build_initial_tree(log, TreeConfig(min_leaf_size=1))
         store = build(log, tree)
+        assert check_invariants(store) == []
+
+    def test_routes_each_state_once(self, monkeypatch):
+        log = random_log(np.random.default_rng(7))
+        tree = build_initial_tree(log, TreeConfig(min_gain=0.0, min_leaf_size=1))
+        calls = []
+        original = PredicateTree.abstract
+
+        def counting_abstract(self, state):
+            calls.append(state)
+            return original(self, state)
+
+        monkeypatch.setattr(PredicateTree, "abstract", counting_abstract)
+        store = build(log, tree)
+        assert len(calls) == sum(trace.n_states for trace in log)
+        monkeypatch.undo()
+        assert store.runs == tuple(abstract_trace(tree, trace)[0] for trace in log)
         assert check_invariants(store) == []
 
     def test_terminal_labels_applied(self):

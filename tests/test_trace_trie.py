@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import mk_log, mk_trace
+from conftest import mk_log, mk_runs, mk_trace
 from tracemdp.predicate_tree import TreeConfig, build_initial_tree, labeled_batch_from_log
 from tracemdp.trace_trie import AbstractPath, TraceTrie, abstract_trace, rebuild
 
@@ -174,13 +174,13 @@ class TestRebuild:
     def test_empty_log_root_only(self):
         from tracemdp.predicate_tree import PredicateTree
 
-        trie = rebuild(mk_log([]), PredicateTree.single_leaf())
+        trie = rebuild(mk_runs(mk_log([]), PredicateTree.single_leaf()))
         assert trie.node_count == 0
 
     def test_rebuild_deterministic(self):
         log = self.make_log()
         tree = build_initial_tree(log, TreeConfig(min_leaf_size=1))
-        assert rebuild(log, tree).structurally_equal(rebuild(log, tree))
+        assert rebuild(mk_runs(log, tree)).structurally_equal(rebuild(mk_runs(log, tree)))
 
     def test_rebuild_after_split_does_not_shrink(self):
         from tracemdp.predicate_tree import split_leaf
@@ -199,7 +199,7 @@ class TestRebuild:
                 )
             log = mk_log(traces)
             tree = build_initial_tree(log, TreeConfig(min_gain=0.2, min_leaf_size=2))
-            before = rebuild(log, tree)
+            before = rebuild(mk_runs(log, tree))
             # Split any leaf that admits one.
             batch = labeled_batch_from_log(log)
             for leaf in tree.abstract_ids():
@@ -213,14 +213,14 @@ class TestRebuild:
                     tree, leaf, LabeledBatch(states, labels), cfg=TreeConfig(min_leaf_size=1)
                 )
                 if hasattr(result, "tree"):
-                    after = rebuild(log, result.tree)
+                    after = rebuild(mk_runs(log, result.tree))
                     assert after.node_count >= before.node_count
                     break
 
     def test_record_refs_resolve(self):
         log = self.make_log()
         tree = build_initial_tree(log, TreeConfig(min_leaf_size=1))
-        trie = rebuild(log, tree)
+        trie = rebuild(mk_runs(log, tree))
         for node in trie.nodes.values():
             if node.abstract_state is None:
                 continue
