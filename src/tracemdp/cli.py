@@ -34,7 +34,14 @@ from .anomaly import (
 from .checker import check, parse_property
 from .errors import InvalidConfig, PropertySyntaxError, TraceMdpError
 from .generator import GeneratorConfig, generate_corpus
-from .linked_store import LabelingConfig, load_store, load_store_inputs, save_store, write_model
+from .linked_store import (
+    LabelingConfig,
+    build,
+    load_store,
+    load_store_inputs,
+    save_store,
+    write_model,
+)
 from .predicate_tree import PredicateTree, TreeConfig, build_initial_tree
 from .refinement import RefinementConfig, verify_refine_loop
 from .trace_model import parse_event_line, read_trace_log
@@ -110,11 +117,9 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    from .linked_store import build as build_store
-
     log = read_trace_log(args.log)
     tree = PredicateTree.load(args.tree)
-    store = build_store(log, tree, _labeling(args))
+    store = build(log, tree, _labeling(args))
     save_store(store, args.out, args.log)
     _print_json(
         {
@@ -130,7 +135,10 @@ def _cmd_build(args) -> int:
 
 def _cmd_check(args) -> int:
     query = parse_property(args.prop)
-    store = load_store(args.store, args.log)
+    if args.log:
+        store = build(*load_store_inputs(args.store, args.log))
+    else:
+        store = load_store(args.store)
     result = check(store.amdp, query, epsilon=args.epsilon)
     _print_json(result.to_json_dict())
     return 1 if result.verdict is False else 0
@@ -139,8 +147,7 @@ def _cmd_check(args) -> int:
 def _cmd_score(args) -> int:
     store, cfg, stats = _detector_setup(args)
     detector = OfflineDetector(cfg).fit(
-        run_loglik(store.amdp, run, trace.trace_id)
-        for run, trace in zip(store.runs, store.log)
+        run_loglik(store.amdp, run, trace_id) for run, trace_id in zip(store.runs, store.trace_ids)
     )
 
     target_log = read_trace_log(args.log)
@@ -213,7 +220,7 @@ def _read_lines(path: str, line_queue: "queue.Queue[str | Exception | None]", on
 
 def _cmd_monitor(args) -> int:
     store, cfg, stats = _detector_setup(args)
-    schema = store.log.schema
+    schema = store.schema
 
     # One reader thread tails the file; this thread evaluates.  The bounded
     # queue keeps memory flat and preserves event order.
@@ -224,7 +231,9 @@ def _cmd_monitor(args) -> int:
     reader.start()
 
     monitors: dict[str, RunMonitor] = {}
-    prev_post: dict[str, object] = {}
+    # Each open run's last snapshot and its abstract state: a step's pre is
+    # routed only when it differs from the previous step's post.
+    last: dict[str, tuple[object, int | None]] = {}
     while True:
         line = line_queue.get()
         if line is None:
@@ -237,20 +246,25 @@ def _cmd_monitor(args) -> int:
         event = parse_event_line(line, schema)
         if event.kind == "terminal":
             monitors.pop(event.trace_id, None)
-            prev_post.pop(event.trace_id, None)
+            last.pop(event.trace_id, None)
             continue
         if event.kind == "initial":
-            prev_post[event.trace_id] = event.state
+            last[event.trace_id] = (event.state, None)  # routed when a step starts there
             continue
-        pre = event.pre if event.pre is not None else prev_post.get(event.trace_id)
-        if pre is None:
+        previous = last.get(event.trace_id)
+        if event.pre is not None and (previous is None or event.pre != previous[0]):
+            src = store.tree.abstract(event.pre)
+        elif previous is None:
             raise TraceMdpError(f"trace {event.trace_id!r}: no pre snapshot available")
-        prev_post[event.trace_id] = event.post
+        elif previous[1] is None:
+            src = store.tree.abstract(previous[0])
+        else:
+            src = previous[1]
+        dst = store.tree.abstract(event.post)
+        last[event.trace_id] = (event.post, dst)
         monitor = monitors.get(event.trace_id)
         if monitor is None:
             monitor = monitors[event.trace_id] = RunMonitor(store.amdp, stats, cfg)
-        src = store.tree.abstract(pre)
-        dst = store.tree.abstract(event.post)
         for alert in monitor.feed(src, event.action, dst):
             _print_json({"trace_id": event.trace_id, **alert})
             sys.stdout.flush()

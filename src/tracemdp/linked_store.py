@@ -15,20 +15,34 @@ endpoint accounting.
 
 ``build`` routes every state of the log through the tree exactly once and
 keeps the abstract runs (``LinkedStore.runs``, one per trace, in log
-order).  The trie, the count MDP, the terminal labels and the detectors of
-``score`` and ``monitor`` all read those runs; the concrete states behind
-an abstract state come from its trie endpoints (``batch_for_leaf``).
+order).  The trie, the count MDP, the terminal labels and (saved with the
+store) the detectors of ``score`` and ``monitor`` all read those runs; the
+concrete states behind an abstract state come from its trie endpoints
+(``batch_for_leaf``).
 
 apply_split currently realizes the refined store by a full rebuild, which
 the equality-with-rebuild property keeps honest if an incremental path is
 added later.
 
-A saved store is a directory holding the tree, the explicit-state export
-(``write_model``) and a manifest naming the training log and its SHA-256.
-``load_store_inputs`` reads the manifest, tree and log back; it refuses a
-log whose hash no longer matches the manifest (``StaleLog``) unless the
-caller names the log explicitly.  ``load_store`` rebuilds the store from
-those inputs.
+A saved store is a directory of five files:
+
+* ``tree.json``, the predicate tree;
+* ``model.tra`` and ``model.lab``, the explicit-state export (``write_model``);
+* ``runs.json``, the log's frozen schema as [name, partition, tag] triples,
+  one [trace id, states, actions] entry per run in log order, and every
+  label's sorted state ids (empty labels included: rule labels cannot be
+  recomputed from runs);
+* ``manifest.json``, naming the training log, its SHA-256, the tree file
+  and the labeling config.
+
+``load_store`` hashes the training log and refuses it if the hash no longer
+matches the manifest (``StaleLog``), but never parses it: it returns a
+``SavedStore`` (tree, MDP induced from the saved runs with the saved
+labels, runs, trace ids, schema), which is all that ``check``, ``export``,
+``score`` and ``monitor`` read.  ``load_store_inputs`` reads the manifest,
+tree and log back for the commands that rebuild the full store
+(``refine``, ``check --log``); an explicitly named log skips the hash
+comparison.
 """
 
 from __future__ import annotations
@@ -259,6 +273,18 @@ TREE_FILE = "tree.json"
 TRA_FILE = "model.tra"
 LAB_FILE = "model.lab"
 MANIFEST_FILE = "manifest.json"
+RUNS_FILE = "runs.json"
+
+
+@dataclass(frozen=True)
+class SavedStore:
+    """What the read-only commands need of a saved store."""
+
+    tree: PredicateTree
+    amdp: Amdp
+    runs: tuple[AbstractPath, ...]  # in training log order
+    trace_ids: tuple[str, ...]  # trace_ids[i] is the id of the trace behind runs[i]
+    schema: dict[str, tuple[str, str]] | None  # the training log's frozen schema
 
 
 def _sha256_file(path: str) -> str:
@@ -279,7 +305,7 @@ def write_model(mdp: Amdp, directory: str) -> tuple[str, str]:
 
 
 def save_store(store: LinkedStore, directory: str, log_path: str) -> None:
-    """Writes tree JSON, explicit-state export, and a rebuild manifest."""
+    """Writes tree JSON, explicit-state export, the routed runs and a rebuild manifest."""
     os.makedirs(directory, exist_ok=True)
     store.tree.save(os.path.join(directory, TREE_FILE))
     write_model(store.amdp, directory)
@@ -292,30 +318,63 @@ def save_store(store: LinkedStore, directory: str, log_path: str) -> None:
     with open(os.path.join(directory, MANIFEST_FILE), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    schema = store.log.schema
+    saved = {
+        "schema": None if schema is None else [[name, *entry] for name, entry in schema.items()],
+        "runs": [
+            [trace.trace_id, run.states, run.actions] for trace, run in zip(store.log, store.runs)
+        ],
+        "labels": {name: sorted(states) for name, states in store.amdp.labels.items()},
+    }
+    with open(os.path.join(directory, RUNS_FILE), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(saved, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def load_store_inputs(
-    directory: str, log_path: str | None = None
-) -> tuple[TraceLog, PredicateTree, LabelingConfig]:
-    """Reads a saved store's training log, tree and labeling config.
+def _open_store(directory: str, log_path: str | None) -> tuple[dict, PredicateTree, str]:
+    """A saved store's manifest, tree and training log path.
 
-    Without ``log_path`` the manifest's log is read, and it must still hash
+    Without ``log_path`` the manifest's log is named, and it must still hash
     to the manifest's SHA-256, else StaleLog.  An explicit ``log_path``
     overrides the manifest's log and skips the comparison.
     """
     with open(os.path.join(directory, MANIFEST_FILE), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     tree = PredicateTree.load(os.path.join(directory, manifest["tree_file"]))
-    labeling = LabelingConfig.from_json_dict(manifest.get("labeling", {}))
     if not log_path:
         log_path = manifest["log"]
         if _sha256_file(log_path) != manifest.get("log_sha256"):
             raise StaleLog(
                 f"store {directory!r}: training log {log_path!r} changed since the store was built"
             )
+    return manifest, tree, log_path
+
+
+def load_store_inputs(
+    directory: str, log_path: str | None = None
+) -> tuple[TraceLog, PredicateTree, LabelingConfig]:
+    """Reads a saved store's training log, tree and labeling config (see ``_open_store``)."""
+    manifest, tree, log_path = _open_store(directory, log_path)
+    labeling = LabelingConfig.from_json_dict(manifest.get("labeling", {}))
     return read_trace_log(log_path), tree, labeling
 
 
-def load_store(directory: str, log_path: str | None = None) -> LinkedStore:
-    """Rebuilds the store from a saved directory (bit-identical inputs)."""
-    return build(*load_store_inputs(directory, log_path))
+def load_store(directory: str) -> SavedStore:
+    """Loads the tree and the saved runs; the training log is hashed, never parsed.
+
+    The MDP is induced from the runs exactly as ``build`` induces it, and
+    its labels are the saved ones.
+    """
+    _manifest, tree, _log_path = _open_store(directory, None)
+    with open(os.path.join(directory, RUNS_FILE), "r", encoding="utf-8") as fh:
+        saved = json.load(fh)
+    runs = tuple(AbstractPath(tuple(states), tuple(actions)) for _id, states, actions in saved["runs"])
+    mdp = amdp_mod.induce(runs, tree.abstract_ids())
+    mdp.labels = {name: set(states) for name, states in saved["labels"].items()}
+    schema = saved["schema"]
+    return SavedStore(
+        tree=tree,
+        amdp=mdp,
+        runs=runs,
+        trace_ids=tuple(trace_id for trace_id, _states, _actions in saved["runs"]),
+        schema=None if schema is None else {name: (part, tag) for name, part, tag in schema},
+    )

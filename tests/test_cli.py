@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -46,7 +47,7 @@ def pipeline(tmp_path_factory):
 
 class TestPipeline:
     def test_store_artifacts_exist(self, pipeline):
-        for name in ("tree.json", "model.tra", "model.lab", "manifest.json"):
+        for name in ("tree.json", "model.tra", "model.lab", "manifest.json", "runs.json"):
             assert (pipeline["store"] / name).exists()
 
     def test_check_reports_value_in_range(self, pipeline, capsys):
@@ -238,12 +239,12 @@ class TestSavedStore:
         assert len(builds) == 1
 
     def test_score_routes_each_state_once(self, pipeline, capsys, monkeypatch, tmp_path):
+        """Each target state is routed once, and no training state is: they come from runs.json."""
         from tracemdp.predicate_tree import PredicateTree
         from tracemdp.trace_model import read_trace_log
 
-        train = pipeline["corpus"] / "baseline.jsonl"
         target = pipeline["corpus"] / "anomalous.jsonl"
-        states = sum(t.n_states for path in (train, target) for t in read_trace_log(str(path)))
+        states = sum(t.n_states for t in read_trace_log(str(target)))
         calls = []
         original = PredicateTree.abstract
 
@@ -256,6 +257,224 @@ class TestSavedStore:
         code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "scores.jsonl"))
         assert code == 0
         assert len(calls) == states
+
+    def test_read_only_commands_never_parse_the_training_log(self, pipeline, capsys, monkeypatch, tmp_path):
+        import tracemdp.cli as cli
+        import tracemdp.linked_store as linked_store
+        import tracemdp.trace_model as trace_model
+
+        reads = []
+        original = trace_model.read_trace_log
+
+        def recording_read(path):
+            reads.append(os.path.abspath(path))
+            return original(path)
+
+        for module in (trace_model, linked_store, cli):
+            monkeypatch.setattr(module, "read_trace_log", recording_read)
+        store = str(pipeline["store"])
+        target = str(pipeline["corpus"] / "anomalous.jsonl")
+        for argv in (
+            ["check", "--store", store, "--prop", 'Pmax=? [F "success"]'],
+            ["export", "--store", store, "--out", str(tmp_path / "exported")],
+            ["monitor", "--store", store, "--follow", target, "--once"],
+        ):
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0, argv[0]
+        assert reads == []
+        argv = ["score", "--store", store, "--log", target, "--out", str(tmp_path / "scores.jsonl")]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert reads == [os.path.abspath(target)]
+
+    def test_store_without_runs_file_exit_3(self, pipeline, capsys, tmp_path):
+        store = tmp_path / "store"
+        shutil.copytree(pipeline["store"], store)
+        (store / "runs.json").unlink()
+        for argv in (
+            ["check", "--store", str(store), "--prop", 'Pmax=? [F "success"]'],
+            ["export", "--store", str(store), "--out", str(tmp_path / "exported")],
+            ["score", "--store", str(store), "--log", str(pipeline["corpus"] / "anomalous.jsonl")],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "", argv[0]
+            error = json.loads(err)
+            assert error["error"] == "FileNotFoundError"
+            assert "runs.json" in error["message"]
+
+    def test_runs_file_is_deterministic(self, pipeline, capsys, tmp_path):
+        stores = [tmp_path / "a", tmp_path / "b"]
+        for store in stores:
+            argv = ["build", "--log", str(pipeline["corpus"] / "baseline.jsonl")]
+            assert main([*argv, "--tree", str(pipeline["tree"]), "--out", str(store)]) == 0
+        text = (stores[0] / "runs.json").read_bytes()
+        assert text == (stores[1] / "runs.json").read_bytes()
+        assert text == (pipeline["store"] / "runs.json").read_bytes()
+        saved = json.loads(text)
+        assert text.decode("utf-8") == json.dumps(saved, sort_keys=True, separators=(",", ":")) + "\n"
+        assert set(saved) == {"labels", "runs", "schema"}
+
+
+class TestMonitorRouting:
+    def test_routes_each_followed_snapshot_once(self, pipeline, capsys, monkeypatch):
+        """One ``abstract`` call per snapshot, and the alerts of a per-trace reference."""
+        from tracemdp.anomaly import DetectorConfig, RunMonitor, prefix_stats
+        from tracemdp.linked_store import load_store
+        from tracemdp.predicate_tree import PredicateTree
+        from tracemdp.trace_model import read_trace_log
+        from tracemdp.trace_trie import abstract_trace
+
+        target = pipeline["corpus"] / "anomalous.jsonl"
+        store = load_store(str(pipeline["store"]))
+        cfg = DetectorConfig()
+        stats = prefix_stats(store.runs, store.amdp, cfg.checkpoints)
+        expected = []
+        target_log = read_trace_log(str(target))
+        for trace in target_log:  # the generator writes each trace's events together
+            monitor = RunMonitor(store.amdp, stats, cfg)
+            for step in abstract_trace(store.tree, trace)[0].steps():
+                for alert in monitor.feed(*step):
+                    record = {"trace_id": trace.trace_id, **alert}
+                    expected.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        assert expected
+
+        calls = []
+        original = PredicateTree.abstract
+
+        def counting_abstract(self, state):
+            calls.append(state)
+            return original(self, state)
+
+        monkeypatch.setattr(PredicateTree, "abstract", counting_abstract)
+        code, out, _ = run_cli(
+            capsys, "monitor", "--store", str(pipeline["store"]), "--follow", str(target), "--once"
+        )
+        assert code == 0
+        assert out == "".join(expected)
+        assert len(calls) == sum(t.n_states for t in target_log)
+
+    def test_pre_is_routed_only_when_it_is_new(self, pipeline, labeled_store, capsys, monkeypatch, tmp_path):
+        """Steps are fed abstract(pre) whether pre is given, omitted, or differs from the last post."""
+        import tracemdp.cli as cli
+        from tracemdp.anomaly import RunMonitor
+        from tracemdp.predicate_tree import PredicateTree
+        from tracemdp.trace_model import ConcreteState
+
+        store, _train = labeled_store
+        tree = PredicateTree.load(str(store / "tree.json"))
+
+        def route(snapshot):
+            return tree.abstract(ConcreteState.from_json(snapshot))
+
+        records = [json.loads(line) for line in (pipeline["corpus"] / "baseline.jsonl").open()]
+        steps = [r for r in records if r["trace_id"] == records[0]["trace_id"] and r["kind"] == "tool_call"]
+        first, second, third = steps[0], steps[1], steps[3]
+        assert route(third["pre"]) != route(second["post"])
+        events = [
+            {"trace_id": "i", "seq": 0, "kind": "initial", "state": first["pre"]},
+            {**{k: v for k, v in first.items() if k != "pre"}, "trace_id": "i", "seq": 1},
+            {**second, "trace_id": "p", "seq": 0},
+            {**third, "trace_id": "p", "seq": 1},  # pre differs from the last post
+            {**{k: v for k, v in third.items() if k != "pre"}, "trace_id": "p", "seq": 2},
+        ]
+        follow = tmp_path / "follow.jsonl"
+        follow.write_text("".join(json.dumps(event) + "\n" for event in events))
+        fed = []
+
+        class RecordingMonitor(RunMonitor):
+            def feed(self, src, action, dst):
+                fed.append((src, action, dst))
+                return super().feed(src, action, dst)
+
+        monkeypatch.setattr(cli, "RunMonitor", RecordingMonitor)
+        code, _, _ = run_cli(capsys, "monitor", "--store", str(store), "--follow", str(follow), "--once")
+        assert code == 0
+        assert fed == [
+            (route(first["pre"]), first["action"], route(first["post"])),
+            (route(second["pre"]), second["action"], route(second["post"])),
+            (route(third["pre"]), third["action"], route(third["post"])),
+            (route(third["post"]), third["action"], route(third["post"])),
+        ]
+
+
+@pytest.fixture(scope="module")
+def labeled_store(pipeline, tmp_path_factory):
+    """A deep store on baseline + anomalous runs with two rule labels and non-default modes."""
+    root = tmp_path_factory.mktemp("labeled")
+    train = root / "train.jsonl"
+    train.write_bytes(
+        (pipeline["corpus"] / "baseline.jsonl").read_bytes()
+        + (pipeline["corpus"] / "anomalous.jsonl").read_bytes()
+    )
+    tree = root / "tree.json"
+    assert main(["learn", "--log", str(train), "--out", str(tree), "--gamma", "0", "--min-leaf", "1"]) == 0
+    rules = root / "rules.json"
+    done = {"type": "bool_eq", "var": "opsCompleted", "expected": True}
+    rules.write_text(
+        json.dumps(
+            [
+                {"name": "done", "mode": "all", "atoms": [done]},
+                {"name": "open", "mode": "any", "atoms": [{**done, "expected": False}]},
+            ]
+        )
+    )
+    store = root / "store"
+    argv = ["build", "--log", str(train), "--tree", str(tree), "--out", str(store)]
+    flags = ["--labels", str(rules), "--success-mode", "any", "--failure-mode", "all"]
+    assert main([*argv, *flags]) == 0
+    return store, train
+
+
+class TestLoadIdentity:
+    """A loaded store answers exactly as the store rebuilt from its log."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, pipeline, labeled_store):
+        return {
+            "labeled": (*labeled_store, ("done", "open", "success", "failure")),
+            "no_failure": (pipeline["store"], pipeline["corpus"] / "baseline.jsonl", ("success", "failure")),
+        }
+
+    @pytest.mark.parametrize("name", ["labeled", "no_failure"])
+    def test_labels_as_built(self, stores, name):
+        from tracemdp.linked_store import load_store
+
+        store, _log, labels = stores[name]
+        loaded = load_store(str(store)).amdp.labels
+        assert sorted(loaded) == sorted(labels)
+        assert loaded["failure"] == set()  # declared in model.lab, though no state carries it
+        assert all(loaded[label] for label in labels if label != "failure")
+
+    @pytest.mark.parametrize("name", ["labeled", "no_failure"])
+    def test_check_with_and_without_log(self, stores, name, capsys):
+        store, log, labels = stores[name]
+        for label in labels:
+            for prop in (f'Pmax=? [F "{label}"]', f'Pmin>=0.5 [F "{label}"]'):
+                argv = ["check", "--store", str(store), "--prop", prop]
+                loaded = run_cli(capsys, *argv)
+                rebuilt = run_cli(capsys, *argv, "--log", str(log))
+                assert loaded == rebuilt, prop
+
+    @pytest.mark.parametrize("name", ["labeled", "no_failure"])
+    def test_load_equals_rebuild(self, stores, name):
+        from tracemdp.linked_store import build, load_store, load_store_inputs
+
+        store, _log, _labels = stores[name]
+        loaded = load_store(str(store))
+        rebuilt = build(*load_store_inputs(str(store)))
+        assert loaded.amdp.equal_counts(rebuilt.amdp)
+        assert loaded.amdp.labels == rebuilt.amdp.labels
+        assert loaded.runs == rebuilt.runs
+        assert loaded.trace_ids == tuple(trace.trace_id for trace in rebuilt.log)
+        assert list(loaded.schema.items()) == list(rebuilt.log.schema.items())
+
+    @pytest.mark.parametrize("name", ["labeled", "no_failure"])
+    def test_export_equals_built_model(self, stores, name, capsys, tmp_path):
+        store, _log, _labels = stores[name]
+        code, _, _ = run_cli(capsys, "export", "--store", str(store), "--out", str(tmp_path))
+        assert code == 0
+        for fname in ("model.tra", "model.lab"):
+            assert (tmp_path / fname).read_bytes() == (store / fname).read_bytes(), fname
 
 
 class TestErrors:

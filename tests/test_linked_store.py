@@ -6,11 +6,14 @@ from tracemdp.amdp import LabelRule
 from tracemdp.errors import StaleSplit
 from tracemdp.linked_store import (
     LabelingConfig,
+    SavedStore,
     apply_split,
     build,
     check_invariants,
     load_store,
+    load_store_inputs,
     save_store,
+    write_model,
 )
 from tracemdp.predicate_tree import (
     BooleanEq,
@@ -271,10 +274,23 @@ class TestPersistence:
         store_dir = tmp_path / "store"
         save_store(store, str(store_dir), str(log_path))
         reloaded = load_store(str(store_dir))
-        assert stores_equal(store, reloaded)
-        # Byte-identical artifacts on re-save.
-        save_store(reloaded, str(tmp_path / "store2"), str(log_path))
-        for name in ("tree.json", "model.tra", "model.lab", "manifest.json"):
+        assert isinstance(reloaded, SavedStore)
+        assert reloaded.tree.structurally_equal(store.tree)
+        assert reloaded.amdp.equal_counts(store.amdp)
+        assert reloaded.amdp.labels == store.amdp.labels
+        assert reloaded.runs == store.runs
+        assert reloaded.trace_ids == tuple(trace.trace_id for trace in log)
+        assert list(reloaded.schema.items()) == list(log.schema.items())
+        # Byte-identical artifacts: the loaded tree and model re-save to the
+        # same bytes, and so does every file of the store rebuilt from its inputs.
+        resaved = tmp_path / "resaved"
+        resaved.mkdir()
+        reloaded.tree.save(str(resaved / "tree.json"))
+        write_model(reloaded.amdp, str(resaved))
+        save_store(build(*load_store_inputs(str(store_dir))), str(tmp_path / "store2"), str(log_path))
+        for name in ("tree.json", "model.tra", "model.lab", "manifest.json", "runs.json"):
             a = (store_dir / name).read_bytes()
             b = (tmp_path / "store2" / name).read_bytes()
             assert a == b, name
+            if name in ("tree.json", "model.tra", "model.lab"):
+                assert a == (resaved / name).read_bytes(), name
