@@ -2,7 +2,8 @@
 
 The pipeline: ingest JSONL tool-call traces (`trace_model`), learn a
 predicate-tree abstraction by information gain (`predicate_tree`), keep the
-abstracted prefixes in a trie (`trace_trie`), induce a count-based MDP
+abstracted prefixes in a trie (`trace_trie`), induce a count-based MDP and
+compile it once into the model that the checker and the PRISM export share
 (`amdp`), model-check reachability bounds (`checker`), score runs by model
 log-likelihood (`anomaly`), and refine the abstraction from unsupported
 counterexample witnesses (`refinement`) while the `linked_store` keeps the
@@ -13,13 +14,14 @@ __version__ = "0.1.0"
 
 from .amdp import (
     Amdp,
+    CompiledModel,
     LabelRule,
+    compile_model,
     export_explicit,
     induce,
     label_by_terminal,
     label_states,
     parse_explicit,
-    remap,
 )
 from .anomaly import (
     CheckpointStats,

@@ -2,9 +2,11 @@
 
 Transition probabilities are unsmoothed empirical frequencies
 P(s,a,s') = C(s,a,s') / C(s,a); unobserved transitions are absent, and
-states without an outgoing counted action are terminal.  The explicit-state
-export/import pair speaks the PRISM text format described in
-``export_explicit``.
+states without an outgoing counted action are terminal.  ``Amdp`` holds the
+counts; ``compile_model`` turns them into a ``CompiledModel``, the one
+structure that the checker reads and that the explicit-state
+export/import pair writes and parses (the PRISM text format described in
+``export_explicit``).
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import SchemaViolation, UnknownVariable, UnobservedStateAction
 from .predicate_tree import BooleanEq, Predicate, ScalarThreshold
@@ -57,34 +61,11 @@ class Amdp:
             raise UnobservedStateAction(f"no observations for state {src} action {action!r}")
         return self.counts3.get((src, action, dst), 0) / total
 
-    def enabled_actions(self, state: int) -> list[str]:
-        return sorted(a for (s, a), n in self.counts2.items() if s == state and n > 0)
-
-    def successors(self, src: int, action: str) -> list[tuple[int, float]]:
-        """(destination, probability) pairs, sorted by destination."""
-        total = self.counts2.get((src, action), 0)
-        if total == 0:
-            raise UnobservedStateAction(f"no observations for state {src} action {action!r}")
-        out = [
-            (dst, n / total)
-            for (s, a, dst), n in self.counts3.items()
-            if s == src and a == action and n > 0
-        ]
-        out.sort()
-        return out
-
-    def terminal_states(self) -> set[int]:
-        outgoing = {s for (s, _a), n in self.counts2.items() if n > 0}
-        return self.states - outgoing
-
     def modal_initial(self) -> int | None:
         """Most frequent initial state; ties go to the smallest id."""
         if not self.initial:
             return None
         return min(self.initial, key=lambda s: (-self.initial[s], s))
-
-    def label_set(self, name: str) -> set[int]:
-        return self.labels.get(name, set())
 
     def equal_counts(self, other: "Amdp") -> bool:
         return (
@@ -112,28 +93,6 @@ def induce(runs: Iterable[AbstractPath], states: Iterable[int]) -> Amdp:
         for src, action, dst in run.steps():
             mdp.ingest(src, action, dst)
     return mdp
-
-
-def remap(mdp: Amdp, mapping: Mapping[int, int]) -> Amdp:
-    """Re-aggregates all counts under a total state mapping.
-
-    Merging several states into one sums their counts; the identity mapping
-    reproduces the input.
-    """
-    missing = mdp.states - set(mapping)
-    if missing:
-        raise KeyError(f"mapping not total; missing states {sorted(missing)}")
-    out = Amdp()
-    for s in mdp.states:
-        out.add_state(mapping[s])
-    for (s, a, d), n in mdp.counts3.items():
-        out.ingest(mapping[s], a, mapping[d], weight=n)
-    for s, n in mdp.initial.items():
-        out.add_state(mapping[s])
-        out.initial[mapping[s]] += n
-    for name, states in mdp.labels.items():
-        out.labels[name] = {mapping[s] for s in states}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +223,57 @@ def label_by_terminal(
 
 
 # ---------------------------------------------------------------------------
-# Explicit-state export / import
+# Compiled model and its explicit-state export / import
 # ---------------------------------------------------------------------------
 
-def state_index(mdp: Amdp) -> dict[int, int]:
-    """Dense 0..n-1 indexing, deterministic by sorted stable id."""
-    return {s: i for i, s in enumerate(sorted(mdp.states))}
+Choice = tuple[str, np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledModel:
+    """Dense, read-only form of an MDP: what the checker and the export see.
+
+    ``states[i]`` is the stable id of state index ``i`` (ids ascending).
+    ``rows[i]`` holds state ``i``'s choices in action-name order, each
+    ``(action, destination indices ascending as int64, probabilities as
+    float64)``; a terminal state has an empty row.  ``labels`` maps every
+    declared label, empty ones included, to its state indices, and
+    ``init`` holds the indices of the initial states.
+    """
+
+    states: tuple[int, ...]
+    rows: tuple[tuple[Choice, ...], ...]
+    labels: Mapping[str, frozenset[int]]
+    init: frozenset[int]
+
+    @property
+    def n_states(self) -> int:
+        return len(self.states)
+
+
+Grouped = dict[tuple[int, str], tuple[list[int], list[float]]]
+
+
+def _rows(n_states: int, grouped: Grouped) -> tuple[tuple[Choice, ...], ...]:
+    """Per-state choice rows from (src index, action) -> (dst indices, probabilities)."""
+    rows: list[list[Choice]] = [[] for _ in range(n_states)]
+    for (src, action), (dsts, probs) in sorted(grouped.items()):
+        rows[src].append((action, np.asarray(dsts, dtype=np.int64), np.asarray(probs, dtype=np.float64)))
+    return tuple(tuple(row) for row in rows)
+
+
+def compile_model(mdp: Amdp) -> CompiledModel:
+    """Compiles the counts once; every probability comes from ``Amdp.probability``."""
+    states = tuple(sorted(mdp.states))
+    index = {s: i for i, s in enumerate(states)}
+    grouped: Grouped = {}
+    for src, action, dst in sorted(key for key, n in mdp.counts3.items() if n > 0):
+        dsts, probs = grouped.setdefault((index[src], action), ([], []))
+        dsts.append(index[dst])
+        probs.append(mdp.probability(src, action, dst))
+    labels = {name: frozenset(index[s] for s in members) for name, members in mdp.labels.items()}
+    init = frozenset(index[s] for s, n in mdp.initial.items() if n > 0)
+    return CompiledModel(states, _rows(len(states), grouped), labels, init)
 
 
 def export_explicit(mdp: Amdp) -> tuple[str, str]:
@@ -281,73 +285,48 @@ def export_explicit(mdp: Amdp) -> tuple[str, str]:
     #END`` header naming init plus every label, then ``state label...``
     lines.  Output is byte-deterministic for a given model.
     """
-    index = state_index(mdp)
+    model = compile_model(mdp)
     lines: list[str] = []
     n_choices = 0
-    n_transitions = 0
-    for state in sorted(mdp.states):
-        for choice, action in enumerate(mdp.enabled_actions(state)):
-            n_choices += 1
-            for dst, prob in mdp.successors(state, action):
-                n_transitions += 1
-                lines.append(f"{index[state]} {choice} {index[dst]} {prob!r} {action}")
-    header = f"{len(mdp.states)} {n_choices} {n_transitions}"
+    for src, row in enumerate(model.rows):
+        n_choices += len(row)
+        for choice, (action, dsts, probs) in enumerate(row):
+            for dst, prob in zip(dsts.tolist(), probs.tolist()):
+                lines.append(f"{src} {choice} {dst} {prob!r} {action}")
+    header = f"{model.n_states} {n_choices} {len(lines)}"
     tra = "\n".join([header] + lines) + "\n"
 
-    declared = ["init"] + sorted(mdp.labels)
-    by_state: dict[int, list[str]] = {}
-    for state in mdp.initial:
-        if mdp.initial[state] > 0:
-            by_state.setdefault(index[state], []).append("init")
-    for name in sorted(mdp.labels):
-        for state in mdp.labels[name]:
-            by_state.setdefault(index[state], []).append(name)
-    label_lines = [f"#DECLARATION {' '.join(declared)} #END"]
-    for idx in sorted(by_state):
-        names = by_state[idx]
-        ordered = [n for n in ["init"] if n in names] + sorted(n for n in names if n != "init")
-        label_lines.append(f"{idx} {' '.join(ordered)}")
+    by_state: dict[int, list[str]] = {idx: ["init"] for idx in model.init}
+    for name in sorted(model.labels):
+        for idx in model.labels[name]:
+            by_state.setdefault(idx, []).append(name)
+    label_lines = [f"#DECLARATION {' '.join(['init'] + sorted(model.labels))} #END"]
+    label_lines += [f"{idx} {' '.join(by_state[idx])}" for idx in sorted(by_state)]
     lab = "\n".join(label_lines) + "\n"
     return tra, lab
 
 
-@dataclass
-class ExplicitModel:
-    """Parsed form of an explicit-state export (dense state indices)."""
-
-    n_states: int
-    probabilities: dict[tuple[int, str, int], float]
-    labels: dict[str, set[int]]
-    init: set[int]
-
-    def probability(self, src: int, action: str, dst: int) -> float:
-        key = (src, action, dst)
-        if key in self.probabilities:
-            return self.probabilities[key]
-        if any(s == src and a == action for (s, a, _d) in self.probabilities):
-            return 0.0
-        raise UnobservedStateAction(f"no transitions for state {src} action {action!r}")
-
-
-def parse_explicit(tra_text: str, lab_text: str) -> ExplicitModel:
+def parse_explicit(tra_text: str, lab_text: str) -> CompiledModel:
+    """Parses an ``export_explicit`` pair back into a model over ids 0..n-1."""
     tra_lines = [ln for ln in tra_text.splitlines() if ln.strip()]
-    n_states, n_choices, n_transitions = (int(x) for x in tra_lines[0].split())
-    probabilities: dict[tuple[int, str, int], float] = {}
+    if not tra_lines:
+        raise ValueError("transitions file is missing its header")
+    n_states, _n_choices, n_transitions = (int(x) for x in tra_lines[0].split())
+    grouped: Grouped = {}
     for line in tra_lines[1:]:
         src, _choice, dst, prob, action = line.split(" ", 4)
-        probabilities[(int(src), action, int(dst))] = float(prob)
-    if len(probabilities) != n_transitions:
+        dsts, probs = grouped.setdefault((int(src), action), ([], []))
+        dsts.append(int(dst))
+        probs.append(float(prob))
+    if len(tra_lines) - 1 != n_transitions:
         raise ValueError("transition count does not match header")
 
-    labels: dict[str, set[int]] = {}
-    init: set[int] = set()
     lab_lines = [ln for ln in lab_text.splitlines() if ln.strip()]
     if not lab_lines or not lab_lines[0].startswith("#DECLARATION"):
         raise ValueError("labels file is missing its #DECLARATION header")
     declared = lab_lines[0].split()[1:-1]  # between #DECLARATION and #END
-    for name in declared:
-        if name != "init":
-            labels[name] = set()
+    labels: dict[str, set[int]] = {name: set() for name in declared if name != "init"}
+    init: set[int] = set()
     for line in lab_lines[1:]:
         parts = line.split()
         idx = int(parts[0])
@@ -356,4 +335,9 @@ def parse_explicit(tra_text: str, lab_text: str) -> ExplicitModel:
                 init.add(idx)
             else:
                 labels.setdefault(name, set()).add(idx)
-    return ExplicitModel(n_states, probabilities, labels, init)
+    return CompiledModel(
+        tuple(range(n_states)),
+        _rows(n_states, grouped),
+        {name: frozenset(members) for name, members in labels.items()},
+        frozenset(init),
+    )

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData, UnobservedStateAction
+from .errors import DomainError, InsufficientData, InvalidConfig, UnobservedStateAction
 from .trace_trie import AbstractPath
 
 DEFAULT_CHECKPOINTS = tuple(range(10, 201, 10))
@@ -42,11 +42,11 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 0.5:
-            raise ValueError("alpha must lie in (0, 0.5)")
+            raise InvalidConfig("alpha must lie in (0, 0.5)")
         if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
-            raise ValueError("checkpoints must be strictly increasing")
+            raise InvalidConfig("checkpoints must be strictly increasing")
         if self.mode not in ("normal", "empirical"):
-            raise ValueError(f"unknown detector mode {self.mode!r}")
+            raise InvalidConfig(f"unknown detector mode {self.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ iteration over the empirically enabled actions, evaluates optional
 thresholds, and extracts a diagnostic witness path (the most probable
 target-reaching path under an optimizing memoryless scheduler).
 
-Terminal states have no stored transitions; the checker treats them as
-absorbing, which pins their value to 1 on the target and 0 off it.
+Value iteration, the scheduler and the witness read only the
+``amdp.CompiledModel``, the one structure the export also writes;
+``check`` compiles the count MDP once per query.  Terminal states have no
+stored transitions; the checker treats them as absorbing, which pins their
+value to 1 on the target and 0 off it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PropertySyntaxError
+from .amdp import Amdp, Choice, CompiledModel, compile_model
+from .errors import InvalidConfig, PropertySyntaxError, UnknownLabel
 from .trace_trie import AbstractPath
 
 MAX = "max"
@@ -87,19 +91,24 @@ class ValueIterationResult:
     values: dict[int, float]
     iterations: int
     converged: bool
-    history: list[dict[int, float]] | None = None
 
 
-def _cannot_reach(tables: list[list[tuple[np.ndarray, np.ndarray]]], target: set[int]) -> set[int]:
-    """Indices of states with no support-graph path to the target under any action.
+def _target(model: CompiledModel, query: ReachQuery) -> frozenset[int]:
+    """Indices of the query's target states; the label must be declared."""
+    try:
+        return model.labels[query.target_label]
+    except KeyError:
+        raise UnknownLabel(
+            f"label {query.target_label!r} is not declared; declared labels: {sorted(model.labels)}"
+        ) from None
 
-    ``tables`` are reach_values's per-state action tables and ``target``
-    holds state indices.
-    """
+
+def _cannot_reach(rows: tuple[tuple[Choice, ...], ...], target: set[int]) -> set[int]:
+    """Indices of states with no support-graph path to the target under any action."""
     # Reverse reachability from the target over positive-probability edges.
-    reverse: list[set[int]] = [set() for _ in tables]
-    for src, rows in enumerate(tables):
-        for dsts, probs in rows:
+    reverse: list[set[int]] = [set() for _ in rows]
+    for src, row in enumerate(rows):
+        for _action, dsts, probs in row:
             for dst in dsts[probs > 0].tolist():
                 reverse[dst].add(src)
     reached = set(target)
@@ -110,15 +119,14 @@ def _cannot_reach(tables: list[list[tuple[np.ndarray, np.ndarray]]], target: set
             if src not in reached:
                 reached.add(src)
                 frontier.append(src)
-    return set(range(len(tables))) - reached
+    return set(range(len(rows))) - reached
 
 
 def reach_values(
-    model,
+    model: CompiledModel,
     query: ReachQuery,
     epsilon: float = 1e-8,
     max_iters: int = 100_000,
-    record_history: bool = False,
 ) -> ValueIterationResult:
     """Least fixpoint of the Bellman reachability operator, from the zero vector.
 
@@ -126,52 +134,36 @@ def reach_values(
     pre-pass pins states that cannot reach the target at all to 0, so value
     iteration cannot stall inside zero-value cycles.  Iteration stops when
     the max-norm change drops below ``epsilon``; hitting ``max_iters`` first
-    is reported via ``converged=False`` with the best values so far.
+    is reported via ``converged=False`` with the best values so far.  Values
+    are keyed by stable state id.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    states = sorted(model.states)
-    index = {s: i for i, s in enumerate(states)}
-    target = model.label_set(query.target_label) & set(states)
-
-    # Per-state action tables: list of (destination index array, prob array).
-    tables: list[list[tuple[np.ndarray, np.ndarray]]] = []
-    for s in states:
-        rows = []
-        for action in model.enabled_actions(s):
-            succ = model.successors(s, action)
-            dsts = np.asarray([index[d] for d, _p in succ], dtype=np.int64)
-            probs = np.asarray([p for _d, p in succ], dtype=np.float64)
-            rows.append((dsts, probs))
-        tables.append(rows)
-
-    frozen = {index[t] for t in target}
+    if not epsilon > 0:
+        raise InvalidConfig(f"epsilon must be positive, got {epsilon!r}")
+    target = _target(model, query)
+    frozen = set(target)
     if query.direction == MAX:
-        frozen |= _cannot_reach(tables, frozen)
-    active = [i for i, s in enumerate(states) if i not in frozen and tables[i]]
+        frozen |= _cannot_reach(model.rows, frozen)
+    active = [i for i, row in enumerate(model.rows) if i not in frozen and row]
 
-    x = np.zeros(len(states))
+    x = np.zeros(model.n_states)
     for t in target:
-        x[index[t]] = 1.0
+        x[t] = 1.0
     pick = max if query.direction == MAX else min
 
-    history: list[dict[int, float]] | None = [] if record_history else None
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         delta = 0.0
         for i in active:
-            best = pick(float(probs @ x[dsts]) for dsts, probs in tables[i])
+            best = pick(float(probs @ x[dsts]) for _action, dsts, probs in model.rows[i])
             delta = max(delta, abs(best - x[i]))
             x[i] = best
-        if history is not None:
-            history.append({s: float(x[index[s]]) for s in states})
         if delta < epsilon:
             converged = True
             break
 
-    values = {s: float(x[index[s]]) for s in states}
-    return ValueIterationResult(values, iterations, converged, history)
+    values = {s: float(x[i]) for i, s in enumerate(model.states)}
+    return ValueIterationResult(values, iterations, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +179,18 @@ class Witness:
     probability: float
 
 
-def optimizing_scheduler(model, values: dict[int, float], query: ReachQuery) -> dict[int, str]:
-    """Per-state optimizing action; ties break lexicographically by name."""
+def optimizing_scheduler(
+    model: CompiledModel, values: dict[int, float], query: ReachQuery
+) -> dict[int, str]:
+    """Per-state optimizing action, keyed by stable id; ties break lexicographically by name."""
     pick_better = (lambda a, b: a > b + 1e-15) if query.direction == MAX else (lambda a, b: a < b - 1e-15)
+    x = [values[s] for s in model.states]
     scheduler: dict[int, str] = {}
-    for s in sorted(model.states):
+    for s, row in zip(model.states, model.rows):
         best_action = None
         best_value = None
-        for action in model.enabled_actions(s):
-            v = sum(p * values[d] for d, p in model.successors(s, action))
+        for action, dsts, probs in row:
+            v = sum(p * x[d] for d, p in zip(dsts.tolist(), probs.tolist()))
             if best_action is None or pick_better(v, best_value):
                 best_action, best_value = action, v
         if best_action is not None:
@@ -203,26 +198,30 @@ def optimizing_scheduler(model, values: dict[int, float], query: ReachQuery) -> 
     return scheduler
 
 
-def extract_witness(model, values: dict[int, float], query: ReachQuery) -> Witness | None:
+def extract_witness(
+    model: CompiledModel, values: dict[int, float], query: ReachQuery, start: int | None
+) -> Witness | None:
     """Shortest path under edge weights -log P in the scheduler-induced chain.
 
-    Starts at the modal initial state; returns None when no initial state is
-    known or the target is unreachable under the scheduler.
+    Starts at the stable id ``start`` (``check`` passes the modal initial
+    state); returns None when no start is given or the target is
+    unreachable under the scheduler.
     """
-    start = model.modal_initial()
     if start is None:
         return None
-    target = model.label_set(query.target_label)
+    target = _target(model, query)
     if not target:
         return None
     scheduler = optimizing_scheduler(model, values, query)
+    states = model.states
+    origin = states.index(start)
 
-    if start in target:
+    if origin in target:
         return Witness(AbstractPath((start,), ()), scheduler, 1.0)
 
-    dist: dict[int, float] = {start: 0.0}
+    dist: dict[int, float] = {origin: 0.0}
     prev: dict[int, tuple[int, str]] = {}
-    heap: list[tuple[float, int]] = [(0.0, start)]
+    heap: list[tuple[float, int]] = [(0.0, origin)]
     settled: set[int] = set()
     goal: int | None = None
     while heap:
@@ -233,10 +232,11 @@ def extract_witness(model, values: dict[int, float], query: ReachQuery) -> Witne
         if node in target:
             goal = node
             break
-        action = scheduler.get(node)
+        action = scheduler.get(states[node])
         if action is None:
             continue
-        for dst, prob in model.successors(node, action):
+        _action, dsts, probs = next(c for c in model.rows[node] if c[0] == action)
+        for dst, prob in zip(dsts.tolist(), probs.tolist()):
             if prob <= 0 or dst in settled:
                 continue
             nd = d - math.log(prob)
@@ -247,12 +247,12 @@ def extract_witness(model, values: dict[int, float], query: ReachQuery) -> Witne
     if goal is None:
         return None
 
-    rev_states = [goal]
+    rev_states = [states[goal]]
     rev_actions: list[str] = []
     node = goal
-    while node != start:
+    while node != origin:
         node, action = prev[node]
-        rev_states.append(node)
+        rev_states.append(states[node])
         rev_actions.append(action)
     path = AbstractPath(tuple(reversed(rev_states)), tuple(reversed(rev_actions)))
     return Witness(path, scheduler, math.exp(-dist[goal]))
@@ -294,7 +294,7 @@ class CheckResult:
 
 
 def check(
-    model,
+    mdp: Amdp,
     query: ReachQuery,
     epsilon: float = 1e-8,
     max_iters: int = 100_000,
@@ -303,16 +303,19 @@ def check(
 
     The verdict compares the modal-initial value against the threshold when
     one is present.  Values for every observed initial state are reported
-    alongside, since traces may start in several abstract states.
+    alongside, since traces may start in several abstract states.  The
+    modal state comes from the initial-state counts, which the compiled
+    model does not carry.
     """
+    model = compile_model(mdp)
     vi = reach_values(model, query, epsilon, max_iters)
-    modal = model.modal_initial()
-    per_initial = {s: vi.values[s] for s in sorted(model.initial) if s in vi.values}
+    modal = mdp.modal_initial()
+    per_initial = {s: vi.values[s] for s in sorted(mdp.initial) if s in vi.values}
     value = vi.values.get(modal) if modal is not None else None
     verdict = None
     if query.threshold is not None and value is not None:
         verdict = query.satisfied_by(value)
-    witness = extract_witness(model, vi.values, query)
+    witness = extract_witness(model, vi.values, query, modal)
     return CheckResult(
         query=query,
         values=vi.values,

@@ -8,7 +8,7 @@ Subcommands cover the whole pipeline: ``gen`` (synthetic corpus), ``learn``
 (precision/recall/FPR against generator ground truth).
 
 Exit codes: 0 ok, 1 a thresholded property is violated, 2 usage error,
-3 data error.  Errors are reported as one JSON object on stderr.
+3 data or configuration error.  Errors are reported as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -82,7 +82,10 @@ def _labeling(args: argparse.Namespace) -> LabelingConfig:
 
 
 def _checkpoints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise InvalidConfig(f"checkpoints must be comma-separated integers, got {text!r}") from None
 
 
 def _detector_setup(args) -> tuple:

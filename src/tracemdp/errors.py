@@ -57,9 +57,13 @@ class DomainError(TraceMdpError):
     """Argument outside the mathematical domain of the function."""
 
 
-class InvalidConfig(TraceMdpError):
-    """A configuration object violates its own invariants."""
+class InvalidConfig(TraceMdpError, ValueError):
+    """A configuration object or flag value violates its own invariants."""
 
 
 class PropertySyntaxError(TraceMdpError):
     """A reachability property template could not be parsed."""
+
+
+class UnknownLabel(TraceMdpError):
+    """A property names a label the model does not declare."""

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyBatch, EmptyLog, SchemaViolation, UnknownLeaf
+from .errors import EmptyBatch, EmptyLog, InvalidConfig, SchemaViolation, UnknownLeaf
 from .trace_model import (
     BOOLEAN,
     COLLECTION,
@@ -377,9 +377,9 @@ class TreeConfig:
 
     def __post_init__(self) -> None:
         if self.max_depth <= 0 or self.max_leaves <= 0 or self.min_leaf_size <= 0:
-            raise ValueError("tree bounds must be positive")
+            raise InvalidConfig("tree bounds must be positive")
         if self.threshold_mode not in ("midpoints", "quantiles"):
-            raise ValueError(f"unknown threshold mode {self.threshold_mode!r}")
+            raise InvalidConfig(f"unknown threshold mode {self.threshold_mode!r}")
 
 
 def _numeric_thresholds(values: np.ndarray, cfg: TreeConfig) -> list[float]:

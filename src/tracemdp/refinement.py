@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .checker import ReachQuery, check
-from .errors import UnknownLeaf
+from .errors import InvalidConfig, UnknownLeaf
 from .linked_store import LabelingConfig, LinkedStore, apply_split, batch_for_leaf, build
 from .predicate_tree import LeafSplit, PredicateTree, SplitRejected, TreeConfig, split_leaf
 from .trace_model import TraceLog
@@ -42,9 +42,9 @@ class RefinementConfig:
 
     def __post_init__(self) -> None:
         if self.max_depth <= 0 or self.max_leaves <= 0 or self.min_leaf_size <= 0:
-            raise ValueError("bounds must be positive")
+            raise InvalidConfig("bounds must be positive")
         if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
+            raise InvalidConfig("max_iterations must be non-negative")
 
     def tree_config(self) -> TreeConfig:
         return TreeConfig(

@@ -55,16 +55,6 @@ class AbstractPath:
             return self
         return AbstractPath(self.states[: k + 1], self.actions[:k])
 
-    def concat(self, other: "AbstractPath") -> "AbstractPath":
-        """Joins two paths whose boundary states agree."""
-        if not self.states:
-            return other
-        if not other.states:
-            return self
-        if self.states[-1] != other.states[0]:
-            raise ValueError("paths do not chain")
-        return AbstractPath(self.states + other.states[1:], self.actions + other.actions)
-
     def __str__(self) -> str:
         if not self.states:
             return "(empty)"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from tracemdp.trace_model import (
@@ -56,6 +57,44 @@ def mk_log(traces) -> TraceLog:
 def mk_runs(log, tree) -> list:
     """Abstract runs of a log under a tree, one per trace."""
     return [abstract_trace(tree, trace)[0] for trace in log]
+
+
+def count_successors(m) -> dict:
+    """{state: {action: [(dst, probability), ...]}} read straight from the counts.
+
+    Actions and destinations are in ascending order.  Reference solvers use
+    this in place of ``amdp.compile_model``, so they stay independent of it.
+    """
+    table: dict = {}
+    for (s, a, d), n in sorted(m.counts3.items()):
+        if n > 0:
+            table.setdefault(s, {}).setdefault(a, []).append((d, n / m.counts2[(s, a)]))
+    return table
+
+
+def compiled_transitions(model) -> dict:
+    """{(src index, action, dst index): probability} of a compiled model."""
+    return {
+        (src, action, dst): p
+        for src, row in enumerate(model.rows)
+        for action, dsts, probs in row
+        for dst, p in zip(dsts.tolist(), probs.tolist())
+    }
+
+
+def assert_compiled_equal(got, want) -> None:
+    """Field-by-field equality of compiled models; ``got`` has ids 0..n-1 (a parsed export)."""
+    assert got.states == tuple(range(want.n_states))
+    assert len(got.rows) == len(want.rows)
+    for got_row, want_row in zip(got.rows, want.rows):
+        assert [c[0] for c in got_row] == [c[0] for c in want_row]
+        for (_a, got_dsts, got_probs), (_b, want_dsts, want_probs) in zip(got_row, want_row):
+            assert got_dsts.dtype == want_dsts.dtype == np.int64
+            assert got_probs.dtype == want_probs.dtype == np.float64
+            assert np.array_equal(got_dsts, want_dsts)
+            assert np.array_equal(got_probs, want_probs)
+    assert got.labels == want.labels
+    assert got.init == want.init
 
 
 @pytest.fixture()

@@ -16,8 +16,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import mk_log, mk_state, mk_trace
-from tracemdp.amdp import Amdp, export_explicit, parse_explicit, state_index
+from conftest import (
+    assert_compiled_equal,
+    compiled_transitions,
+    count_successors,
+    mk_log,
+    mk_state,
+    mk_trace,
+)
+from tracemdp.amdp import Amdp, compile_model, export_explicit, parse_explicit
 from tracemdp.anomaly import DetectorConfig, OfflineDetector, normal_quantile, run_loglik
 from tracemdp.checker import ReachQuery, check, parse_property, reach_values
 from tracemdp.generator import GeneratorConfig, generate_corpus
@@ -135,14 +142,15 @@ def _chain_reach_by_iteration(states, chain, target, tol=1e-13, max_sweeps=500_0
 
 def _enumerate_schedulers(model, target, direction):
     states = sorted(model.states)
-    decidable = [s for s in states if s not in target and model.enabled_actions(s)]
+    table = count_successors(model)
+    decidable = [s for s in states if s not in target and s in table]
     best = {
         s: (1.0 if s in target else (-math.inf if direction == "max" else math.inf))
         for s in states
     }
-    combos = itertools.product(*(model.enabled_actions(s) for s in decidable))
+    combos = itertools.product(*(sorted(table[s]) for s in decidable))
     for combo in combos if decidable else [()]:
-        chain = {s: model.successors(s, a) for s, a in zip(decidable, combo)}
+        chain = {s: table[s][a] for s, a in zip(decidable, combo)}
         x = _chain_reach_by_iteration(states, chain, target)
         for s in states:
             if s in target:
@@ -178,7 +186,7 @@ def test_criterion_2_reachability_oracle():
         m = _random_mdp(rng)
         target = m.labels["goal"]
         for direction in ("max", "min"):
-            got = reach_values(m, ReachQuery(direction, "goal")).values
+            got = reach_values(compile_model(m), ReachQuery(direction, "goal")).values
             want = _enumerate_schedulers(m, target, direction)
             for s in m.states:
                 assert got[s] == pytest.approx(want[s], abs=1e-6), (direction, s)
@@ -561,14 +569,18 @@ def test_criterion_9_export_round_trip(desk_pipeline):
         tra2, lab2 = export_explicit(m)
         assert tra1 == tra2 and lab1 == lab2, "export must be byte-deterministic"
         parsed = parse_explicit(tra1, lab1)
-        index = state_index(m)
+        assert_compiled_equal(parsed, compile_model(m))
+        index = {s: i for i, s in enumerate(sorted(m.states))}
         assert parsed.n_states == len(m.states)
+        transitions = compiled_transitions(parsed)
         count = 0
         for (s, a, d), n in m.counts3.items():
             if n > 0:
-                assert parsed.probability(index[s], a, index[d]) == m.probability(s, a, d)
+                assert transitions[(index[s], a, index[d])] == m.probability(s, a, d)
                 count += 1
-        assert count == len(parsed.probabilities)
+        assert count == len(transitions)
+        assert set(parsed.labels) == set(m.labels)
         for name, states in m.labels.items():
-            assert parsed.labels.get(name, set()) == {index[s] for s in states}
+            assert parsed.labels[name] == {index[s] for s in states}
+        assert parsed.init == {index[s] for s, n in m.initial.items() if n > 0}
     return f"{len(models)} models, exact probability equality"

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import mk_log, mk_runs, mk_state, mk_trace
+from conftest import assert_compiled_equal, compiled_transitions, mk_log, mk_runs, mk_state, mk_trace
 from tracemdp.amdp import (
     Amdp,
     LabelRule,
+    compile_model,
     export_explicit,
     induce,
     label_by_terminal,
     label_states,
     parse_explicit,
-    remap,
-    state_index,
 )
 from tracemdp.errors import UnknownVariable, UnobservedStateAction
-from tracemdp.predicate_tree import BooleanEq, PredicateTree, ScalarThreshold, TreeConfig, build_initial_tree
+from tracemdp.predicate_tree import BooleanEq, ScalarThreshold, TreeConfig, build_initial_tree
 
 
 class TestIngestAndProbability:
@@ -58,16 +57,16 @@ class TestIngestAndProbability:
         m = Amdp()
         for _ in range(500):
             m.ingest(int(rng.integers(0, 5)), f"a{rng.integers(0, 3)}", int(rng.integers(0, 5)))
-        for s in m.states:
-            for a in m.enabled_actions(s):
-                total = sum(p for _, p in m.successors(s, a))
-                assert abs(total - 1.0) <= 1e-12
+        for row in compile_model(m).rows:
+            for _action, _dsts, probs in row:
+                assert abs(sum(probs.tolist()) - 1.0) <= 1e-12
 
     def test_terminal_states(self):
         m = Amdp()
         m.ingest(0, "a", 1)
         m.add_state(7)
-        assert m.terminal_states() == {1, 7}
+        model = compile_model(m)
+        assert {s for s, row in zip(model.states, model.rows) if not row} == {1, 7}
 
     def test_counts2_marginalizes_counts3(self):
         rng = np.random.default_rng(3)
@@ -115,47 +114,6 @@ class TestInduce:
         log, tree = self.make()
         m = induce(mk_runs(log, tree), tree.abstract_ids())
         assert set(tree.abstract_ids()) <= m.states
-
-
-class TestRemap:
-    def build(self):
-        m = Amdp()
-        m.ingest(0, "a", 1)
-        m.ingest(0, "a", 1)
-        m.ingest(1, "b", 2)
-        m.record_initial(0)
-        m.labels["success"] = {2}
-        return m
-
-    def test_identity(self):
-        m = self.build()
-        out = remap(m, {s: s for s in m.states})
-        assert out.equal_counts(m)
-        assert out.labels == m.labels
-
-    def test_merge_sums_counts(self):
-        m = self.build()
-        out = remap(m, {0: 0, 1: 0, 2: 2})
-        assert out.counts3[(0, "a", 0)] == 2
-        assert out.counts2[(0, "a")] == 2
-        assert out.counts3[(0, "b", 2)] == 1
-
-    def test_total_mapping_required(self):
-        m = self.build()
-        with pytest.raises(KeyError):
-            remap(m, {0: 0, 1: 1})
-
-    def test_post_split_equals_fresh_induction(self, two_regime_log):
-        # Splitting the abstraction and re-inducing from the log is the
-        # reference for any split-time remapping.
-        coarse = PredicateTree.single_leaf()
-        m_coarse = induce(mk_runs(two_regime_log, coarse), coarse.abstract_ids())
-        fine = build_initial_tree(two_regime_log, TreeConfig(min_leaf_size=1))
-        m_fine = induce(mk_runs(two_regime_log, fine), fine.abstract_ids())
-        # Merging the fine model back through the abstraction equals coarse.
-        merged = remap(m_fine, {s: 0 for s in m_fine.states})
-        assert merged.counts3 == m_coarse.counts3
-        assert merged.counts2 == m_coarse.counts2
 
 
 class TestLabeling:
@@ -258,13 +216,29 @@ class TestExport:
             m.ingest(int(rng.integers(0, 5)), f"a{rng.integers(0, 3)}", int(rng.integers(0, 5)))
         m.record_initial(0)
         m.labels["success"] = {2, 3}
-        tra, lab = export_explicit(m)
-        parsed = parse_explicit(tra, lab)
-        index = state_index(m)
+        parsed = parse_explicit(*export_explicit(m))
+        assert_compiled_equal(parsed, compile_model(m))
+        index = {s: i for i, s in enumerate(sorted(m.states))}
+        transitions = compiled_transitions(parsed)
+        assert len(transitions) == len(m.counts3)
         for (s, a, d), _n in m.counts3.items():
-            assert parsed.probability(index[s], a, index[d]) == m.probability(s, a, d)
+            assert transitions[(index[s], a, index[d])] == m.probability(s, a, d)
         assert parsed.labels["success"] == {index[s] for s in m.labels["success"]}
         assert parsed.init == {index[0]}
+
+    @pytest.mark.parametrize(
+        "tra, lab",
+        [
+            ("", "#DECLARATION init #END\n"),
+            ("2 1\n", "#DECLARATION init #END\n"),
+            ("2 1 2\n0 0 1 1.0 a\n", "#DECLARATION init #END\n"),
+            ("2 1 1\n0 0 1 1.0 a\n", "0 init\n"),
+        ],
+        ids=["no_header", "short_header", "count_mismatch", "no_declaration"],
+    )
+    def test_malformed_input_rejected(self, tra, lab):
+        with pytest.raises(ValueError):
+            parse_explicit(tra, lab)
 
     def test_byte_deterministic(self):
         m = Amdp()

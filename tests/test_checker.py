@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from tracemdp.amdp import Amdp
+from conftest import count_successors
+from tracemdp.amdp import Amdp, compile_model
 from tracemdp.checker import (
     ReachQuery,
     check,
@@ -12,7 +13,7 @@ from tracemdp.checker import (
     parse_property,
     reach_values,
 )
-from tracemdp.errors import PropertySyntaxError
+from tracemdp.errors import PropertySyntaxError, UnknownLabel
 from tracemdp.trace_trie import AbstractPath
 
 
@@ -51,11 +52,12 @@ def chain_reach_by_iteration(states, chain, target, iters=400_000, tol=1e-13):
 def enumerate_scheduler_values(model, target, direction):
     """Per-state optimum over all memoryless deterministic schedulers."""
     states = sorted(model.states)
-    decidable = [s for s in states if s not in target and model.enabled_actions(s)]
-    action_sets = [model.enabled_actions(s) for s in decidable]
+    table = count_successors(model)
+    decidable = [s for s in states if s not in target and s in table]
+    action_sets = [sorted(table[s]) for s in decidable]
     best = {s: (1.0 if s in target else (-math.inf if direction == "max" else math.inf)) for s in states}
     for combo in itertools.product(*action_sets) if decidable else [()]:
-        chain = {s: model.successors(s, a) for s, a in zip(decidable, combo)}
+        chain = {s: table[s][a] for s, a in zip(decidable, combo)}
         x = chain_reach_by_iteration(states, chain, target)
         for s in states:
             if s in target:
@@ -125,7 +127,7 @@ class TestParseProperty:
 class TestReachValues:
     def test_target_state_is_one(self):
         m = model_from_counts({(0, "a", 1): 1}, labels={"goal": {1}})
-        vi = reach_values(m, ReachQuery("max", "goal"))
+        vi = reach_values(compile_model(m), ReachQuery("max", "goal"))
         assert vi.values[1] == 1.0
         assert vi.values[0] == pytest.approx(1.0)
 
@@ -133,17 +135,17 @@ class TestReachValues:
         m = model_from_counts(
             {(0, "a", 1): 1, (0, "a", 2): 1}, labels={"goal": {1}}
         )
-        vi = reach_values(m, ReachQuery("max", "goal"))
+        vi = reach_values(compile_model(m), ReachQuery("max", "goal"))
         assert vi.values[0] == pytest.approx(0.5)
 
     def test_empty_target(self):
         m = model_from_counts({(0, "a", 1): 1}, labels={"goal": set()})
-        vi = reach_values(m, ReachQuery("max", "goal"))
+        vi = reach_values(compile_model(m), ReachQuery("max", "goal"))
         assert vi.values[0] == 0.0
 
     def test_all_states_target(self):
         m = model_from_counts({(0, "a", 1): 1}, labels={"goal": {0, 1}})
-        assert reach_values(m, ReachQuery("max", "goal")).values[0] == 1.0
+        assert reach_values(compile_model(m), ReachQuery("max", "goal")).values[0] == 1.0
 
     def test_zero_cycle_pinned(self):
         # 0 -> {1 (cycle with 2), 3 (goal)}; the 1-2 cycle cannot reach goal.
@@ -156,32 +158,31 @@ class TestReachValues:
             },
             labels={"goal": {3}},
         )
-        vi = reach_values(m, ReachQuery("max", "goal"))
+        vi = reach_values(compile_model(m), ReachQuery("max", "goal"))
         assert vi.values[1] == 0.0
         assert vi.values[2] == 0.0
         assert vi.values[0] == pytest.approx(0.5)
 
     def test_monotone_from_zero(self):
+        # VI from zero is deterministic, so max_iters=k yields the k-th iterate.
         rng = np.random.default_rng(5)
         for direction in ("max", "min"):
             for _ in range(10):
-                m = random_model(rng)
-                vi = reach_values(
-                    m, ReachQuery(direction, "goal"), record_history=True, max_iters=300
-                )
-                prev = {s: 0.0 for s in m.states}
-                for snapshot in vi.history:
-                    for s, v in snapshot.items():
+                model = compile_model(random_model(rng))
+                prev = {s: 0.0 for s in model.states}
+                for k in range(1, 51):
+                    values = reach_values(model, ReachQuery(direction, "goal"), max_iters=k).values
+                    for s, v in values.items():
                         assert v >= prev[s] - 1e-12
                         assert -1e-12 <= v <= 1 + 1e-12
-                    prev = snapshot
+                    prev = values
 
     def test_min_leq_max(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             m = random_model(rng)
-            vmax = reach_values(m, ReachQuery("max", "goal")).values
-            vmin = reach_values(m, ReachQuery("min", "goal")).values
+            vmax = reach_values(compile_model(m), ReachQuery("max", "goal")).values
+            vmin = reach_values(compile_model(m), ReachQuery("min", "goal")).values
             for s in m.states:
                 assert vmin[s] <= vmax[s] + 1e-9
 
@@ -191,7 +192,7 @@ class TestReachValues:
             m = random_model(rng)
             target = m.labels["goal"]
             for direction in ("max", "min"):
-                vi = reach_values(m, ReachQuery(direction, "goal"))
+                vi = reach_values(compile_model(m), ReachQuery(direction, "goal"))
                 oracle = enumerate_scheduler_values(m, target, direction)
                 for s in m.states:
                     assert vi.values[s] == pytest.approx(oracle[s], abs=1e-6)
@@ -200,7 +201,7 @@ class TestReachValues:
         m = model_from_counts(
             {(0, "a", 0): 99, (0, "a", 1): 1}, labels={"goal": {1}}
         )
-        vi = reach_values(m, ReachQuery("max", "goal"), epsilon=1e-12, max_iters=3)
+        vi = reach_values(compile_model(m), ReachQuery("max", "goal"), epsilon=1e-12, max_iters=3)
         assert not vi.converged
         assert vi.iterations == 3
 
@@ -271,7 +272,7 @@ class TestCheck:
                     action = sched.get(last)
                     if action is None:
                         continue
-                    for dst, p in m.successors(last, action):
+                    for dst, p in count_successors(m)[last][action]:
                         if p > 0:
                             grown.append((path + (dst,), prob * p))
                 frontier = grown
@@ -286,9 +287,15 @@ class TestCheck:
             {(0, "zz", 1): 1, (0, "aa", 1): 1},
             labels={"goal": {1}},
         )
-        values = reach_values(m, ReachQuery("max", "goal")).values
-        sched = optimizing_scheduler(m, values, ReachQuery("max", "goal"))
+        model = compile_model(m)
+        values = reach_values(model, ReachQuery("max", "goal")).values
+        sched = optimizing_scheduler(model, values, ReachQuery("max", "goal"))
         assert sched[0] == "aa"
+
+    def test_undeclared_label_rejected(self):
+        m = model_from_counts({(0, "a", 1): 1}, labels={"goal": {1}})
+        with pytest.raises(UnknownLabel, match="'nolabel'.*'goal'"):
+            check(m, ReachQuery("max", "nolabel"))
 
     def test_no_initial_state(self):
         m = Amdp()

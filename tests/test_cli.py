@@ -536,6 +536,46 @@ class TestErrors:
         assert error["error"] == "InvalidConfig"
         assert str(labels) in error["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--store", "{store}", "--prop", 'Pmax=? [F "success"]', "--epsilon", "0"),
+            ("check", "--store", "{store}", "--prop", 'Pmax=? [F "success"]', "--epsilon", "nan"),
+            ("score", "--store", "{store}", "--log", "{log}", "--alpha", "0.7"),
+            ("score", "--store", "{store}", "--log", "{log}", "--checkpoints", "20,10"),
+            ("score", "--store", "{store}", "--log", "{log}", "--checkpoints", "10,x"),
+            ("refine", "--store", "{store}", "--prop", 'Pmax=? [F "success"]', "--max-iters", "-1"),
+            ("learn", "--log", "{log}", "--out", "{out}", "--max-depth", "0"),
+        ],
+        ids=[
+            "epsilon_0",
+            "epsilon_nan",
+            "alpha_0.7",
+            "checkpoints_decreasing",
+            "checkpoints_not_int",
+            "max_iters_negative",
+            "max_depth_0",
+        ],
+    )
+    def test_out_of_range_flag_exit_3(self, pipeline, capsys, tmp_path, argv):
+        paths = {
+            "store": str(pipeline["store"]),
+            "log": str(pipeline["corpus"] / "baseline.jsonl"),
+            "out": str(tmp_path / "tree.json"),
+        }
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "InvalidConfig"
+
+    def test_undeclared_label_exit_3(self, pipeline, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "--store", str(pipeline["store"]), "--prop", 'Pmax=? [F "nolabel"]'
+        )
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "UnknownLabel"
+        assert "'nolabel'" in error["message"] and "'success'" in error["message"]
+
 
 def run_monitor(store, follow, *flags):
     """`tracemdp monitor` in a subprocess; a reader that hangs fails the test."""

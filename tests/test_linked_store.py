@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_log, mk_trace
-from tracemdp.amdp import LabelRule
+from tracemdp.amdp import LabelRule, compile_model
 from tracemdp.errors import StaleSplit
 from tracemdp.linked_store import (
     LabelingConfig,
@@ -81,7 +81,8 @@ class TestBuild:
         store = build(log, tree)
         assert store.amdp.states == {0}
         assert store.trie.node_count == 0
-        assert store.amdp.terminal_states() == {0}
+        model = compile_model(store.amdp)
+        assert model.states == (0,) and model.rows == ((),)
         assert check_invariants(store) == []
 
     def test_fresh_store_invariants(self):

@@ -64,7 +64,6 @@ class TestPathType:
         p = path(1, "a", 2, "b", 3)
         assert p.prefix(1) == path(1, "a", 2)
         assert p.prefix(0) == path(1)
-        assert p.prefix(1).concat(path(2, "b", 3)) == p
 
 
 class TestInsertAndSupports:
