@@ -307,19 +307,25 @@ def export_explicit(mdp: Amdp) -> tuple[str, str]:
 
 
 def parse_explicit(tra_text: str, lab_text: str) -> CompiledModel:
-    """Parses an ``export_explicit`` pair back into a model over ids 0..n-1."""
+    """Parses an ``export_explicit`` pair back into a model over ids 0..n-1.
+
+    Raises ValueError on a bad header, a count that disagrees with it, or a
+    state index out of range.
+    """
     tra_lines = [ln for ln in tra_text.splitlines() if ln.strip()]
     if not tra_lines:
         raise ValueError("transitions file is missing its header")
-    n_states, _n_choices, n_transitions = (int(x) for x in tra_lines[0].split())
+    n_states, n_choices, n_transitions = (int(x) for x in tra_lines[0].split())
     grouped: Grouped = {}
     for line in tra_lines[1:]:
         src, _choice, dst, prob, action = line.split(" ", 4)
-        dsts, probs = grouped.setdefault((int(src), action), ([], []))
-        dsts.append(int(dst))
+        dsts, probs = grouped.setdefault((_state_index(src, n_states), action), ([], []))
+        dsts.append(_state_index(dst, n_states))
         probs.append(float(prob))
     if len(tra_lines) - 1 != n_transitions:
         raise ValueError("transition count does not match header")
+    if len(grouped) != n_choices:
+        raise ValueError("choice count does not match header")
 
     lab_lines = [ln for ln in lab_text.splitlines() if ln.strip()]
     if not lab_lines or not lab_lines[0].startswith("#DECLARATION"):
@@ -329,7 +335,7 @@ def parse_explicit(tra_text: str, lab_text: str) -> CompiledModel:
     init: set[int] = set()
     for line in lab_lines[1:]:
         parts = line.split()
-        idx = int(parts[0])
+        idx = _state_index(parts[0], n_states)
         for name in parts[1:]:
             if name == "init":
                 init.add(idx)
@@ -341,3 +347,10 @@ def parse_explicit(tra_text: str, lab_text: str) -> CompiledModel:
         {name: frozenset(members) for name, members in labels.items()},
         frozenset(init),
     )
+
+
+def _state_index(text: str, n_states: int) -> int:
+    idx = int(text)
+    if not 0 <= idx < n_states:
+        raise ValueError(f"state index {idx} out of range for {n_states} states")
+    return idx

@@ -44,7 +44,7 @@ from .linked_store import (
 )
 from .predicate_tree import PredicateTree, TreeConfig, build_initial_tree
 from .refinement import RefinementConfig, verify_refine_loop
-from .trace_model import parse_event_line, read_trace_log
+from .trace_model import SnapshotTable, parse_event_line, read_trace_log
 from .trace_trie import abstract_trace
 
 JSON_KW = {"sort_keys": True, "separators": (",", ":")}
@@ -221,9 +221,15 @@ def _read_lines(path: str, line_queue: "queue.Queue[str | Exception | None]", on
             time.sleep(interval)
 
 
+# Snapshots the monitor interns at most; the table is emptied at this size,
+# so an endless stream keeps flat memory.
+MONITOR_SNAPSHOTS = 1024
+
+
 def _cmd_monitor(args) -> int:
     store, cfg, stats = _detector_setup(args)
     schema = store.schema
+    table: SnapshotTable = {}
 
     # One reader thread tails the file; this thread evaluates.  The bounded
     # queue keeps memory flat and preserves event order.
@@ -246,7 +252,9 @@ def _cmd_monitor(args) -> int:
         line = line.strip()
         if not line:
             continue
-        event = parse_event_line(line, schema)
+        event = parse_event_line(line, schema, table)
+        if len(table) >= MONITOR_SNAPSHOTS:
+            table.clear()
         if event.kind == "terminal":
             monitors.pop(event.trace_id, None)
             last.pop(event.trace_id, None)

@@ -30,9 +30,23 @@ Parsing costs little more than ``json.loads``:
   per value, through a bounded cache, so an endless stream cannot grow it);
   floats never are, as ``-0.0 == 0.0`` would let a shared instance print
   the wrong sign;
-* a snapshot is checked against the schema by comparing each partition's
-  size and each variable's type tag with a layout computed once per schema
-  object; only a mismatch builds the full schema, to name the difference;
+* snapshots are interned too, through a table that the reader owns:
+  ``read_events`` keeps one per read and ``monitor`` one that it empties
+  at a fixed size.  A snapshot's key is each partition's names and values
+  in order plus the exact type of every value, so ``1``, ``1.0`` and
+  ``true`` stay apart.  Only a snapshot whose ``goal``, ``check`` and
+  ``state`` partitions are all present as objects, and whose values are all
+  ``str``, ``int`` or ``bool``, gets a key; any other is converted afresh,
+  so a float is never shared (the sign of ``-0.0`` again).  A snapshot
+  whose key is in the table is that table's object, converted and checked
+  against the schema once; a table serves only the schema it was filled
+  under;
+* each snapshot computes its layout once, when it is built: one dict per
+  partition, in goal/check/state order, from variable name to type tag.
+  The schema check compares it with the schema's layout, computed once per
+  schema object; only a mismatch builds the full schema, to name the
+  difference.  A transition compares its ``post``'s layout with its
+  ``pre``'s;
 * consecutive steps of a trace share one snapshot per chain link: once a
   step's ``pre`` is found equal to the previous ``post``, the step keeps the
   previous ``post`` as its ``pre``.
@@ -160,7 +174,11 @@ _FROM_JSON = {
 
 @dataclass(frozen=True)
 class ConcreteState:
-    """Snapshot of goal/check/state variables at one point of a run."""
+    """Snapshot of goal/check/state variables at one point of a run.
+
+    ``layout`` is the snapshot's schema split by partition: one dict per
+    partition, in goal/check/state order, from variable name to type tag.
+    """
 
     goal_vars: dict[str, Value]
     check_vars: dict[str, Value]
@@ -170,6 +188,11 @@ class ConcreteState:
         names = list(self.goal_vars) + list(self.check_vars) + list(self.state_vars)
         if len(names) != len(set(names)):
             raise SchemaViolation("variable names must be unique across partitions")
+        # Kept outside the fields, so equality and repr ignore it.
+        object.__setattr__(self, "layout", tuple(
+            {name: value.kind for name, value in part.items()}
+            for part in (self.goal_vars, self.check_vars, self.state_vars)
+        ))
 
     def partition_of(self, name: str) -> str:
         if name in self.goal_vars:
@@ -217,32 +240,6 @@ def _partition(raw: Mapping[str, object], key: str) -> dict[str, Value]:
     return {str(k): Value.from_json(v) for k, v in sub.items()}
 
 
-def _layout_of(state: ConcreteState) -> tuple[dict[str, str], ...]:
-    """The layout of ``state``'s own schema.
-
-    A layout is a schema split by partition: one dict per partition, in
-    goal/check/state order, from variable name to type tag.
-    """
-    return tuple(
-        {name: value.kind for name, value in part.items()}
-        for part in (state.goal_vars, state.check_vars, state.state_vars)
-    )
-
-
-def _conforms(state: ConcreteState, layout: tuple[dict[str, str], ...] | None) -> bool:
-    """Whether ``state.schema()`` equals the schema whose layout is given,
-    without building it: partition sizes and type tags are compared."""
-    if layout is None:
-        return False
-    for variables, kinds in zip((state.goal_vars, state.check_vars, state.state_vars), layout):
-        if len(variables) != len(kinds):
-            return False
-        for name, value in variables.items():
-            if kinds.get(name) != value.kind:
-                return False
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class ActionSymbol:
     """A tool type.  Equality and hashing are by name only."""
@@ -268,7 +265,7 @@ class Transition:
     post: ConcreteState
 
     def __post_init__(self) -> None:
-        if not _conforms(self.post, _layout_of(self.pre)):
+        if self.post.layout != self.pre.layout:
             raise SchemaViolation("pre and post snapshots of a transition must share one schema")
 
 
@@ -419,7 +416,7 @@ def _schema_layout(schema: dict[str, tuple[str, str]]) -> tuple[dict[str, str], 
 
 
 def _check_schema(state: ConcreteState, schema: dict[str, tuple[str, str]], where: str) -> None:
-    if _conforms(state, _schema_layout(schema)):
+    if state.layout == _schema_layout(schema):
         return
     actual = state.schema()
     if actual == schema:
@@ -438,11 +435,66 @@ def _check_schema(state: ConcreteState, schema: dict[str, tuple[str, str]], wher
     raise SchemaViolation(f"{where}: snapshot does not conform to schema")
 
 
-def parse_event_line(line: str, schema: dict[str, tuple[str, str]] | None = None) -> Event:
+# A snapshot's typed content key -> the one ConcreteState built for it.
+SnapshotTable = dict[tuple, ConcreteState]
+
+_KEYED_TYPES = frozenset((str, int, bool))
+
+
+def _content_key(raw: object) -> tuple | None:
+    """The typed content key of a raw snapshot, or None if it gets none.
+
+    Only snapshots with exactly the goal/check/state partitions, each a
+    dict, whose values are all exact ``str``, ``int`` or ``bool`` get a
+    key.  The key holds each partition's names in order (None, never a JSON
+    name, ends a partition), then the values, then their types, which keep
+    ``1`` and ``true`` apart.
+    """
+    if type(raw) is not dict or len(raw) != 3:
+        return None
+    goal, check, state = raw.get(GOAL), raw.get(CHECK), raw.get(STATE)
+    if type(goal) is not dict or type(check) is not dict or type(state) is not dict:
+        return None
+    values = (*goal.values(), *check.values(), *state.values())
+    types = tuple(map(type, values))
+    if not _KEYED_TYPES.issuperset(types):
+        return None
+    return (*goal, None, *check, None, *state, values, types)
+
+
+def _snapshot(
+    raw: Mapping[str, object], table: SnapshotTable | None, new: SnapshotTable
+) -> tuple[ConcreteState, bool]:
+    """The snapshot of ``raw``, and whether it still needs the schema check.
+
+    A keyed snapshot in ``table`` is returned as that object, which passed
+    the check when it was stored.  Keyed snapshots converted by this line
+    go to ``new`` (so ``pre`` and ``post`` of one line share one object);
+    the caller stores them in ``table`` once they pass the check.
+    """
+    if table is None or (key := _content_key(raw)) is None:
+        return ConcreteState.from_json(raw), True
+    state = table.get(key)
+    if state is not None:
+        return state, False
+    state = new.get(key)
+    if state is None:
+        state = new[key] = ConcreteState.from_json(raw)
+    return state, True
+
+
+def parse_event_line(
+    line: str,
+    schema: dict[str, tuple[str, str]] | None = None,
+    table: SnapshotTable | None = None,
+) -> Event:
     """Parses one JSONL record into a typed event.
 
     If ``schema`` is given, every snapshot in the record is validated against
-    it (missing or retyped variables raise SchemaViolation).
+    it (missing or retyped variables raise SchemaViolation).  ``table``, read
+    and filled only when ``schema`` is given, interns the record's snapshots:
+    a snapshot whose typed content is already in it is that object, neither
+    converted nor checked again.  A table must only ever serve one schema.
     """
     try:
         raw = json.loads(line)
@@ -458,6 +510,9 @@ def parse_event_line(line: str, schema: dict[str, tuple[str, str]] | None = None
         raise MalformedRecord("missing or invalid 'trace_id'")
     if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
         raise MalformedRecord("missing or invalid 'seq'")
+    if schema is None:
+        table = None
+    new: SnapshotTable = {}
 
     if kind == TOOL_CALL:
         action = raw.get("action")
@@ -465,15 +520,18 @@ def parse_event_line(line: str, schema: dict[str, tuple[str, str]] | None = None
             raise MalformedRecord("tool_call event needs a non-empty 'action'")
         if "post" not in raw:
             raise MalformedRecord("tool_call event needs a 'post' snapshot")
-        pre = ConcreteState.from_json(raw["pre"]) if "pre" in raw else None
-        post = ConcreteState.from_json(raw["post"])
+        pre, check_pre = _snapshot(raw["pre"], table, new) if "pre" in raw else (None, False)
+        post, check_post = _snapshot(raw["post"], table, new)
         digest = raw.get("args_digest")
         if digest is None and "args" in raw:
             digest = _digest_args(raw["args"])
         if schema is not None:
-            if pre is not None:
-                _check_schema(pre, schema, f"{trace_id}#{seq} pre")
-            _check_schema(post, schema, f"{trace_id}#{seq} post")
+            if check_pre:
+                _check_schema(pre, schema, f"{trace_id}#{seq} pre")  # type: ignore[arg-type]
+            if check_post:
+                _check_schema(post, schema, f"{trace_id}#{seq} post")
+            if table is not None:
+                table.update(new)
         return Event(TOOL_CALL, trace_id, seq, action=action, args_digest=digest, pre=pre, post=post)
 
     if kind == TERMINAL:
@@ -485,9 +543,12 @@ def parse_event_line(line: str, schema: dict[str, tuple[str, str]] | None = None
     if kind == INITIAL:
         if "state" not in raw:
             raise MalformedRecord("initial event needs a 'state' snapshot")
-        state = ConcreteState.from_json(raw["state"])
+        state, check_state = _snapshot(raw["state"], table, new)
         if schema is not None:
-            _check_schema(state, schema, f"{trace_id}#{seq} initial")
+            if check_state:
+                _check_schema(state, schema, f"{trace_id}#{seq} initial")
+            if table is not None:
+                table.update(new)
         return Event(INITIAL, trace_id, seq, state=state)
 
     raise MalformedRecord(f"unknown event kind: {kind!r}")
@@ -543,7 +604,7 @@ def segment_stream(events: Iterable[Event]) -> Trace:
                 )
             pre = prev_post
         elif prev_post is not None:
-            if pre != prev_post:
+            if pre is not prev_post and pre != prev_post:
                 raise ChainBreak(
                     f"trace {trace_id!r}#{ev.seq}: pre snapshot differs from previous post"
                 )
@@ -561,15 +622,17 @@ def read_events(lines: Iterable[str]) -> TraceLog:
 
     Traces are ordered by first appearance of their id; events within a trace
     are ordered by seq.  The schema freezes at the first snapshot seen.
+    Snapshots are interned through one table, dropped with the read.
     """
     by_trace: dict[str, list[Event]] = {}
     schema: dict[str, tuple[str, str]] | None = None
+    table: SnapshotTable = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            event = parse_event_line(line, schema)
+            event = parse_event_line(line, schema, table)
         except (MalformedRecord, SchemaViolation) as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
         if schema is None:
@@ -577,9 +640,10 @@ def read_events(lines: Iterable[str]) -> TraceLog:
             if snap is not None:
                 schema = snap.schema()
                 # Re-validate the freezing record itself against its own schema
-                # (catches pre/post disagreement inside one event).
+                # (catches pre/post disagreement inside one event); its
+                # snapshots start the table.
                 try:
-                    parse_event_line(line, schema)
+                    event = parse_event_line(line, schema, table)
                 except SchemaViolation as exc:
                     raise SchemaViolation(f"line {lineno}: {exc}") from None
         by_trace.setdefault(event.trace_id, []).append(event)

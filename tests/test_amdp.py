@@ -240,6 +240,20 @@ class TestExport:
         with pytest.raises(ValueError):
             parse_explicit(tra, lab)
 
+    @pytest.mark.parametrize(
+        "tra, lab",
+        [
+            ("2 7 1\n0 0 1 1.0 a\n", "#DECLARATION init #END\n"),
+            ("2 1 1\n0 0 9 1.0 a\n", "#DECLARATION init #END\n"),
+            ("1 1 1\n5 0 0 1.0 a\n", "#DECLARATION init #END\n"),
+            ("1 1 1\n0 0 0 1.0 a\n", "#DECLARATION init done #END\n7 init done\n"),
+        ],
+        ids=["choice_count", "destination", "source", "label_state"],
+    )
+    def test_out_of_range_rejected(self, tra, lab):
+        with pytest.raises(ValueError):
+            parse_explicit(tra, lab)
+
     def test_byte_deterministic(self):
         m = Amdp()
         m.ingest(3, "b", 1)

@@ -396,6 +396,40 @@ class TestMonitorRouting:
             (route(third["post"]), third["action"], route(third["post"])),
         ]
 
+    def test_snapshot_table_stays_bounded(self, pipeline, capsys, monkeypatch, tmp_path):
+        """A follow log with more distinct snapshots than the bound keeps the table below it."""
+        import tracemdp.cli as cli
+
+        records = [json.loads(line) for line in (pipeline["corpus"] / "baseline.jsonl").open()]
+        template = next(r for r in records if r["kind"] == "tool_call")
+        bound = cli.MONITOR_SNAPSHOTS
+        lines = []
+        for i in range(bound // 2 + 100):  # two new snapshots per line
+            pre, post = json.loads(json.dumps(template["pre"])), json.loads(json.dumps(template["post"]))
+            pre["state"]["iteration"], post["state"]["iteration"] = 2 * i, 2 * i + 1
+            lines.append(json.dumps({**template, "trace_id": "m", "seq": i, "pre": pre, "post": post}) + "\n")
+        follow = tmp_path / "follow.jsonl"
+        follow.write_text("".join(lines))
+        original = cli.parse_event_line
+        sizes = []
+
+        def counting(line, schema=None, table=None):
+            sizes.append(len(table))
+            return original(line, schema, table)
+
+        def tableless(line, schema=None, table=None):
+            return original(line, schema)
+
+        argv = ("monitor", "--store", str(pipeline["store"]), "--follow", str(follow), "--once")
+        monkeypatch.setattr(cli, "parse_event_line", counting)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(sizes) == len(lines)
+        assert bound - 2 <= max(sizes) < bound
+        assert sizes[-1] < max(sizes)  # emptied once full
+        monkeypatch.setattr(cli, "parse_event_line", tableless)
+        assert run_cli(capsys, *argv) == (code, out, "")
+
 
 @pytest.fixture(scope="module")
 def labeled_store(pipeline, tmp_path_factory):
