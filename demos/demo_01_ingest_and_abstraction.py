@@ -30,7 +30,7 @@ tree = build_initial_tree(log, TreeConfig())
 print(f"\nlearned predicate tree with {tree.n_leaves} leaves:")
 print(tree.to_json())
 
-runs = [abstract_trace(tree, trace)[0] for trace in log]
+runs = [abstract_trace(tree, trace) for trace in log]
 print(f"trace {log[0].trace_id!r} routes through abstract states:")
 print(" ", runs[0])
 

@@ -45,7 +45,7 @@ print(f"training scores: mu={detector.stats.mu:.4f} sigma={detector.stats.sigma:
 
 flagged: dict[str, list[bool]] = {}
 for trace in anomalous_log:
-    score = run_loglik(model, abstract_trace(tree, trace)[0], trace.trace_id)
+    score = run_loglik(model, abstract_trace(tree, trace), trace.trace_id)
     verdict = detector.flag(score)
     flagged.setdefault(truth[trace.trace_id], []).append(verdict["verdict"] == "anomalous")
 
@@ -54,7 +54,7 @@ for kind, hits in sorted(flagged.items()):
     print(f"{kind:<16}{len(hits):>6}{sum(hits) / len(hits):>9.3f}")
 
 false_positives = sum(
-    detector.flag(run_loglik(model, abstract_trace(tree, t)[0]))["verdict"] == "anomalous"
+    detector.flag(run_loglik(model, abstract_trace(tree, t)))["verdict"] == "anomalous"
     for t in held_log
 )
 print(f"{'held-out FPR':<16}{len(held_log):>6}{false_positives / len(held_log):>9.3f}")
@@ -62,7 +62,7 @@ print(f"{'held-out FPR':<16}{len(held_log):>6}{false_positives / len(held_log):>
 # Prefix-conditioned warnings for one long anomalous run.
 stats = prefix_stats(store.runs, model, checkpoints=range(5, 101, 5))
 long_run = max(
-    (abstract_trace(tree, t)[0] for t in anomalous_log),
+    (abstract_trace(tree, t) for t in anomalous_log),
     key=lambda run: run.n_transitions,
 )
 warnings, unseen_at = checkpoint_warnings(model, long_run, stats)

@@ -6,8 +6,8 @@ abstracted prefixes in a trie (`trace_trie`), induce a count-based MDP and
 compile it once into the model that the checker and the PRISM export share
 (`amdp`), model-check reachability bounds (`checker`), score runs by model
 log-likelihood (`anomaly`), and refine the abstraction from unsupported
-counterexample witnesses (`refinement`) while the `linked_store` keeps the
-three structures consistent.
+counterexample witnesses (`refinement`); the `linked_store` routes the log
+once and builds the trie and the MDP from the routed runs.
 """
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ from .checker import CheckResult, ReachQuery, check, extract_witness, parse_prop
 from .errors import TraceMdpError
 from .generator import GeneratorConfig, generate_corpus
 from .linked_store import (
-    Handle,
     LabelingConfig,
     LinkedStore,
     apply_split,

@@ -21,6 +21,7 @@ import queue
 import sys
 import threading
 import time
+from typing import Iterator
 
 from . import __version__
 from .anomaly import (
@@ -32,7 +33,7 @@ from .anomaly import (
     score_run,
 )
 from .checker import check, parse_property
-from .errors import InvalidConfig, PropertySyntaxError, TraceMdpError
+from .errors import InvalidConfig, MalformedRecord, PropertySyntaxError, TraceMdpError
 from .generator import GeneratorConfig, generate_corpus
 from .linked_store import (
     LabelingConfig,
@@ -103,7 +104,12 @@ def _cmd_gen(args) -> int:
     cfg = GeneratorConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = GeneratorConfig.from_json_dict(json.load(fh))
+            try:
+                cfg = GeneratorConfig.from_json_dict(json.load(fh))
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfig(
+                    f"generator config {args.config!r} is malformed: {type(exc).__name__}: {exc}"
+                ) from None
     paths = generate_corpus(cfg, args.out)
     _print_json(
         {"baseline": paths.baseline, "anomalous": paths.anomalous, "sidecar": paths.sidecar}
@@ -157,7 +163,7 @@ def _cmd_score(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for trace in target_log:
-            run, _refs = abstract_trace(store.tree, trace)
+            run = abstract_trace(store.tree, trace)
             score, warnings = score_run(store.amdp, run, stats, cfg, trace.trace_id)
             verdict = detector.flag(score)
             _print_json(
@@ -325,35 +331,44 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    truth: dict[str, str] = {}
-    with open(args.truth, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+def _read_records(path: str, keys: tuple[str, ...]) -> Iterator[dict]:
+    """Yields a JSONL file's records; a line that is not an object with string ``keys`` is MalformedRecord."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 record = json.loads(line)
-                truth[record["trace_id"]] = record["anomaly"]
+            except ValueError:
+                record = None
+            if not (isinstance(record, dict) and all(isinstance(record.get(key), str) for key in keys)):
+                raise MalformedRecord(f"{path}:{number}: not a JSON object with string {', '.join(keys)}")
+            yield record
+
+
+def _cmd_report(args) -> int:
+    truth = {
+        record["trace_id"]: record["anomaly"]
+        for record in _read_records(args.truth, ("trace_id", "anomaly"))
+    }
 
     per_kind: dict[str, dict[str, int]] = {}
     negatives = {"n": 0, "flagged": 0}
     flagged_total = 0
     true_positives = 0
-    with open(args.scores, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            flagged = record["verdict"] == "anomalous"
-            kind = truth.get(record["trace_id"])
-            if flagged:
-                flagged_total += 1
-            if kind is None:
-                negatives["n"] += 1
-                negatives["flagged"] += int(flagged)
-            else:
-                row = per_kind.setdefault(kind, {"n": 0, "flagged": 0})
-                row["n"] += 1
-                row["flagged"] += int(flagged)
-                true_positives += int(flagged)
+    for record in _read_records(args.scores, ("trace_id", "verdict")):
+        flagged = record["verdict"] == "anomalous"
+        kind = truth.get(record["trace_id"])
+        if flagged:
+            flagged_total += 1
+        if kind is None:
+            negatives["n"] += 1
+            negatives["flagged"] += int(flagged)
+        else:
+            row = per_kind.setdefault(kind, {"n": 0, "flagged": 0})
+            row["n"] += 1
+            row["flagged"] += int(flagged)
+            true_positives += int(flagged)
 
     summary = {
         "per_anomaly_recall": {

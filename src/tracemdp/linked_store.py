@@ -1,24 +1,16 @@
-"""Handles tying tree leaves, MDP vertices, and trie endpoints together.
-
-Every abstract state owns one handle <tree leaf, graph vertex, trie
-endpoints>.  The store keeps the three structures and the handle maps
-consistent under four invariants:
-
-* I1  every handle's leaf and vertex resolve, and both maps round-trip;
-* I2  every endpoint maps back to its handle and its concrete records
-      re-abstract to the handle's leaf;
-* I3  leaves and vertices are each in bijection with the handles;
-* I4  the MDP's state set is exactly the handles' vertex set.
-
-The synthetic trie root carries no abstract state and stays outside the
-endpoint accounting.
+"""The store: a log, a tree, and what routing the log through the tree yields.
 
 ``build`` routes every state of the log through the tree exactly once and
 keeps the abstract runs (``LinkedStore.runs``, one per trace, in log
-order).  The trie, the count MDP, the terminal labels and (saved with the
-store) the detectors of ``score`` and ``monitor`` all read those runs; the
-concrete states behind an abstract state come from its trie endpoints
-(``batch_for_leaf``).
+order).  The runs are the store's only record of where each concrete state
+routes: the trie, the count MDP, the terminal labels and (saved with the
+store) the detectors of ``score`` and ``monitor`` are built from them, and
+the concrete states behind an abstract state are read straight off them
+(``batch_for_leaf``).  ``check_invariants`` verifies two invariants:
+
+* I2  there is one run per trace, and each run is its trace re-abstracted
+      under the tree;
+* I4  the MDP's state set is exactly the tree's abstract-state ids.
 
 apply_split currently realizes the refined store by a full rebuild, which
 the equality-with-rebuild property keeps honest if an incremental path is
@@ -63,15 +55,8 @@ from .predicate_tree import (
     predicate_from_json,
     predicate_to_json,
 )
-from .trace_model import TraceLog, read_trace_log
+from .trace_model import ConcreteState, TraceLog, read_trace_log
 from .trace_trie import AbstractPath
-
-
-@dataclass(frozen=True)
-class Handle:
-    tree: int  # leaf node id in the predicate tree
-    graph: int  # vertex id in the MDP (= abstract-state id)
-    endpoints: frozenset[int]  # trie node ids
 
 
 @dataclass(frozen=True)
@@ -115,10 +100,6 @@ class LinkedStore:
     trie: trie_mod.TraceTrie
     log: TraceLog
     runs: tuple[AbstractPath, ...]  # runs[i] is log[i] routed through tree
-    handles: tuple[Handle, ...]
-    map_tree: dict[int, Handle]
-    map_graph: dict[int, Handle]
-    map_trie: dict[int, Handle]
     labeling: LabelingConfig = field(default_factory=LabelingConfig)
     label_report: LabelReport = field(default_factory=LabelReport)
 
@@ -128,36 +109,11 @@ def build(
     tree: PredicateTree,
     labeling: LabelingConfig | None = None,
 ) -> LinkedStore:
-    """Assembles trie, MDP, handles, and labels for a log under a tree."""
+    """Routes a log through a tree and assembles the trie, MDP and labels."""
     labeling = labeling or LabelingConfig()
-    runs = tuple(trie_mod.abstract_trace(tree, trace)[0] for trace in log)
+    runs = tuple(trie_mod.abstract_trace(tree, trace) for trace in log)
     trie = trie_mod.rebuild(runs)
     mdp = amdp_mod.induce(runs, tree.abstract_ids())
-
-    handles: list[Handle] = []
-    map_tree: dict[int, Handle] = {}
-    map_graph: dict[int, Handle] = {}
-    map_trie: dict[int, Handle] = {}
-    for abstract_id, leaf_node in sorted(tree.leaves().items()):
-        handle = Handle(leaf_node, abstract_id, frozenset(trie.endpoints_for(abstract_id)))
-        handles.append(handle)
-        map_tree[leaf_node] = handle
-        map_graph[abstract_id] = handle
-        for node_id in handle.endpoints:
-            map_trie[node_id] = handle
-
-    store = LinkedStore(
-        tree=tree,
-        amdp=mdp,
-        trie=trie,
-        log=log,
-        runs=runs,
-        handles=tuple(handles),
-        map_tree=map_tree,
-        map_graph=map_graph,
-        map_trie=map_trie,
-        labeling=labeling,
-    )
 
     report = LabelReport()
     if labeling.terminal_labels:
@@ -165,94 +121,57 @@ def build(
             mdp, log, runs, labeling.success_mode, labeling.failure_mode
         )
     if labeling.rules:
-        evidence = {h.graph: batch_for_leaf(store, h.graph).states for h in store.handles}
+        evidence: dict[int, list[ConcreteState]] = {}
+        for trace, run in zip(log, runs):
+            for abstract_id, state in zip(run.states, trace.states()):
+                evidence.setdefault(abstract_id, []).append(state)
         rule_report = amdp_mod.label_states(mdp, labeling.rules, evidence)
         report.labeled.update(rule_report.labeled)
         report.mixed.update(rule_report.mixed)
-    store.label_report = report
-    return store
+    return LinkedStore(
+        tree=tree,
+        amdp=mdp,
+        trie=trie,
+        log=log,
+        runs=runs,
+        labeling=labeling,
+        label_report=report,
+    )
 
 
 def batch_for_leaf(store: LinkedStore, abstract_id: int) -> LabeledBatch:
-    """Concrete states behind a leaf, via its trie endpoints, labeled by their next action."""
-    trie_nodes = store.trie.nodes
+    """Concrete states the runs route to a leaf, labeled by their next action."""
     refs = (
-        ref
-        for node_id in sorted(store.map_graph[abstract_id].endpoints)
-        for ref in sorted(trie_nodes[node_id].record_refs)
+        (t, i)
+        for t, run in enumerate(store.runs)
+        for i, state in enumerate(run.states)
+        if state == abstract_id
     )
     return labeled_batch_from_log(store.log, refs)
 
 
 def check_invariants(store: LinkedStore) -> list[str]:
-    """Verifies I1-I4; returns a list of violation descriptions (empty = ok)."""
+    """Verifies I2 and I4; returns a list of violation descriptions (empty = ok)."""
     violations: list[str] = []
-    tree_leaves = store.tree.leaves()  # abstract id -> leaf node id
-    leaf_nodes = set(tree_leaves.values())
 
-    # I1: handles resolve and both maps round-trip.
-    for h in store.handles:
-        if h.tree not in leaf_nodes:
-            violations.append(f"I1: handle for vertex {h.graph} points at non-leaf node {h.tree}")
-        if h.graph not in store.amdp.states:
-            violations.append(f"I1: handle vertex {h.graph} missing from the MDP state set")
-        if store.map_tree.get(h.tree) is not h:
-            violations.append(f"I1: map_tree does not round-trip for leaf node {h.tree}")
-        if store.map_graph.get(h.graph) is not h:
-            violations.append(f"I1: map_graph does not round-trip for vertex {h.graph}")
+    # I2: one run per trace, each its trace re-abstracted.
+    if len(store.runs) != len(store.log):
+        violations.append(f"I2: {len(store.runs)} runs for {len(store.log)} traces")
+    for t, (trace, run) in enumerate(zip(store.log, store.runs)):
+        states = tuple(store.tree.abstract(state) for state in trace.states())
+        actions = tuple(step.action.name for step in trace.steps)
+        if (run.states, run.actions) != (states, actions):
+            violations.append(f"I2: run {t} differs from trace {trace.trace_id!r} re-abstracted")
 
-    # I2: endpoints map back and their concrete records re-abstract correctly.
-    for h in store.handles:
-        for node_id in sorted(h.endpoints):
-            node = store.trie.nodes.get(node_id)
-            if node is None:
-                violations.append(f"I2: endpoint {node_id} of vertex {h.graph} is not a trie node")
-                continue
-            if store.map_trie.get(node_id) is not h:
-                violations.append(f"I2: map_trie does not point endpoint {node_id} at its handle")
-            if node.abstract_state != h.graph:
-                violations.append(
-                    f"I2: trie node {node_id} carries state {node.abstract_state}, handle has {h.graph}"
-                )
-            for trace_idx, state_idx in sorted(node.record_refs):
-                concrete = store.log.state_at(trace_idx, state_idx)
-                if store.tree.abstract(concrete) != h.graph:
-                    violations.append(
-                        f"I2: record ({trace_idx},{state_idx}) at node {node_id} "
-                        f"re-abstracts away from vertex {h.graph}"
-                    )
-    for node_id, h in store.map_trie.items():
-        if node_id not in h.endpoints:
-            violations.append(f"I2: map_trie entry {node_id} is not among its handle's endpoints")
-    # Every non-root trie node belongs to exactly one handle's endpoints.
-    covered: set[int] = set()
-    for h in store.handles:
-        overlap = covered & h.endpoints
-        if overlap:
-            violations.append(f"I2: endpoints {sorted(overlap)} shared by several handles")
-        covered |= h.endpoints
-    all_nodes = set(store.trie.nodes) - {trie_mod.ROOT_ID}
-    if covered != all_nodes:
-        stray = sorted(all_nodes - covered) + sorted(covered - all_nodes)
-        violations.append(f"I2: endpoint coverage mismatch around nodes {stray[:5]}")
-
-    # I3: bijections between leaves/vertices and handles.
-    handle_leaves = [h.tree for h in store.handles]
-    handle_vertices = [h.graph for h in store.handles]
-    if sorted(handle_leaves) != sorted(leaf_nodes):
-        violations.append("I3: tree leaves and handles are not in bijection")
-    if len(set(handle_vertices)) != len(handle_vertices):
-        violations.append("I3: several handles share one vertex")
-
-    # I4: the MDP state set is exactly the handles' vertex set.
-    if store.amdp.states != set(handle_vertices):
-        violations.append("I4: MDP state set differs from the handles' vertex set")
+    # I4: the MDP state set is exactly the tree's abstract-state ids.
+    if store.amdp.states != set(store.tree.abstract_ids()):
+        violations.append("I4: MDP state set differs from the tree's abstract-state ids")
 
     return violations
 
 
 def apply_split(store: LinkedStore, split: LeafSplit) -> LinkedStore:
-    """Applies a leaf split, retiring the old handle and minting two.
+    """Applies a leaf split: the split leaf's id retires and two new ids take its states.
 
     Realized as a full rebuild over the refined tree, so the result equals
     build(log, split.tree) exactly.  A split computed against a tree the

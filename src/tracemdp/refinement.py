@@ -19,7 +19,9 @@ from .errors import InvalidConfig, UnknownLeaf
 from .linked_store import LabelingConfig, LinkedStore, apply_split, batch_for_leaf, build
 from .predicate_tree import LeafSplit, PredicateTree, SplitRejected, TreeConfig, split_leaf
 from .trace_model import TraceLog
-from .trace_trie import AbstractPath, Ref
+from .trace_trie import AbstractPath
+
+Ref = tuple[int, int]  # (trace index, state index)
 
 
 @dataclass(frozen=True)
@@ -74,16 +76,19 @@ class Spurious:
 def concretize(store: LinkedStore, witness: AbstractPath) -> Real | Spurious:
     """Classifies a witness as realizable (with concrete refs) or spurious.
 
-    Realizability is exact prefix support in the trie; the spurious case
-    reports the earliest divergence index k and the abstract state s_k
-    where the first unsupported step starts.
+    Realizability is exact prefix support in the trie.  A realized witness
+    of k transitions refers to state k of every run that starts with it.
+    The spurious case reports the earliest divergence index k and the
+    abstract state s_k where the first unsupported step starts.
     """
-    node = store.trie.walk(witness)
-    if node is not None:
-        return Real(frozenset(node.record_refs))
-    k = store.trie.earliest_divergence(witness)
-    assert k is not None  # an unsupported path always has a divergence index
-    return Spurious(k, witness.states[k])
+    if not store.trie.supports(witness):
+        k = store.trie.earliest_divergence(witness)
+        return Spurious(k, witness.states[k])
+    k = witness.n_transitions
+    return Real(frozenset(
+        (t, k) for t, run in enumerate(store.runs)
+        if witness.states and run.states[: k + 1] == witness.states and run.actions[:k] == witness.actions
+    ))
 
 
 def refine_once(

@@ -5,20 +5,18 @@ keyed by the pair (action, next abstract state) so that realizability checks
 cover full state-action-state steps; the synthetic root carries no abstract
 state, and a trace's initial state hangs under it keyed by (None, state).
 
-Nodes keep back-references (run index, state index).  ``rebuild`` inserts
-the abstract runs of a log in log order, so a run index is the trace index
-in the append-only trace log, and refinement can recover the concrete
-states behind any abstract state.
+The trie answers realizability only: whether an abstract path is a prefix
+of some observed run, and where it first leaves them.  Which concrete
+states sit behind an abstract state or prefix is read off the routed runs
+themselves (``LinkedStore.runs``), so nodes carry no back-references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 ROOT_ID = 0
-
-Ref = tuple[int, int]  # (trace index, state index)
 
 
 @dataclass(frozen=True)
@@ -69,14 +67,12 @@ class TrieNode:
     node_id: int
     abstract_state: int | None  # None only at the root
     children: dict[tuple[str | None, int], int] = field(default_factory=dict)
-    record_refs: set[Ref] = field(default_factory=set)
     end_count: int = 0
 
 
 class TraceTrie:
     def __init__(self) -> None:
         self.nodes: dict[int, TrieNode] = {ROOT_ID: TrieNode(ROOT_ID, None)}
-        self._by_state: dict[int, set[int]] = {}
         self._next_id = ROOT_ID + 1
 
     @property
@@ -96,46 +92,20 @@ class TraceTrie:
             child = TrieNode(child_id, key[1])
             self.nodes[child_id] = child
             node.children[key] = child_id
-            self._by_state.setdefault(key[1], set()).add(child_id)
             return child
         return self.nodes[child_id]
 
-    def insert(self, path: AbstractPath, refs: Sequence[Ref] = ()) -> int:
-        """Inserts a path with per-state concrete references.
-
-        Every prefix of the path becomes a node.  An insert whose end node
-        already holds ``refs[-1]`` repeats an earlier one and changes
-        nothing; a path without refs counts each insert in the end node's
-        ``end_count``.  Returns the end node id.
-        """
-        if refs and len(refs) != len(path.states):
-            raise ValueError("need one concrete reference per path state")
-        nodes = []
+    def insert(self, path: AbstractPath) -> int:
+        """Adds every prefix of a path as a node and counts the insert at the end node, whose id it returns."""
         node = self.root
         for i, state in enumerate(path.states):
             node = self._child(node, (path.actions[i - 1] if i else None, state))
-            nodes.append(node)
-        if refs and refs[-1] in node.record_refs:
-            return node.node_id
-        for on_path, ref in zip(nodes, refs):
-            on_path.record_refs.add(ref)
         node.end_count += 1
         return node.node_id
 
-    def walk(self, path: AbstractPath) -> TrieNode | None:
-        """Node at the end of the path, or None if unsupported."""
-        node = self.root
-        for i, state in enumerate(path.states):
-            key = (path.actions[i - 1] if i else None, state)
-            child_id = node.children.get(key)
-            if child_id is None:
-                return None
-            node = self.nodes[child_id]
-        return node
-
     def supports(self, path: AbstractPath) -> bool:
         """True iff the path is a prefix of some inserted path."""
-        return self.walk(path) is not None
+        return self.earliest_divergence(path) is None
 
     def earliest_divergence(self, path: AbstractPath) -> int | None:
         """Length (in transitions) of the longest supported prefix.
@@ -152,13 +122,6 @@ class TraceTrie:
             node = self.nodes[child_id]
         return None
 
-    def endpoints_for(self, abstract_state: int) -> set[int]:
-        """All node ids whose prefix currently ends in the given leaf."""
-        return set(self._by_state.get(abstract_state, ()))
-
-    def states_present(self) -> set[int]:
-        return {s for s, nodes in self._by_state.items() if nodes}
-
     def structurally_equal(self, other: "TraceTrie") -> bool:
         if set(self.nodes) != set(other.nodes):
             return False
@@ -167,7 +130,6 @@ class TraceTrie:
             if (
                 node.abstract_state != o.abstract_state
                 or node.children != o.children
-                or node.record_refs != o.record_refs
                 or node.end_count != o.end_count
             ):
                 return False
@@ -189,18 +151,15 @@ class TraceTrie:
         return "\n".join(lines)
 
 
-def abstract_trace(tree, trace, trace_index: int = 0) -> tuple[AbstractPath, tuple[Ref, ...]]:
-    """Abstracts a trace under a predicate tree, with concrete references."""
-    n = trace.n_states
-    states = tuple(tree.abstract(trace.state_at(i)) for i in range(n))
-    actions = tuple(step.action.name for step in trace.steps)
-    refs = tuple((trace_index, i) for i in range(n))
-    return AbstractPath(states, actions), refs
+def abstract_trace(tree, trace) -> AbstractPath:
+    """Abstracts a trace under a predicate tree: one routed state per snapshot."""
+    states = tuple(tree.abstract(state) for state in trace.states())
+    return AbstractPath(states, tuple(step.action.name for step in trace.steps))
 
 
 def rebuild(runs: Iterable[AbstractPath]) -> TraceTrie:
-    """Fresh trie holding every run, with refs (run index, state index)."""
+    """Fresh trie holding every run."""
     trie = TraceTrie()
-    for index, run in enumerate(runs):
-        trie.insert(run, tuple((index, i) for i in range(len(run.states))))
+    for run in runs:
+        trie.insert(run)
     return trie

@@ -56,7 +56,7 @@ def mk_log(traces) -> TraceLog:
 
 def mk_runs(log, tree) -> list:
     """Abstract runs of a log under a tree, one per trace."""
-    return [abstract_trace(tree, trace)[0] for trace in log]
+    return [abstract_trace(tree, trace) for trace in log]
 
 
 def count_successors(m) -> dict:

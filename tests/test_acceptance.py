@@ -286,11 +286,11 @@ def _stores_equal(a, b) -> bool:
         and a.trie.structurally_equal(b.trie)
         and a.amdp.equal_counts(b.amdp)
         and a.amdp.labels == b.amdp.labels
-        and {h.graph: h for h in a.handles} == {h.graph: h for h in b.handles}
+        and a.runs == b.runs
     )
 
 
-@criterion(4, "I1-I4 hold after build and 50 refinement splits x 20 corpora; split == rebuild")
+@criterion(4, "I2 and I4 hold after build and 50 refinement splits x 20 corpora; split == rebuild")
 def test_criterion_4_structure_invariants():
     rng = np.random.default_rng(404)
     split_cfg = TreeConfig(min_gain=0.0, min_leaf_size=1, max_depth=64, max_leaves=4096)
@@ -416,14 +416,14 @@ def desk_pipeline(tmp_path_factory):
     model = store.amdp
 
     detector = OfflineDetector(DetectorConfig(alpha=0.05)).fit(
-        run_loglik(model, abstract_trace(tree, trace)[0], trace.trace_id)
+        run_loglik(model, abstract_trace(tree, trace), trace.trace_id)
         for trace in train_log
     )
 
     def verdicts(log_path):
         out = {}
         for trace in read_trace_log(log_path):
-            score = run_loglik(model, abstract_trace(tree, trace)[0], trace.trace_id)
+            score = run_loglik(model, abstract_trace(tree, trace), trace.trace_id)
             out[trace.trace_id] = detector.flag(score)["verdict"] == "anomalous"
         return out
 
@@ -487,7 +487,7 @@ def test_criterion_7_sandwich(desk_pipeline):
 # 8. Refinement loop outcomes
 # ---------------------------------------------------------------------------
 
-@criterion(8, "refinement loop: real counterexample found; merged regimes split under I1-I4")
+@criterion(8, "refinement loop: real counterexample found; merged regimes split under I2 and I4")
 def test_criterion_8_refinement_loop():
     # (a) An observed failure trace violates Pmin<=0 [F "failure"].
     traces = [
@@ -503,12 +503,12 @@ def test_criterion_8_refinement_loop():
     )
     assert outcome.kind == "real_counterexample"
     assert any(ref[0] == 0 for ref in outcome.witness_refs), "must reference the failure trace"
-    observed, _ = abstract_trace(outcome.store.tree, log[0], 0)
+    observed = abstract_trace(outcome.store.tree, log[0])
     k = outcome.witness_path.n_transitions
     assert observed.prefix(k) == outcome.witness_path
 
     # (b) A corpus whose initial abstraction merges two regimes: the loop
-    # must split at least once and terminate within bounds with I1-I4 intact.
+    # must split at least once and terminate within bounds with I2 and I4 intact.
     traces = [
         mk_trace(
             f"m0_{i}",

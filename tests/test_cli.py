@@ -332,7 +332,7 @@ class TestMonitorRouting:
         target_log = read_trace_log(str(target))
         for trace in target_log:  # the generator writes each trace's events together
             monitor = RunMonitor(store.amdp, stats, cfg)
-            for step in abstract_trace(store.tree, trace)[0].steps():
+            for step in abstract_trace(store.tree, trace).steps():
                 for alert in monitor.feed(*step):
                     record = {"trace_id": trace.trace_id, **alert}
                     expected.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
@@ -569,6 +569,51 @@ class TestErrors:
         error = json.loads(err)
         assert error["error"] == "InvalidConfig"
         assert str(labels) in error["message"]
+
+    @pytest.mark.parametrize(
+        "bad, line",
+        [
+            ("scores", "not json"),
+            ("scores", '["trace_id", "verdict"]'),
+            ("scores", '{"trace_id": "b"}'),
+            ("scores", '{"verdict": "normal"}'),
+            ("truth", '{"trace_id": "b"}'),
+            ("truth", '{"anomaly": "too_long"}'),
+            ("truth", '{"trace_id": ["b"], "anomaly": "too_long"}'),
+        ],
+        ids=["not_json", "not_object", "no_verdict", "no_score_id", "no_anomaly", "no_truth_id", "list_id"],
+    )
+    def test_malformed_report_input_exit_3(self, capsys, tmp_path, bad, line):
+        good = {
+            "scores": '{"trace_id": "a", "verdict": "anomalous"}',
+            "truth": '{"trace_id": "a", "anomaly": "too_long"}',
+        }
+        paths = {}
+        for name, first in good.items():
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text(first + "\n" + (line + "\n" if name == bad else ""))
+        code, out, err = run_cli(
+            capsys, "report", "--scores", str(paths["scores"]), "--truth", str(paths["truth"])
+        )
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "MalformedRecord"
+        assert f"{paths[bad]}:2:" in error["message"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["not json", '{"seed": 1, "n_traces": 5}', "[1, 2]", '{"n_baseline": "many"}'],
+        ids=["not_json", "unknown_key", "not_object", "bad_value"],
+    )
+    def test_malformed_gen_config_exit_3(self, capsys, tmp_path, text):
+        config = tmp_path / "gen.json"
+        config.write_text(text)
+        code, out, err = run_cli(capsys, "gen", "--config", str(config), "--out", str(tmp_path / "corpus"))
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "InvalidConfig"
+        assert str(config) in error["message"]
+        assert not (tmp_path / "corpus").exists()
 
     @pytest.mark.parametrize(
         "argv",

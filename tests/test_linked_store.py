@@ -1,5 +1,10 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_log, mk_trace
 from tracemdp.amdp import LabelRule, compile_model
@@ -21,11 +26,12 @@ from tracemdp.predicate_tree import (
     ScalarThreshold,
     SplitRejected,
     TreeConfig,
+    END_LABEL,
     build_initial_tree,
     split_leaf,
 )
-from tracemdp.refinement import batch_for_leaf
-from tracemdp.trace_trie import ROOT_ID, abstract_trace
+from tracemdp.refinement import Real, Spurious, batch_for_leaf, concretize
+from tracemdp.trace_trie import AbstractPath, abstract_trace
 
 
 def small_log():
@@ -62,7 +68,7 @@ def stores_equal(a, b) -> bool:
         and a.trie.structurally_equal(b.trie)
         and a.amdp.equal_counts(b.amdp)
         and a.amdp.labels == b.amdp.labels
-        and {h.graph: h for h in a.handles} == {h.graph: h for h in b.handles}
+        and a.runs == b.runs
     )
 
 
@@ -70,9 +76,9 @@ class TestBuild:
     def test_single_leaf_one_trace(self):
         log = mk_log([mk_trace("t", [{"x": 0}, {"x": 1}], ["go"])])
         store = build(log, PredicateTree.single_leaf())
-        assert len(store.handles) == 1
-        handle = store.handles[0]
-        assert handle.endpoints == set(store.trie.nodes) - {ROOT_ID}
+        assert store.runs == (AbstractPath((0, 0), ("go",)),)
+        assert store.amdp.states == {0}
+        assert store.trie.node_count == 2
         assert check_invariants(store) == []
 
     def test_empty_log_isolated_states(self):
@@ -105,7 +111,7 @@ class TestBuild:
         store = build(log, tree)
         assert len(calls) == sum(trace.n_states for trace in log)
         monkeypatch.undo()
-        assert store.runs == tuple(abstract_trace(tree, trace)[0] for trace in log)
+        assert store.runs == tuple(abstract_trace(tree, trace) for trace in log)
         assert check_invariants(store) == []
 
     def test_terminal_labels_applied(self):
@@ -117,16 +123,23 @@ class TestBuild:
 
 
 class TestCheckInvariants:
-    def test_corrupted_map_trie_single_violation(self):
+    def test_corrupted_run_single_i2_violation(self):
         log = small_log()
         tree = build_initial_tree(log, TreeConfig(min_leaf_size=1))
         store = build(log, tree)
-        victim = next(iter(store.map_trie))
-        other = next(h for h in store.handles if h is not store.map_trie[victim])
-        store.map_trie[victim] = other
+        run = store.runs[2]
+        other = next(a for a in tree.abstract_ids() if a != run.states[1])
+        corrupted = AbstractPath(run.states[:1] + (other,) + run.states[2:], run.actions)
+        store.runs = store.runs[:2] + (corrupted,) + store.runs[3:]
         violations = check_invariants(store)
-        assert len(violations) >= 1
-        assert all(v.startswith("I2") for v in violations)
+        assert len(violations) == 1
+        assert violations[0].startswith("I2")
+
+    def test_missing_run_is_i2_violation(self):
+        log = small_log()
+        store = build(log, PredicateTree.single_leaf())
+        store.runs = store.runs[:-1]
+        assert [v[:2] for v in check_invariants(store)] == ["I2"]
 
     def test_missing_state_is_i4_violation(self):
         log = small_log()
@@ -187,10 +200,10 @@ class TestApplySplit:
 
         split = LeafSplit(tree2, store.tree, 0, (a0, a1), ScalarThreshold("x", 99.0))
         refined = apply_split(store, split)
-        handle0 = refined.map_graph[a0]
-        handle1 = refined.map_graph[a1]
-        assert len(handle0.endpoints) == refined.trie.node_count
-        assert handle1.endpoints == frozenset()
+        assert refined.runs == (AbstractPath((a0, a0), ("go",)),)
+        assert len(batch_for_leaf(refined, a0)) == 2
+        assert len(batch_for_leaf(refined, a1)) == 0
+        assert refined.amdp.states == {a0, a1}
         assert check_invariants(refined) == []
 
     def test_stale_split_rejected(self):
@@ -216,7 +229,7 @@ class TestApplySplit:
         store = build(log, PredicateTree.single_leaf())
         seen: set[int] = set()
         for _ in range(6):
-            live = {h.graph for h in store.handles}
+            live = set(store.amdp.states)
             assert not live & seen, "a retired abstract-state id came back"
             splittable = False
             for leaf in store.tree.abstract_ids():
@@ -234,6 +247,92 @@ class TestApplySplit:
                 break
             if not splittable:
                 break
+
+
+def _state_key(state) -> str:
+    return json.dumps(state.to_json(), sort_keys=True)
+
+
+class TestRunReaders:
+    """``batch_for_leaf`` and ``concretize`` read the routed runs; the
+    references below recompute everything from the log and the tree."""
+
+    @staticmethod
+    def store_for(seed, min_gain, min_leaf_size):
+        log = random_log(np.random.default_rng(seed), n_traces=12, max_len=6)
+        tree = build_initial_tree(log, TreeConfig(min_gain=min_gain, min_leaf_size=min_leaf_size))
+        return log, tree, build(log, tree)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.1, 0.3]),
+        st.integers(1, 4),
+    )
+    def test_batch_for_leaf_is_the_leafs_logged_states(self, seed, min_gain, min_leaf_size):
+        log, tree, store = self.store_for(seed, min_gain, min_leaf_size)
+        for leaf in tree.abstract_ids():
+            batch = batch_for_leaf(store, leaf)
+            got = Counter((_state_key(s), label) for s, label in zip(batch.states, batch.labels))
+            expected = Counter(
+                (
+                    _state_key(trace.state_at(i)),
+                    trace.steps[i].action.name if i < len(trace.steps) else END_LABEL,
+                )
+                for trace in log
+                for i in range(trace.n_states)
+                if tree.abstract(trace.state_at(i)) == leaf
+            )
+            assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.1, 0.3]),
+        st.integers(1, 4),
+        st.data(),
+    )
+    def test_concretize_refs_match_a_scan_of_the_log(self, seed, min_gain, min_leaf_size, data):
+        log, tree, store = self.store_for(seed, min_gain, min_leaf_size)
+        t = data.draw(st.integers(0, len(log) - 1))
+        k = data.draw(st.integers(0, log[t].n_states - 1))
+        witness = store.runs[t].prefix(k)
+        verdict = concretize(store, witness)
+        assert isinstance(verdict, Real)
+        expected = {
+            (u, k)
+            for u, trace in enumerate(log)
+            if trace.n_states > k
+            and tuple(tree.abstract(trace.state_at(i)) for i in range(k + 1)) == witness.states
+            and tuple(step.action.name for step in trace.steps[:k]) == witness.actions
+        }
+        assert (t, k) in verdict.refs
+        assert verdict.refs == expected
+        unseen = AbstractPath(witness.states + (witness.states[-1],), witness.actions + ("never",))
+        assert isinstance(concretize(store, unseen), Spurious)
+
+
+class TestRuleLabels:
+    def test_all_mode_split_evidence_reported_mixed(self):
+        traces = [
+            mk_trace(f"p{i}", [{"x": 0, "ok": True}, {"x": 1, "ok": True}], ["go"], check_key="ok")
+            for i in range(2)
+        ] + [mk_trace("f", [{"x": 0, "ok": False}, {"x": 1, "ok": False}], ["go"], check_key="ok")]
+        log = mk_log(traces)
+        tree, low, high = PredicateTree.single_leaf().split(
+            PredicateTree.single_leaf().leaf_node_of(0), ScalarThreshold("x", 0.5)
+        )
+        rules = (
+            LabelRule("ok_all", (BooleanEq("ok", True),), "all"),
+            LabelRule("ok_any", (BooleanEq("ok", True),), "any"),
+        )
+        store = build(log, tree, LabelingConfig(terminal_labels=False, rules=rules))
+        assert store.amdp.labels["ok_all"] == set()
+        assert store.label_report.mixed["ok_all"] == {low, high}
+        assert store.amdp.labels["ok_any"] == {low, high}
+        uniform = build(mk_log(traces[:2]), tree, LabelingConfig(terminal_labels=False, rules=rules))
+        assert uniform.amdp.labels["ok_all"] == {low, high}
+        assert uniform.label_report.mixed["ok_all"] == set()
 
 
 class TestPersistence:

@@ -73,7 +73,7 @@ class TestConcretize:
 
     def test_observed_witness_is_real_with_refs(self):
         store, log, tree = self.store()
-        witness, _refs = abstract_trace(tree, log[0], 0)
+        witness = abstract_trace(tree, log[0])
         verdict = concretize(store, witness)
         assert isinstance(verdict, Real)
         assert (0, 1) in verdict.refs
@@ -85,7 +85,7 @@ class TestConcretize:
 
     def test_mid_divergence_matches_trie_oracle(self):
         store, log, tree = self.store()
-        observed, _ = abstract_trace(tree, log[0], 0)
+        observed = abstract_trace(tree, log[0])
         probe = AbstractPath(
             observed.states + (777,), observed.actions + ("weird",)
         )
@@ -162,7 +162,7 @@ class TestVerifyRefineLoop:
         # abstracted under the final tree, realizes the witness path.
         assert any(ref[0] == 0 for ref in outcome.witness_refs)
         final_tree = outcome.store.tree
-        observed, _ = abstract_trace(final_tree, log[0], 0)
+        observed = abstract_trace(final_tree, log[0])
         assert observed.states[: len(outcome.witness_path.states)] == outcome.witness_path.states
         assert observed.actions[: len(outcome.witness_path.actions)] == outcome.witness_path.actions
 

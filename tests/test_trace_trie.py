@@ -3,7 +3,7 @@ import pytest
 
 from conftest import mk_log, mk_runs, mk_trace
 from tracemdp.predicate_tree import TreeConfig, build_initial_tree, labeled_batch_from_log
-from tracemdp.trace_trie import AbstractPath, TraceTrie, abstract_trace, rebuild
+from tracemdp.trace_trie import AbstractPath, TraceTrie, rebuild
 
 
 def path(*parts):
@@ -74,15 +74,6 @@ class TestInsertAndSupports:
         assert trie.root.end_count == 1
         assert trie.supports(path())
 
-    def test_reinsert_identical_is_idempotent(self):
-        a, b = TraceTrie(), TraceTrie()
-        p = path(0, "a", 1)
-        refs = [(0, 0), (0, 1)]
-        a.insert(p, refs)
-        b.insert(p, refs)
-        b.insert(p, refs)
-        assert a.structurally_equal(b)
-
     def test_shared_prefix_shares_nodes(self):
         trie = TraceTrie()
         trie.insert(path(0, "a", 1, "b", 2))
@@ -137,26 +128,6 @@ class TestEarliestDivergence:
                 probe = random_corpus(rng, 1, 12)[0]
                 assert trie.supports(probe) == oracle.supports(probe)
                 assert trie.earliest_divergence(probe) == oracle.earliest_divergence(probe)
-
-
-class TestEndpoints:
-    def test_unused_leaf_empty(self):
-        trie = TraceTrie()
-        trie.insert(path(0, "a", 1))
-        assert trie.endpoints_for(42) == set()
-
-    def test_partition_over_nodes(self):
-        trie = TraceTrie()
-        trie.insert(path(0, "a", 1, "b", 0))
-        trie.insert(path(0, "a", 2))
-        total = sum(len(trie.endpoints_for(s)) for s in trie.states_present())
-        assert total == trie.node_count
-
-    def test_single_path_each_node_under_one_leaf(self):
-        trie = TraceTrie()
-        trie.insert(path(0, "a", 1, "b", 2))
-        for state in (0, 1, 2):
-            assert len(trie.endpoints_for(state)) == 1
 
 
 class TestRebuild:
@@ -215,26 +186,6 @@ class TestRebuild:
                     after = rebuild(mk_runs(log, result.tree))
                     assert after.node_count >= before.node_count
                     break
-
-    def test_record_refs_resolve(self):
-        log = self.make_log()
-        tree = build_initial_tree(log, TreeConfig(min_leaf_size=1))
-        trie = rebuild(mk_runs(log, tree))
-        for node in trie.nodes.values():
-            if node.abstract_state is None:
-                continue
-            for trace_idx, state_idx in node.record_refs:
-                concrete = log.state_at(trace_idx, state_idx)
-                assert tree.abstract(concrete) == node.abstract_state
-
-
-def test_abstract_trace_refs():
-    trace = mk_trace("t", [{"x": 0}, {"x": 1}], ["go"])
-    from tracemdp.predicate_tree import PredicateTree
-
-    p, refs = abstract_trace(PredicateTree.single_leaf(), trace, trace_index=7)
-    assert p == AbstractPath((0, 0), ("go",))
-    assert refs == ((7, 0), (7, 1))
 
 
 def test_dump_renders():

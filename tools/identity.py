@@ -1,0 +1,101 @@
+"""Identity oracle: the benchmark's CLI flow must give the same bytes under two source trees.
+
+    python3 tools/identity.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are directories holding a ``tracemdp`` package,
+such as the ``src`` directories of two checkouts.  For the desk, deep and
+x10 workloads of ``perfbench/workloads.json`` at seeds 0 and 1, the script
+generates each corpus once with ``perfbench/corpus.make_corpus`` (importing
+the generator from PARENT_SRC) and runs the command sequence of
+``perfbench/run.commands`` under each source tree, one process per command,
+with ``--iteration-log`` added to ``refine``.  Every command's standard
+output, standard error and exit code are kept next to the files the
+commands write (the store, ``scores.jsonl``, the refine iteration log, the
+export).  ``diff -r`` then compares the two trees' outputs; the script
+prints the differences and exits 1 if there are any, else 0.
+
+Both trees read the same corpus files, so the training-log path a store's
+manifest records is the same on both sides.  Nothing is written into
+either source tree or into ``perfbench/``: processes run with
+``PYTHONDONTWRITEBYTECODE=1`` and all files go to a temporary directory
+that is removed at the end.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+sys.dont_write_bytecode = True
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+WORKLOADS = ("desk", "deep", "x10")
+SEEDS = (0, 1)
+ITERATION_LOG = "iterations.jsonl"
+
+
+def _env(src: str) -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def run_flow(commands: list[tuple[str, list[str]]], src: str, out_dir: str) -> None:
+    """Runs the command sequence under ``src`` in ``out_dir``, keeping every output."""
+    os.makedirs(out_dir)
+    for i, (name, args) in enumerate(commands):
+        if name == "refine":
+            args = [*args, "--iteration-log", ITERATION_LOG]
+        stem = os.path.join(out_dir, f"{i:02d}-{name}")
+        with open(stem + ".out", "wb") as out, open(stem + ".err", "wb") as err:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tracemdp.cli", *args],
+                cwd=out_dir, stdout=out, stderr=err, env=_env(src),
+            )
+        with open(stem + ".rc", "w", encoding="utf-8") as fh:
+            fh.write(f"{proc.returncode}\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(os.path.isfile(os.path.join(p, "tracemdp", "cli.py")) for p in argv):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("each argument must be a directory holding tracemdp/cli.py", file=sys.stderr)
+        return 2
+    parent_src, change_src = (os.path.abspath(p) for p in argv)
+    sys.path[:0] = [PERFBENCH, parent_src]
+    from corpus import make_corpus
+    from run import commands
+
+    with open(os.path.join(PERFBENCH, "workloads.json"), "r", encoding="utf-8") as fh:
+        workloads = json.load(fh)["workloads"]
+    with tempfile.TemporaryDirectory(prefix="tracemdp-identity-") as work:
+        sides = {"parent": parent_src, "change": change_src}
+        for name in WORKLOADS:
+            workload = workloads[name]
+            for seed in SEEDS:
+                case = f"{name}-{seed}"
+                gen = workload["generator"]
+                corpus = make_corpus(
+                    seed, gen["n_baseline"], gen["n_anomalous"],
+                    os.path.join(work, "corpus", case), workload["train"] != "baseline",
+                )
+                flow = commands(workload, corpus)
+                for side, src in sides.items():
+                    run_flow(flow, src, os.path.join(work, side, case))
+                print(f"{case}: ran {len(flow)} commands under each tree", flush=True)
+        diff = subprocess.run(
+            ["diff", "-r", os.path.join(work, "parent"), os.path.join(work, "change")],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        print(diff.stdout, end="")
+    if diff.returncode == 0:
+        print(f"identical: {len(WORKLOADS) * len(SEEDS)} flows, stdout, stderr, exit codes and files")
+        return 0
+    print("DIFFERENT: see diff -r output above")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
