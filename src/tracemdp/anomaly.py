@@ -12,10 +12,11 @@ checkpoint statistics (``prefix_stats``, one pass per run) and the streaming
 monitor all feed one, so every path yields bit-identical sums.
 
 Offline detection flags a run when its score falls below
-mu - z_{1-alpha} * sigma (one-sided, low side).  Online detection applies
-the same rule to prefix scores at fixed checkpoints, where the statistics
-for checkpoint k use only historical runs of length >= k truncated to their
-first k transitions.
+mu - z_{1-alpha} * sigma (one-sided, low side); when the training scores
+are strongly skewed it uses their empirical alpha-quantile instead.  Online
+detection applies the normal rule, without that fallback, to prefix scores
+at fixed checkpoints, where the statistics for checkpoint k use only
+historical runs of length >= k truncated to their first k transitions.
 """
 
 from __future__ import annotations
@@ -30,23 +31,21 @@ from .errors import DomainError, InsufficientData, InvalidConfig, UnobservedStat
 from .trace_trie import AbstractPath
 
 DEFAULT_CHECKPOINTS = tuple(range(10, 201, 10))
+# |skewness| of the training scores above this switches the offline rule to
+# the empirical alpha-quantile.
+SKEW_LIMIT = 2.0
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
     alpha: float = 0.05
     checkpoints: tuple[int, ...] = DEFAULT_CHECKPOINTS
-    mode: str = "normal"  # or "empirical"
-    # |skewness| above this switches the normal rule to empirical quantiles.
-    skew_limit: float = 2.0
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 0.5:
             raise InvalidConfig("alpha must lie in (0, 0.5)")
         if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
             raise InvalidConfig("checkpoints must be strictly increasing")
-        if self.mode not in ("normal", "empirical"):
-            raise InvalidConfig(f"unknown detector mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -163,24 +162,22 @@ def skewness(values: Sequence[float]) -> float:
 class OfflineDetector:
     """Fitted run-level detector with automatic empirical fallback.
 
-    In "normal" mode the threshold is mu - z_{1-alpha} sigma; when the
-    training scores are strongly skewed (|skewness| > skew_limit) the same
-    rule is applied through the empirical alpha-quantile instead.
+    The threshold is mu - z_{1-alpha} sigma; when the training scores are
+    strongly skewed (|skewness| > SKEW_LIMIT) the empirical alpha-quantile
+    of the training scores replaces it.
     """
 
     def __init__(self, cfg: DetectorConfig | None = None):
         self.cfg = cfg or DetectorConfig()
         self.stats: OfflineStats | None = None
         self.history: list[float] = []
-        self.effective_mode: str = self.cfg.mode
+        self.effective_mode = "normal"
 
     def fit(self, scores: Iterable[RunScore]) -> "OfflineDetector":
         scores = list(scores)
         self.stats = offline_stats(scores)
         self.history = sorted(s.loglik for s in scores if s.finite)
-        self.effective_mode = self.cfg.mode
-        if self.cfg.mode == "normal" and abs(skewness(self.history)) > self.cfg.skew_limit:
-            self.effective_mode = "empirical"
+        self.effective_mode = "empirical" if abs(skewness(self.history)) > SKEW_LIMIT else "normal"
         return self
 
     @property
@@ -222,9 +219,7 @@ class OfflineDetector:
 class CheckpointStats:
     """Statistics of prefix scores at one checkpoint length.
 
-    ``scores`` is the sorted table of finite prefix log-likelihoods, kept for
-    empirical quantiles.  The checkpoint arms only once two finite scores
-    exist.
+    The checkpoint arms only once two finite scores exist.
     """
 
     k: int
@@ -233,7 +228,6 @@ class CheckpointStats:
     n_unseen: int
     mu: float | None
     sigma: float | None
-    scores: tuple[float, ...]
 
     @property
     def armed(self) -> bool:
@@ -269,6 +263,8 @@ def prefix_stats(
                 finite[k].append(monitor.loglik)
     out: dict[int, CheckpointStats] = {}
     for k in ks:
+        # Summed in sorted order: the order fixes the last digits of mu and
+        # sigma, and with them the printed thresholds.
         scores = sorted(finite[k])
         if len(scores) >= 2:
             arr = np.asarray(scores)
@@ -276,7 +272,7 @@ def prefix_stats(
         else:
             mu = sigma = None
         n_runs = len(scores) + unseen[k]  # every run reaching k ends up finite or unseen
-        out[k] = CheckpointStats(k, n_runs, len(scores), unseen[k], mu, sigma, tuple(scores))
+        out[k] = CheckpointStats(k, n_runs, len(scores), unseen[k], mu, sigma)
     return out
 
 
@@ -331,7 +327,7 @@ class RunMonitor:
         cp = self.stats.get(self.steps)
         if cp is None:
             return []
-        threshold = offline_threshold(cp.mu, cp.sigma, self.cfg.alpha, self.cfg.mode, cp.scores)
+        threshold = offline_threshold(cp.mu, cp.sigma, self.cfg.alpha)
         if self.loglik < threshold:
             return [
                 {

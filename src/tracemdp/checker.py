@@ -293,12 +293,7 @@ class CheckResult:
         }
 
 
-def check(
-    mdp: Amdp,
-    query: ReachQuery,
-    epsilon: float = 1e-8,
-    max_iters: int = 100_000,
-) -> CheckResult:
+def check(mdp: Amdp, query: ReachQuery, epsilon: float = 1e-8) -> CheckResult:
     """Evaluates the query at the modal initial state and extracts a witness.
 
     The verdict compares the modal-initial value against the threshold when
@@ -308,7 +303,7 @@ def check(
     model does not carry.
     """
     model = compile_model(mdp)
-    vi = reach_values(model, query, epsilon, max_iters)
+    vi = reach_values(model, query, epsilon)
     modal = mdp.modal_initial()
     per_initial = {s: vi.values[s] for s in sorted(mdp.initial) if s in vi.values}
     value = vi.values.get(modal) if modal is not None else None

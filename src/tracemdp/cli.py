@@ -17,9 +17,7 @@ import argparse
 import json
 import math
 import os
-import queue
 import sys
-import threading
 import time
 from typing import Iterator
 
@@ -194,37 +192,25 @@ def _interval(text: str) -> float:
     return value
 
 
-def _follow_lines(path: str, line_queue: "queue.Queue[str | Exception | None]", once: bool, interval: float) -> None:
-    """Reader thread: queues each line, then None at the end, or the error that stopped it."""
-    try:
-        _read_lines(path, line_queue, once, interval)
-    except Exception as exc:
-        line_queue.put(exc)
-        return
-    line_queue.put(None)
+def _follow(path: str, once: bool, interval: float) -> Iterator[str]:
+    """Yields the lines of a growing file; at its end, returns (``once``) or polls.
 
-
-def _read_lines(path: str, line_queue: "queue.Queue[str | Exception | None]", once: bool, interval: float) -> None:
+    A partial trailing line is completed before it is yielded, except under
+    ``once``, which yields it as it stands.
+    """
     with open(path, "r", encoding="utf-8") as fh:
+        buffered = ""
         while True:
-            line = fh.readline()
-            if line:
-                if line.endswith("\n"):
-                    line_queue.put(line)
-                    continue
-                # Partial trailing line: wait for the writer to finish it.
-                buffered = line
-                while not buffered.endswith("\n"):
-                    if once:
-                        break
-                    time.sleep(interval)
-                    more = fh.readline()
-                    buffered += more
-                line_queue.put(buffered)
-                continue
-            if once:
-                break
-            time.sleep(interval)
+            buffered += fh.readline()
+            if buffered.endswith("\n"):
+                yield buffered
+                buffered = ""
+            elif once:
+                if buffered:
+                    yield buffered
+                return
+            else:
+                time.sleep(interval)
 
 
 # Snapshots the monitor interns at most; the table is emptied at this size,
@@ -237,24 +223,11 @@ def _cmd_monitor(args) -> int:
     schema = store.schema
     table: SnapshotTable = {}
 
-    # One reader thread tails the file; this thread evaluates.  The bounded
-    # queue keeps memory flat and preserves event order.
-    line_queue: "queue.Queue[str | Exception | None]" = queue.Queue(maxsize=1024)
-    reader = threading.Thread(
-        target=_follow_lines, args=(args.follow, line_queue, args.once, args.interval), daemon=True
-    )
-    reader.start()
-
     monitors: dict[str, RunMonitor] = {}
     # Each open run's last snapshot and its abstract state: a step's pre is
     # routed only when it differs from the previous step's post.
     last: dict[str, tuple[object, int | None]] = {}
-    while True:
-        line = line_queue.get()
-        if line is None:
-            break
-        if isinstance(line, Exception):
-            raise line
+    for line in _follow(args.follow, args.once, args.interval):
         line = line.strip()
         if not line:
             continue

@@ -35,6 +35,19 @@ import numpy as np
 from .errors import InvalidConfig
 
 ANOMALY_KINDS = ("too_long", "too_short", "ratio_skew", "malformed_path")
+_INT_FIELDS = (
+    "seed", "n_baseline", "n_anomalous", "length_min", "length_max", "budget",
+    "too_long_min", "too_long_max", "too_short_min", "too_short_max", "read_pool", "read_cap",
+)
+_NUMBER_FIELDS = ("write_ratio_min", "write_ratio_max", "read_mean")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, float) or _is_int(value)
 
 
 @dataclass(frozen=True)
@@ -61,6 +74,16 @@ class GeneratorConfig:
     read_cap: int = 60
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in _NUMBER_FIELDS:
+            if not _is_number(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not all(_is_number(r) for r in self.skew_ratios):
+            raise InvalidConfig(f"skew_ratios must be numbers, got {self.skew_ratios!r}")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be non-negative")
         if self.n_baseline < 0 or self.n_anomalous < 0:
             raise InvalidConfig("trace counts must be non-negative")
         for lo, hi in (
@@ -79,7 +102,7 @@ class GeneratorConfig:
             raise InvalidConfig("anomaly weights must be non-negative")
         if self.n_anomalous and abs(sum(self.anomaly_weights.values()) - 1.0) > 1e-9:
             raise InvalidConfig("anomaly weights must sum to 1")
-        if self.read_mean <= 0 or self.read_cap < 1:
+        if not self.read_mean > 0 or self.read_cap < 1 or self.read_pool < 1:
             raise InvalidConfig("read phase parameters must be positive")
 
     @staticmethod

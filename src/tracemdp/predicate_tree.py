@@ -355,84 +355,54 @@ def information_gain(batch: LabeledBatch, predicate: Predicate) -> float:
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Knobs for tree construction and leaf splitting.
+    """Bounds for tree construction and leaf splitting.
 
-    ``min_gain`` is the gamma threshold in bits below which a node stays a
-    leaf.  ``threshold_mode`` picks numeric thresholds from midpoints between
-    sorted distinct observed values (default) or from quantiles of the
-    observed values.  ``strict_variable_exclusion`` forbids re-splitting a
-    variable anywhere below its first use instead of only forbidding the
-    identical predicate.
+    ``min_gain`` is the gamma threshold in bits: a node stays a leaf unless
+    its best split gains more than that.  It must be non-negative, since a
+    negative floor would admit splits of zero gain.
     """
 
     min_gain: float = 0.01
     max_depth: int = 12
     max_leaves: int = 256
     min_leaf_size: int = 5
-    min_text_freq: int = 1
-    threshold_mode: str = "midpoints"  # or "quantiles"
-    quantile_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9)
-    strict_variable_exclusion: bool = False
-    feature_partitions: tuple[str, ...] = ("goal", "check", "state")
 
     def __post_init__(self) -> None:
         if self.max_depth <= 0 or self.max_leaves <= 0 or self.min_leaf_size <= 0:
             raise InvalidConfig("tree bounds must be positive")
-        if self.threshold_mode not in ("midpoints", "quantiles"):
-            raise InvalidConfig(f"unknown threshold mode {self.threshold_mode!r}")
+        if not self.min_gain >= 0:
+            raise InvalidConfig(f"min_gain must be non-negative, got {self.min_gain!r}")
 
 
-def _numeric_thresholds(values: np.ndarray, cfg: TreeConfig) -> list[float]:
-    distinct = np.unique(values)
-    if distinct.size < 2:
-        return []
-    if cfg.threshold_mode == "quantiles":
-        qs = np.quantile(distinct, cfg.quantile_grid)
-        return sorted({float(q) for q in qs if distinct[0] <= q < distinct[-1]})
-    return [float((a + b) / 2.0) for a, b in zip(distinct[:-1], distinct[1:])]
-
-
-def candidate_predicates(
-    batch: LabeledBatch,
-    excluded: Iterable = (),
-    cfg: TreeConfig | None = None,
-) -> list[Predicate]:
+def candidate_predicates(batch: LabeledBatch, excluded: Iterable = ()) -> list[Predicate]:
     """Candidate splits for a batch, in deterministic sort order.
 
-    Numeric variables yield thresholds between observed values, booleans one
-    equality test, text variables equality against sufficiently frequent
-    observed values, collections emptiness plus cardinality thresholds.
-    ``excluded`` filters by predicate key, or by variable name when strict
-    variable exclusion is active.
+    Numeric variables yield thresholds at the midpoints between sorted
+    distinct observed values, booleans one equality test, text variables
+    equality against each observed value, collections emptiness plus
+    cardinality thresholds.  Candidates whose key is in ``excluded`` are
+    dropped.
     """
     if len(batch) == 0:
         raise EmptyBatch("cannot derive candidates from an empty batch")
-    cfg = cfg or TreeConfig()
     excluded = set(excluded)
     out: list[Predicate] = []
-    for var, (partition, kind) in sorted(batch.var_catalog.items()):
-        if partition not in cfg.feature_partitions:
-            continue
-        if cfg.strict_variable_exclusion and var in excluded:
-            continue
+    for var, (_partition, kind) in sorted(batch.var_catalog.items()):
         if kind in (NUMBER, INTEGER):
-            for theta in _numeric_thresholds(batch.column(var), cfg):
-                out.append(ScalarThreshold(var, theta))
+            distinct = np.unique(batch.column(var))
+            for a, b in zip(distinct[:-1], distinct[1:]):
+                out.append(ScalarThreshold(var, float((a + b) / 2.0)))
         elif kind == BOOLEAN:
             out.append(BooleanEq(var, True))
         elif kind == TEXT:
-            freq: dict[str, int] = {}
-            for text in batch.column(var):
-                freq[text] = freq.get(text, 0) + 1
-            for text in sorted(t for t, n in freq.items() if n >= cfg.min_text_freq):
+            for text in sorted(set(batch.column(var))):
                 out.append(TextEq(var, text))
         elif kind == COLLECTION:
             out.append(StructEmpty(var))
             cards = np.unique(batch.column(var))
             for a, b in zip(cards[:-1], cards[1:]):
                 out.append(StructCardThreshold(var, (int(a) + int(b)) // 2))
-    if not cfg.strict_variable_exclusion:
-        out = [p for p in out if p.key() not in excluded]
+    out = [p for p in out if p.key() not in excluded]
     out.sort(key=lambda p: p.sort_key())
     return out
 
@@ -642,20 +612,14 @@ class SplitRejected:
         return False
 
 
-def _best_candidate(
-    batch: LabeledBatch, excluded: set, cfg: TreeConfig
-) -> tuple[Predicate | None, float]:
+def _best_candidate(batch: LabeledBatch, excluded: Iterable) -> tuple[Predicate | None, float]:
     best: Predicate | None = None
     best_gain = -math.inf
-    for cand in candidate_predicates(batch, excluded, cfg):
+    for cand in candidate_predicates(batch, excluded):
         gain = information_gain(batch, cand)
         if gain > best_gain:
             best, best_gain = cand, gain
     return best, best_gain
-
-
-def _exclusion_entry(pred: Predicate, cfg: TreeConfig):
-    return pred.var if cfg.strict_variable_exclusion else pred.key()
 
 
 def split_leaf(
@@ -681,7 +645,7 @@ def split_leaf(
         return SplitRejected("depth")
     if tree.n_leaves + 1 > cfg.max_leaves:
         return SplitRejected("leaves")
-    best, best_gain = _best_candidate(batch, set(excluded), cfg)
+    best, best_gain = _best_candidate(batch, excluded)
     if best is None:
         return SplitRejected("no_candidates")
     if best_gain <= cfg.min_gain:
@@ -695,8 +659,7 @@ def build_initial_tree(log: TraceLog, cfg: TreeConfig | None = None) -> Predicat
 
     Recursion stops at a node when the batch is pure, the best gain does not
     exceed ``min_gain``, or a depth / leaf-count / batch-size bound is hit.
-    A predicate used on the path is not offered again below it (the whole
-    variable is withheld in strict mode).
+    A predicate used on the path is not offered again below it.
     """
     cfg = cfg or TreeConfig()
     if log.n_transitions == 0:
@@ -718,7 +681,7 @@ def build_initial_tree(log: TraceLog, cfg: TreeConfig | None = None) -> Predicat
         tree = result.tree
         pred = result.predicate
         mask = pred.mask(node_batch.column(pred.var))
-        child_excluded = excluded | {_exclusion_entry(pred, cfg)}
+        child_excluded = excluded | {pred.key()}
         n0 = tree.leaf_node_of(result.children[0])
         n1 = tree.leaf_node_of(result.children[1])
         # Push true side last so the false branch grows first (deterministic).

@@ -28,6 +28,7 @@ Ref = tuple[int, int]  # (trace index, state index)
 class RefinementConfig:
     """Loop bounds plus the property under verification.
 
+    The split bounds are those of ``TreeConfig`` and are checked by it.
     ``min_leaf_size`` defaults to 1 here, unlike initial construction:
     refinement targets small divergence populations inside one leaf.
     """
@@ -38,13 +39,9 @@ class RefinementConfig:
     max_leaves: int = 256
     max_iterations: int = 20
     min_leaf_size: int = 1
-    epsilon: float = 1e-8
-    vi_max_iters: int = 100_000
-    strict_variable_exclusion: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_depth <= 0 or self.max_leaves <= 0 or self.min_leaf_size <= 0:
-            raise InvalidConfig("bounds must be positive")
+        self.tree_config()
         if self.max_iterations < 0:
             raise InvalidConfig("max_iterations must be non-negative")
 
@@ -54,7 +51,6 @@ class RefinementConfig:
             max_depth=self.max_depth,
             max_leaves=self.max_leaves,
             min_leaf_size=self.min_leaf_size,
-            strict_variable_exclusion=self.strict_variable_exclusion,
         )
 
 
@@ -99,10 +95,7 @@ def refine_once(
         leaf_node = store.tree.leaf_node_of(spurious.leaf)
     except UnknownLeaf:
         return SplitRejected("no_candidates")
-    excluded = {
-        (p.var if cfg.strict_variable_exclusion else p.key())
-        for p in store.tree.path_predicates(leaf_node)
-    }
+    excluded = {p.key() for p in store.tree.path_predicates(leaf_node)}
     batch = batch_for_leaf(store, spurious.leaf)
     result = split_leaf(store.tree, spurious.leaf, batch, excluded, cfg.tree_config())
     if isinstance(result, SplitRejected):
@@ -150,7 +143,7 @@ def verify_refine_loop(
             on_iteration(store, entry)
 
     for iteration in range(cfg.max_iterations):
-        result = check(store.amdp, cfg.property, cfg.epsilon, cfg.vi_max_iters)
+        result = check(store.amdp, cfg.property)
         entry: dict = {"iter": iteration, "leaves": store.tree.n_leaves, "bound": result.value}
 
         if cfg.property.threshold is None:

@@ -109,7 +109,7 @@ def test_criterion_1_entropy_ig_oracle():
         assert entropy(batch.label_counts()) == pytest.approx(
             _brute_entropy(batch.label_counts()), abs=1e-9
         )
-        candidates = candidate_predicates(batch, cfg=TreeConfig(min_leaf_size=1))
+        candidates = candidate_predicates(batch)
         take = candidates if len(candidates) <= 6 else candidates[:: len(candidates) // 6]
         for predicate in take:
             assert information_gain(batch, predicate) == pytest.approx(

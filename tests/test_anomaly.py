@@ -299,8 +299,8 @@ class TestOnlineCheck:
     def setup_method(self):
         self.model = chain_model({(0, 0): 50, (0, 1): 50, (1, 1): 100})
         self.stats = {
-            5: CheckpointStats(5, 10, 10, 0, mu=-2.0, sigma=0.5, scores=tuple([-2.0] * 10)),
-            7: CheckpointStats(7, 1, 1, 0, mu=None, sigma=None, scores=(-1.0,)),
+            5: CheckpointStats(5, 10, 10, 0, mu=-2.0, sigma=0.5),
+            7: CheckpointStats(7, 1, 1, 0, mu=None, sigma=None),
         }
 
     def run_of(self, states):
@@ -312,7 +312,7 @@ class TestOnlineCheck:
 
     def test_score_at_mean_is_normal(self):
         run = self.run_of([0, 1, 1, 1, 1, 1])  # one 0.5 factor then certainty
-        assert self.alerts(run, {5: CheckpointStats(5, 2, 2, 0, math.log(0.5), 1.0, ())}) == []
+        assert self.alerts(run, {5: CheckpointStats(5, 2, 2, 0, math.log(0.5), 1.0)}) == []
 
     def test_low_prefix_warns(self):
         run = self.run_of([0, 0, 0, 0, 0, 0])  # five 0.5 factors
@@ -404,7 +404,6 @@ def models_and_runs(draw):
     cfg = DetectorConfig(
         alpha=draw(st.sampled_from((0.05, 0.2, 0.45))),
         checkpoints=tuple(sorted(draw(st.sets(st.integers(1, 10), min_size=1, max_size=5)))),
-        mode=draw(st.sampled_from(("normal", "empirical"))),
     )
     return m, runs, cfg
 
@@ -424,11 +423,10 @@ class TestScorersAgainstReference:
                 if value is not None
             )
             cp = stats[k]
-            assert (cp.n_runs, cp.n_finite, cp.n_unseen, cp.scores) == (
+            assert (cp.n_runs, cp.n_finite, cp.n_unseen) == (
                 len(eligible),
                 len(finite),
                 len(eligible) - len(finite),
-                tuple(finite),
             )
             if len(finite) >= 2:
                 assert cp.mu == float(np.mean(finite))
@@ -449,7 +447,7 @@ class TestScorersAgainstReference:
                 value, _ = reference_prefix(m, run, k)
                 if value is None:
                     continue
-                threshold = offline_threshold(cp.mu, cp.sigma, cfg.alpha, cfg.mode, cp.scores)
+                threshold = offline_threshold(cp.mu, cp.sigma, cfg.alpha)
                 if value < threshold:
                     expected.append({"k": k, "loglik_k": value, "threshold": threshold})
             assert checkpoint_warnings(m, run, stats, cfg) == (expected, unseen_at)
@@ -494,5 +492,3 @@ def test_detector_config_validation():
         DetectorConfig(alpha=0.7)
     with pytest.raises(ValueError):
         DetectorConfig(checkpoints=(10, 10))
-    with pytest.raises(ValueError):
-        DetectorConfig(mode="quantum")

@@ -353,6 +353,28 @@ class TestMonitorRouting:
         assert out == "".join(expected)
         assert len(calls) == sum(t.n_states for t in target_log)
 
+    def test_once_reads_on_the_calling_thread(self, pipeline, capsys, monkeypatch):
+        """`monitor --once` starts no thread: none is alive while a step is fed."""
+        import threading
+
+        from tracemdp.anomaly import RunMonitor
+
+        counts = []
+        original = RunMonitor.feed
+
+        def recording_feed(self, *step):
+            counts.append(threading.active_count())
+            return original(self, *step)
+
+        monkeypatch.setattr(RunMonitor, "feed", recording_feed)
+        before = threading.active_count()
+        target = pipeline["corpus"] / "anomalous.jsonl"
+        code, _, _ = run_cli(
+            capsys, "monitor", "--store", str(pipeline["store"]), "--follow", str(target), "--once"
+        )
+        assert code == 0 and counts
+        assert set(counts) == {before}
+
     def test_pre_is_routed_only_when_it_is_new(self, pipeline, labeled_store, capsys, monkeypatch, tmp_path):
         """Steps are fed abstract(pre) whether pre is given, omitted, or differs from the last post."""
         import tracemdp.cli as cli
@@ -602,8 +624,15 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "text",
-        ["not json", '{"seed": 1, "n_traces": 5}', "[1, 2]", '{"n_baseline": "many"}'],
-        ids=["not_json", "unknown_key", "not_object", "bad_value"],
+        [
+            "not json",
+            '{"seed": 1, "n_traces": 5}',
+            "[1, 2]",
+            '{"n_baseline": "many"}',
+            '{"seed": -1}',
+            '{"n_baseline": 1.5}',
+        ],
+        ids=["not_json", "unknown_key", "not_object", "bad_value", "negative_seed", "float_count"],
     )
     def test_malformed_gen_config_exit_3(self, capsys, tmp_path, text):
         config = tmp_path / "gen.json"
@@ -625,6 +654,9 @@ class TestErrors:
             ("score", "--store", "{store}", "--log", "{log}", "--checkpoints", "10,x"),
             ("refine", "--store", "{store}", "--prop", 'Pmax=? [F "success"]', "--max-iters", "-1"),
             ("learn", "--log", "{log}", "--out", "{out}", "--max-depth", "0"),
+            ("learn", "--log", "{log}", "--out", "{out}", "--gamma", "-1"),
+            ("learn", "--log", "{log}", "--out", "{out}", "--gamma", "nan"),
+            ("refine", "--store", "{store}", "--prop", 'Pmax=? [F "success"]', "--gamma", "-1"),
         ],
         ids=[
             "epsilon_0",
@@ -634,6 +666,9 @@ class TestErrors:
             "checkpoints_not_int",
             "max_iters_negative",
             "max_depth_0",
+            "learn_gamma_negative",
+            "learn_gamma_nan",
+            "refine_gamma_negative",
         ],
     )
     def test_out_of_range_flag_exit_3(self, pipeline, capsys, tmp_path, argv):
@@ -676,6 +711,23 @@ class TestMonitorReaderErrors:
         proc = run_monitor(pipeline["store"], bad)
         assert proc.returncode == 3 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "UnicodeDecodeError"
+
+    def test_follow_completes_a_partial_line(self, tmp_path, monkeypatch):
+        """Polling waits for the writer to end a partial line; ``once`` yields it as it stands."""
+        import tracemdp.cli as cli
+
+        path = tmp_path / "log.jsonl"
+        path.write_text("one\ntw")
+        assert list(cli._follow(str(path), True, 0.0)) == ["one\n", "tw"]
+
+        def writer_finishes_the_line(_seconds):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("o\n")
+
+        monkeypatch.setattr(cli.time, "sleep", writer_finishes_the_line)
+        lines = cli._follow(str(path), False, 0.0)
+        assert [next(lines), next(lines)] == ["one\n", "two\n"]
+        lines.close()
 
     @pytest.mark.parametrize("interval", ["-1", "nan", "inf", "soon"])
     def test_bad_interval_exit_2(self, pipeline, interval):

@@ -130,6 +130,22 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             GeneratorConfig(write_ratio_min=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": True},
+            {"length_max": 40.0},
+            {"read_mean": "12"},
+            {"skew_ratios": ("low", 0.98)},
+            {"read_pool": 0},
+            {"read_mean": float("nan")},
+        ],
+        ids=["bool_seed", "float_length", "text_mean", "text_ratio", "no_read_pool", "nan_mean"],
+    )
+    def test_mistyped_or_degenerate_values(self, kwargs):
+        with pytest.raises(InvalidConfig):
+            GeneratorConfig(**kwargs)
+
     def test_from_json_round_trip(self):
         cfg = GeneratorConfig.from_json_dict({"seed": 4, "n_baseline": 7})
         assert cfg.seed == 4 and cfg.n_baseline == 7

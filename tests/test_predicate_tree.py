@@ -115,7 +115,7 @@ class TestInformationGain:
             assert entropy(batch.label_counts()) == pytest.approx(
                 brute_force_entropy(batch.label_counts()), abs=1e-9
             )
-            for pred in candidate_predicates(batch, cfg=TreeConfig(min_leaf_size=1)):
+            for pred in candidate_predicates(batch):
                 got = information_gain(batch, pred)
                 want = brute_force_ig(batch, pred)
                 assert got == pytest.approx(want, abs=1e-9)
@@ -139,26 +139,11 @@ class TestCandidates:
         assert StructEmpty("c") in preds
         assert StructCardThreshold("c", 1) in preds
 
-    def test_text_frequency_floor(self):
-        batch = batch_of([({"t": "x"}, "a"), ({"t": "x"}, "b"), ({"t": "y"}, "a")])
-        preds = candidate_predicates(batch, cfg=TreeConfig(min_text_freq=2))
-        assert preds == [TextEq("t", "x")]
-
     def test_excluded_filtered(self):
         batch = batch_of([({"x": 1}, "a"), ({"x": 3}, "b")])
         pred = ScalarThreshold("x", 2.0)
         assert pred in candidate_predicates(batch)
         assert pred not in candidate_predicates(batch, excluded={pred.key()})
-
-    def test_strict_mode_excludes_whole_variable(self):
-        batch = batch_of([({"x": 1}, "a"), ({"x": 3}, "b"), ({"x": 9}, "a")])
-        cfg = TreeConfig(strict_variable_exclusion=True)
-        assert candidate_predicates(batch, excluded={"x"}, cfg=cfg) == []
-
-    def test_quantile_mode(self):
-        batch = batch_of([({"x": float(i)}, "a") for i in range(10)])
-        preds = candidate_predicates(batch, cfg=TreeConfig(threshold_mode="quantiles"))
-        assert preds and all(isinstance(p, ScalarThreshold) for p in preds)
 
 
 class TestAbstract:
