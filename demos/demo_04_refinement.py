@@ -10,13 +10,11 @@ trace trie; the loop splits the offending leaf and re-verifies.
 import json
 
 from tracemdp import (
-    ActionSymbol,
     ConcreteState,
     RefinementConfig,
     TerminalStatus,
     Trace,
     TraceLog,
-    Transition,
     TreeConfig,
     Value,
     build_initial_tree,
@@ -31,12 +29,8 @@ def snapshot(stage: int, mode: int) -> ConcreteState:
 
 
 def run(trace_id: str, mode: int, actions: list[str], status: str) -> Trace:
-    snaps = [snapshot(i, mode) for i in range(len(actions) + 1)]
-    steps = tuple(
-        Transition(snaps[i], ActionSymbol(actions[i]), snaps[i + 1])
-        for i in range(len(actions))
-    )
-    return Trace(trace_id, steps, TerminalStatus(status))
+    snaps = tuple(snapshot(i, mode) for i in range(len(actions) + 1))
+    return Trace(trace_id, snaps, tuple(actions), TerminalStatus(status))
 
 
 log = TraceLog()
@@ -47,8 +41,8 @@ for i in range(5):
 
 initial = build_initial_tree(log, TreeConfig(min_gain=0.15, min_leaf_size=6))
 print(f"initial tree: {initial.n_leaves} leaves")
-mid0 = initial.abstract(log[0].state_at(1))
-mid1 = initial.abstract(log[6].state_at(1))
+mid0 = initial.abstract(log[0].states[1])
+mid1 = initial.abstract(log[6].states[1])
 print(f"mid-run states of both regimes share leaf {mid0}: {mid0 == mid1}")
 
 cfg = RefinementConfig(

@@ -72,12 +72,10 @@ from .refinement import (
     verify_refine_loop,
 )
 from .trace_model import (
-    ActionSymbol,
     ConcreteState,
     TerminalStatus,
     Trace,
     TraceLog,
-    Transition,
     Value,
     parse_event_line,
     read_trace_log,

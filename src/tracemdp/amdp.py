@@ -1,6 +1,6 @@
 """Count-based MDP over abstract states with tool actions.
 
-Transition probabilities are unsmoothed empirical frequencies
+Successor probabilities are unsmoothed empirical frequencies
 P(s,a,s') = C(s,a,s') / C(s,a); unobserved transitions are absent, and
 states without an outgoing counted action are terminal.  ``Amdp`` holds the
 counts; ``compile_model`` turns them into a ``CompiledModel``, the one

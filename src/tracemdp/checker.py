@@ -135,10 +135,12 @@ def reach_values(
     iteration cannot stall inside zero-value cycles.  Iteration stops when
     the max-norm change drops below ``epsilon``; hitting ``max_iters`` first
     is reported via ``converged=False`` with the best values so far.  Values
-    are keyed by stable state id.
+    are keyed by stable state id.  ``epsilon`` must lie in (0, 1): values
+    are probabilities, so a change of 1 or more cannot be seen, and a larger
+    ``epsilon`` would stop after one sweep.
     """
-    if not epsilon > 0:
-        raise InvalidConfig(f"epsilon must be positive, got {epsilon!r}")
+    if not 0 < epsilon < 1:
+        raise InvalidConfig(f"epsilon must be in (0, 1), got {epsilon!r}")
     target = _target(model, query)
     frozen = set(target)
     if query.direction == MAX:

@@ -123,7 +123,7 @@ def build(
     if labeling.rules:
         evidence: dict[int, list[ConcreteState]] = {}
         for trace, run in zip(log, runs):
-            for abstract_id, state in zip(run.states, trace.states()):
+            for abstract_id, state in zip(run.states, trace.states):
                 evidence.setdefault(abstract_id, []).append(state)
         rule_report = amdp_mod.label_states(mdp, labeling.rules, evidence)
         report.labeled.update(rule_report.labeled)
@@ -158,9 +158,8 @@ def check_invariants(store: LinkedStore) -> list[str]:
     if len(store.runs) != len(store.log):
         violations.append(f"I2: {len(store.runs)} runs for {len(store.log)} traces")
     for t, (trace, run) in enumerate(zip(store.log, store.runs)):
-        states = tuple(store.tree.abstract(state) for state in trace.states())
-        actions = tuple(step.action.name for step in trace.steps)
-        if (run.states, run.actions) != (states, actions):
+        states = tuple(map(store.tree.abstract, trace.states))
+        if (run.states, run.actions) != (states, trace.actions):
             violations.append(f"I2: run {t} differs from trace {trace.trace_id!r} re-abstracted")
 
     # I4: the MDP state set is exactly the tree's abstract-state ids.

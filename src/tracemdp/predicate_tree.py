@@ -292,10 +292,8 @@ def labeled_batch_from_log(
     labels: list[str] = []
     for trace_idx, state_idx in refs:
         trace = log[trace_idx]
-        states.append(trace.state_at(state_idx))
-        labels.append(
-            trace.steps[state_idx].action.name if state_idx < len(trace.steps) else END_LABEL
-        )
+        states.append(trace.states[state_idx])
+        labels.append(trace.actions[state_idx] if state_idx < len(trace) else END_LABEL)
     return LabeledBatch(states, labels)
 
 

@@ -1,6 +1,6 @@
 """Typed representation of agent execution traces and JSONL event ingestion.
 
-A trace is a chain of tool-call transitions between concrete states.  Each
+A trace is a sequence of concrete states joined by tool calls.  Each
 concrete state is a snapshot of three variable partitions:
 
 * ``goal``  -- immutable task context,
@@ -45,11 +45,12 @@ Parsing costs little more than ``json.loads``:
   partition, in goal/check/state order, from variable name to type tag.
   The schema check compares it with the schema's layout, computed once per
   schema object; only a mismatch builds the full schema, to name the
-  difference.  A transition compares its ``post``'s layout with its
-  ``pre``'s;
-* consecutive steps of a trace share one snapshot per chain link: once a
-  step's ``pre`` is found equal to the previous ``post``, the step keeps the
-  previous ``post`` as its ``pre``.
+  difference.  A trace compares every snapshot's layout with its first's;
+* a ``Trace`` is the concrete twin of the abstract run it routes to: its
+  ``states`` (one more than its ``actions``, or none at all), its action
+  names and one ``args_digest`` or None per action.  ``segment_stream``
+  stores each snapshot of the chain once: a step's ``pre`` found equal to
+  the previous ``post`` is not stored again.
 """
 
 from __future__ import annotations
@@ -240,35 +241,6 @@ def _partition(raw: Mapping[str, object], key: str) -> dict[str, Value]:
     return {str(k): Value.from_json(v) for k, v in sub.items()}
 
 
-@dataclass(frozen=True, eq=False)
-class ActionSymbol:
-    """A tool type.  Equality and hashing are by name only."""
-
-    name: str
-    args_digest: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise MalformedRecord("action name must be non-empty")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ActionSymbol) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-
-@dataclass(frozen=True)
-class Transition:
-    pre: ConcreteState
-    action: ActionSymbol
-    post: ConcreteState
-
-    def __post_init__(self) -> None:
-        if self.post.layout != self.pre.layout:
-            raise SchemaViolation("pre and post snapshots of a transition must share one schema")
-
-
 class TerminalStatus(Enum):
     SUCCESS = "success"
     FAILURE = "failure"
@@ -278,43 +250,46 @@ class TerminalStatus(Enum):
 
 @dataclass(frozen=True)
 class Trace:
-    """An ordered chain of transitions plus how the run ended."""
+    """A run's snapshots and the actions between them, plus how it ended.
+
+    ``states`` has one more entry than ``actions``, or both are empty.
+    ``digests[i]`` is the ``args_digest`` of ``actions[i]``, or None; left
+    out, no action has one.
+    """
 
     trace_id: str
-    steps: tuple[Transition, ...]
+    states: tuple[ConcreteState, ...]
+    actions: tuple[str, ...]
     terminal_status: TerminalStatus = TerminalStatus.TRUNCATED
+    digests: tuple[str | None, ...] | None = None
 
     def __post_init__(self) -> None:
-        steps = self.steps
-        for i in range(len(steps) - 1):
-            post, pre = steps[i].post, steps[i + 1].pre
-            if post is not pre and post != pre:
-                raise ChainBreak(
-                    f"trace {self.trace_id!r}: post of step {i} differs from pre of step {i + 1}"
-                )
+        if self.digests is None:
+            object.__setattr__(self, "digests", (None,) * len(self.actions))
+        if len(self.digests) != len(self.actions):
+            raise ValueError("need one digest per action")
+        if not all(self.actions):
+            raise MalformedRecord("action name must be non-empty")
+        if not self.states:
+            if self.actions:
+                raise ValueError("a trace without states has no actions")
+            return
+        if len(self.states) != len(self.actions) + 1:
+            raise ValueError("need exactly one more state than actions")
+        layout = self.states[0].layout
+        if any(state.layout != layout for state in self.states):
+            raise SchemaViolation("pre and post snapshots of a transition must share one schema")
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.actions)
 
     @property
     def n_states(self) -> int:
         """Number of concrete snapshots (0 for an empty trace)."""
-        return len(self.steps) + 1 if self.steps else 0
-
-    def state_at(self, index: int) -> ConcreteState:
-        """Snapshot number ``index``; index n is the final post state."""
-        if not 0 <= index < self.n_states:
-            raise IndexError(f"state index {index} out of range for trace of {len(self)} steps")
-        if index < len(self.steps):
-            return self.steps[index].pre
-        return self.steps[-1].post
-
-    def states(self) -> Iterator[ConcreteState]:
-        for i in range(self.n_states):
-            yield self.state_at(i)
+        return len(self.states)
 
     def schema(self) -> dict[str, tuple[str, str]] | None:
-        return self.steps[0].pre.schema() if self.steps else None
+        return self.states[0].schema() if self.states else None
 
 
 class TraceLog:
@@ -338,10 +313,6 @@ class TraceLog:
         return self._traces[index]
 
     @property
-    def traces(self) -> tuple[Trace, ...]:
-        return tuple(self._traces)
-
-    @property
     def n_transitions(self) -> int:
         return sum(len(t) for t in self._traces)
 
@@ -357,9 +328,6 @@ class TraceLog:
                 )
         self._traces.append(trace)
         return len(self._traces) - 1
-
-    def state_at(self, trace_index: int, state_index: int) -> ConcreteState:
-        return self._traces[trace_index].state_at(state_index)
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +523,12 @@ def parse_event_line(
 
 
 def segment_stream(events: Iterable[Event]) -> Trace:
-    """Segments one trace's events (sorted by seq) into chained transitions.
+    """Segments one trace's events (sorted by seq) into a trace.
 
     A tool_call without an explicit ``pre`` takes the previous post snapshot
-    (or the ``initial`` record's state for the first step), so the chain
-    property holds by construction in post-only logs.
+    (or the ``initial`` record's state for the first step).  An explicit
+    ``pre`` must equal it.  An ``initial`` record without tool calls gives a
+    trace with no states.
     """
     events = list(events)
     if not events:
@@ -581,7 +550,9 @@ def segment_stream(events: Iterable[Event]) -> Trace:
         last_seq = ev.seq
 
     status = TerminalStatus.TRUNCATED
-    steps: list[Transition] = []
+    states: list[ConcreteState] = []
+    actions: list[str] = []
+    digests: list[str | None] = []
     prev_post: ConcreteState | None = None
 
     for pos, ev in enumerate(events):
@@ -591,30 +562,33 @@ def segment_stream(events: Iterable[Event]) -> Trace:
             status = TerminalStatus(ev.status)
             continue
         if ev.kind == INITIAL:
-            if steps or prev_post is not None:
+            if actions or prev_post is not None:
                 raise MalformedRecord(f"trace {trace_id!r}: initial record after first step")
             prev_post = ev.state
             continue
 
+        # A step's pre is the previous post whenever there is one: a pre
+        # equal to it (``-0.0 == 0.0`` too) is not stored again.
         pre = ev.pre
-        if pre is None:
-            if prev_post is None:
+        if prev_post is None:
+            if pre is None:
                 raise MalformedRecord(
                     f"trace {trace_id!r}#{ev.seq}: no 'pre' snapshot and no prior state"
                 )
-            pre = prev_post
-        elif prev_post is not None:
-            if pre is not prev_post and pre != prev_post:
-                raise ChainBreak(
-                    f"trace {trace_id!r}#{ev.seq}: pre snapshot differs from previous post"
-                )
-            # One snapshot per chain link: the step reuses the previous post.
-            pre = prev_post
+            states.append(pre)
+        elif pre is not None and pre is not prev_post and pre != prev_post:
+            raise ChainBreak(
+                f"trace {trace_id!r}#{ev.seq}: pre snapshot differs from previous post"
+            )
+        elif not states:
+            states.append(prev_post)  # the initial record's state
         assert ev.post is not None
-        steps.append(Transition(pre, ActionSymbol(ev.action or "", ev.args_digest), ev.post))
+        states.append(ev.post)
+        actions.append(ev.action)  # type: ignore[arg-type]
+        digests.append(ev.args_digest)
         prev_post = ev.post
 
-    return Trace(trace_id, tuple(steps), status)
+    return Trace(trace_id, tuple(states), tuple(actions), status, tuple(digests))
 
 
 def read_events(lines: Iterable[str]) -> TraceLog:
@@ -663,24 +637,24 @@ def read_trace_log(path: str) -> TraceLog:
 def trace_to_lines(trace: Trace) -> list[str]:
     """Serializes a trace back to JSONL event lines (inverse of ingestion)."""
     lines = []
-    for i, step in enumerate(trace.steps):
+    for i, (action, digest) in enumerate(zip(trace.actions, trace.digests)):
         record: dict[str, object] = {
             "trace_id": trace.trace_id,
             "seq": i,
             "kind": TOOL_CALL,
-            "action": step.action.name,
-            "pre": step.pre.to_json(),
-            "post": step.post.to_json(),
+            "action": action,
+            "pre": trace.states[i].to_json(),
+            "post": trace.states[i + 1].to_json(),
         }
-        if step.action.args_digest is not None:
-            record["args_digest"] = step.action.args_digest
+        if digest is not None:
+            record["args_digest"] = digest
         lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
     if trace.terminal_status in (TerminalStatus.SUCCESS, TerminalStatus.FAILURE):
         lines.append(
             json.dumps(
                 {
                     "trace_id": trace.trace_id,
-                    "seq": len(trace.steps),
+                    "seq": len(trace),
                     "kind": TERMINAL,
                     "status": trace.terminal_status.value,
                 },

@@ -153,8 +153,7 @@ class TraceTrie:
 
 def abstract_trace(tree, trace) -> AbstractPath:
     """Abstracts a trace under a predicate tree: one routed state per snapshot."""
-    states = tuple(tree.abstract(state) for state in trace.states())
-    return AbstractPath(states, tuple(step.action.name for step in trace.steps))
+    return AbstractPath(tuple(map(tree.abstract, trace.states)), trace.actions)
 
 
 def rebuild(runs: Iterable[AbstractPath]) -> TraceTrie:

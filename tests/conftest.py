@@ -5,15 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tracemdp.trace_model import (
-    ActionSymbol,
-    ConcreteState,
-    TerminalStatus,
-    Trace,
-    TraceLog,
-    Transition,
-    Value,
-)
+from tracemdp.trace_model import ConcreteState, TerminalStatus, Trace, TraceLog, Value
 from tracemdp.trace_trie import abstract_trace
 
 
@@ -40,11 +32,7 @@ def mk_trace(trace_id, snapshots, actions, status="success", check_key=None):
         snap = dict(snap)
         check = {check_key: snap.pop(check_key)} if check_key and check_key in snap else {}
         states.append(mk_state(state=snap, check=check))
-    steps = tuple(
-        Transition(states[i], ActionSymbol(actions[i]), states[i + 1])
-        for i in range(len(actions))
-    )
-    return Trace(trace_id, steps, TerminalStatus(status))
+    return Trace(trace_id, tuple(states), tuple(actions), TerminalStatus(status))
 
 
 def mk_log(traces) -> TraceLog:

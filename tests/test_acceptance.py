@@ -475,7 +475,7 @@ def test_criterion_7_sandwich(desk_pipeline):
     tree = desk_pipeline["tree"]
     log = desk_pipeline["log"]
     modal = store.amdp.modal_initial()
-    from_modal = [t for t in log if t.n_states and tree.abstract(t.state_at(0)) == modal]
+    from_modal = [t for t in log if t.n_states and tree.abstract(t.states[0]) == modal]
     empirical = sum(t.terminal_status.value == "success" for t in from_modal) / len(from_modal)
     vmax = check(store.amdp, parse_property('Pmax=? [F "success"]')).value
     vmin = check(store.amdp, parse_property('Pmin=? [F "success"]')).value
@@ -533,7 +533,7 @@ def test_criterion_8_refinement_loop():
     ]
     log = mk_log(traces)
     initial = build_initial_tree(log, TreeConfig(min_gain=0.15, min_leaf_size=6))
-    merged_mid = {initial.abstract(log[0].state_at(1)), initial.abstract(log[6].state_at(1))}
+    merged_mid = {initial.abstract(log[0].states[1]), initial.abstract(log[6].states[1])}
     assert len(merged_mid) == 1, "fixture must merge the two regimes initially"
 
     invariant_reports = []

@@ -94,8 +94,8 @@ class TestInduce:
         m = induce(mk_runs(log, tree), tree.abstract_ids())
         recount: dict = {}
         for trace in log:
-            for i, step in enumerate(trace.steps):
-                key = (tree.abstract(trace.state_at(i)), step.action.name)
+            for i, action in enumerate(trace.actions):
+                key = (tree.abstract(trace.states[i]), action)
                 recount[key] = recount.get(key, 0) + 1
         assert recount == {k: v for k, v in m.counts2.items() if v}
 
@@ -185,8 +185,8 @@ class TestLabeling:
         runs = mk_runs(log, tree)
         m = induce(runs, tree.abstract_ids())
         label_by_terminal(m, log, runs)
-        success_ends = {tree.abstract(t.state_at(t.n_states - 1)) for t in traces[:3]}
-        fail_end = tree.abstract(traces[3].state_at(1))
+        success_ends = {tree.abstract(t.states[-1]) for t in traces[:3]}
+        fail_end = tree.abstract(traces[3].states[1])
         assert m.labels["failure"] == {fail_end}
         # Success states under mode=all exclude any leaf with a failure ender.
         assert all(s not in m.labels["success"] for s in {fail_end} - success_ends or set())

@@ -649,6 +649,9 @@ class TestErrors:
         [
             ("check", "--store", "{store}", "--prop", 'Pmax=? [F "success"]', "--epsilon", "0"),
             ("check", "--store", "{store}", "--prop", 'Pmax=? [F "success"]', "--epsilon", "nan"),
+            ("check", "--store", "{store}", "--prop", 'Pmax=? [F "success"]', "--epsilon", "inf"),
+            ("check", "--store", "{store}", "--prop", 'Pmax=? [F "success"]', "--epsilon", "1e300"),
+            ("check", "--store", "{store}", "--prop", 'Pmax=? [F "success"]', "--epsilon", "1"),
             ("score", "--store", "{store}", "--log", "{log}", "--alpha", "0.7"),
             ("score", "--store", "{store}", "--log", "{log}", "--checkpoints", "20,10"),
             ("score", "--store", "{store}", "--log", "{log}", "--checkpoints", "10,x"),
@@ -661,6 +664,9 @@ class TestErrors:
         ids=[
             "epsilon_0",
             "epsilon_nan",
+            "epsilon_inf",
+            "epsilon_1e300",
+            "epsilon_1",
             "alpha_0.7",
             "checkpoints_decreasing",
             "checkpoints_not_int",

@@ -50,14 +50,14 @@ class TestGenerateCorpus:
         for trace in log:
             assert 2 <= len(trace) <= cfg.read_cap + max_writes
             assert trace.terminal_status is TerminalStatus.SUCCESS
-            ops = [s.action.name for s in trace.steps]
+            ops = list(trace.actions)
             flip = ops.index("writeFile")
             assert all(op == "readFile" for op in ops[:flip])
             assert all(op == "writeFile" for op in ops[flip:])
             assert ops.count("writeFile") >= 2
             # Completion flag set exactly on the final snapshot.
-            for i in range(trace.n_states):
-                done = trace.state_at(i).value("opsCompleted").data
+            for i, state in enumerate(trace.states):
+                done = state.value("opsCompleted").data
                 assert done == (i == trace.n_states - 1)
 
     def test_too_long_exceeds_baseline_max(self, tmp_path):
@@ -84,9 +84,8 @@ class TestGenerateCorpus:
         log = read_trace_log(generate_corpus(cfg, str(tmp_path)).anomalous)
         for trace in log:
             assert 1 <= len(trace) <= 2
-            final = trace.state_at(trace.n_states - 1)
-            assert final.value("opsCompleted").data is True
-            assert trace.steps[-1].action.name == "writeFile"
+            assert trace.states[-1].value("opsCompleted").data is True
+            assert trace.actions[-1] == "writeFile"
 
     def test_malformed_path_injects_unseen_value(self, tmp_path):
         cfg = GeneratorConfig(
@@ -97,7 +96,7 @@ class TestGenerateCorpus:
         )
         log = read_trace_log(generate_corpus(cfg, str(tmp_path)).anomalous)
         for trace in log:
-            values = {trace.state_at(i).value("lastFileRead").data for i in range(trace.n_states)}
+            values = {state.value("lastFileRead").data for state in trace.states}
             assert cfg.malformed_value in values
 
     def test_sidecar_covers_each_anomalous_trace_once(self, tmp_path):

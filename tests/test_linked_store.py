@@ -118,7 +118,7 @@ class TestBuild:
         log = small_log()
         tree = build_initial_tree(log, TreeConfig(min_leaf_size=1))
         store = build(log, tree)
-        fail_end = tree.abstract(log[4].state_at(1))
+        fail_end = tree.abstract(log[4].states[1])
         assert fail_end in store.amdp.labels["failure"]
 
 
@@ -276,12 +276,12 @@ class TestRunReaders:
             got = Counter((_state_key(s), label) for s, label in zip(batch.states, batch.labels))
             expected = Counter(
                 (
-                    _state_key(trace.state_at(i)),
-                    trace.steps[i].action.name if i < len(trace.steps) else END_LABEL,
+                    _state_key(state),
+                    trace.actions[i] if i < len(trace) else END_LABEL,
                 )
                 for trace in log
-                for i in range(trace.n_states)
-                if tree.abstract(trace.state_at(i)) == leaf
+                for i, state in enumerate(trace.states)
+                if tree.abstract(state) == leaf
             )
             assert got == expected
 
@@ -303,8 +303,8 @@ class TestRunReaders:
             (u, k)
             for u, trace in enumerate(log)
             if trace.n_states > k
-            and tuple(tree.abstract(trace.state_at(i)) for i in range(k + 1)) == witness.states
-            and tuple(step.action.name for step in trace.steps[:k]) == witness.actions
+            and tuple(map(tree.abstract, trace.states[: k + 1])) == witness.states
+            and trace.actions[:k] == witness.actions
         }
         assert (t, k) in verdict.refs
         assert verdict.refs == expected

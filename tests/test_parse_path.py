@@ -1,4 +1,4 @@
-"""Property tests of the parse path: round trips, interning and shared snapshots."""
+"""Property tests of the parse path: round trips and snapshot interning."""
 
 import collections
 import json
@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from tracemdp import trace_model
 from tracemdp.errors import MalformedRecord, SchemaViolation, TraceMdpError
 from tracemdp.trace_model import (
-    ActionSymbol,
     ConcreteState,
     TerminalStatus,
     Trace,
-    Transition,
     Value,
     _interned,
     parse_event_line,
@@ -53,13 +51,11 @@ def traces(draw):
         for name, (part, kind) in layout.items():
             parts[part][name] = Value.from_json(draw(values_of(kind)))
         states.append(ConcreteState(parts["goal"], parts["check"], parts["state"]))
-    digests = st.none() | st.text(alphabet="0123456789abcdef", min_size=1, max_size=16)
-    steps = tuple(
-        Transition(states[i], ActionSymbol(draw(NAMES), draw(digests)), states[i + 1])
-        for i in range(len(states) - 1)
-    )
+    actions = tuple(draw(NAMES) for _ in range(len(states) - 1))
+    digest = st.none() | st.text(alphabet="0123456789abcdef", min_size=1, max_size=16)
+    digests = tuple(draw(digest) for _ in actions)
     status = draw(st.sampled_from([TerminalStatus.SUCCESS, TerminalStatus.FAILURE, TerminalStatus.TRUNCATED]))
-    return Trace(draw(NAMES), steps, status)
+    return Trace(draw(NAMES), tuple(states), actions, status, digests)
 
 
 def snap(**state_vars):
@@ -78,14 +74,6 @@ def test_round_trip_is_byte_identical(trace):
     assert len(log) == 1
     assert log[0] == trace
     assert trace_to_lines(log[0]) == lines
-
-
-@settings(max_examples=50, deadline=None)
-@given(traces())
-def test_parsed_steps_share_snapshots(trace):
-    steps = read_events(trace_to_lines(trace))[0].steps
-    for i in range(len(steps) - 1):
-        assert steps[i].post is steps[i + 1].pre
 
 
 def test_intern_cache_stays_bounded():
@@ -252,13 +240,13 @@ def test_keyed_snapshots_are_shared(chains):
             lines.append(json.dumps({"trace_id": f"t{t}", "seq": seq, "kind": "tool_call", "action": "a", "pre": pre, "post": post}))
     log = read_events(lines)
     k = len({snapshot for chain in chains for snapshot in chain})
-    assert len({id(state) for trace in log for state in trace.states()}) == k
+    assert len({id(state) for trace in log for state in trace.states}) == k
 
 
 def test_float_snapshots_are_not_shared_across_traces():
     line = tool_call(snap(x=1, r=0.5), snap(x=2, r=0.5))
     log = read_events([line, line.replace('"t"', '"u"')])
     first, second = log
-    assert first.steps[0].pre is not second.steps[0].pre
-    assert first.steps[0].post is not second.steps[0].post
-    assert first.steps[0].pre == second.steps[0].pre
+    assert first.states[0] is not second.states[0]
+    assert first.states[1] is not second.states[1]
+    assert first.states[0] == second.states[0]

@@ -171,7 +171,7 @@ class TestVerifyRefineLoop:
         initial = build_initial_tree(log, TreeConfig(min_gain=0.15, min_leaf_size=6))
         # The initial abstraction merges the two regimes at stages 0 and 1.
         assert initial.n_leaves == 4
-        mids = {initial.abstract(log[0].state_at(1)), initial.abstract(log[6].state_at(1))}
+        mids = {initial.abstract(log[0].states[1]), initial.abstract(log[6].states[1])}
         assert len(mids) == 1
 
         cfg = RefinementConfig(

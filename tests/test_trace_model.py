@@ -3,19 +3,19 @@ import json
 
 import pytest
 
-from conftest import mk_log, mk_state, mk_trace
+from conftest import mk_log, mk_trace
+from tracemdp.amdp import induce
 from tracemdp.errors import ChainBreak, DuplicateSeq, MalformedRecord, SchemaViolation
+from tracemdp.predicate_tree import build_initial_tree
 from tracemdp.trace_model import (
-    ActionSymbol,
     TerminalStatus,
-    Trace,
-    Transition,
     Value,
     parse_event_line,
     read_events,
     segment_stream,
     trace_to_lines,
 )
+from tracemdp.trace_trie import abstract_trace
 
 
 def tool_call(trace_id, seq, action, pre, post, **extra):
@@ -120,6 +120,19 @@ class TestSegmentStream:
         assert trace.n_states == 0
         assert trace.terminal_status is TerminalStatus.FAILURE
 
+    @pytest.mark.parametrize("status", [None, "success"])
+    def test_initial_record_alone_has_no_states(self, status):
+        lines = ['{"trace_id":"t1","seq":0,"kind":"initial","state":{"goal":{},"check":{},"state":{"x":0}}}']
+        if status:
+            lines.append(f'{{"trace_id":"t1","seq":1,"kind":"terminal","status":"{status}"}}')
+        trace = segment_stream(self.events(lines))
+        assert trace.n_states == 0 and len(trace) == 0
+        tree = build_initial_tree(mk_log([mk_trace("t0", [{"x": 0}, {"x": 1}], ["a"])]))
+        run = abstract_trace(tree, trace)
+        assert run.states == () and run.actions == ()
+        mdp = induce([run], tree.abstract_ids())
+        assert sum(mdp.initial.values()) == 0
+
     def test_truncated_without_terminal(self):
         trace = segment_stream(self.events([tool_call("t1", 0, "a", snap(x=0), snap(x=1))]))
         assert trace.terminal_status is TerminalStatus.TRUNCATED
@@ -166,8 +179,8 @@ class TestSegmentStream:
         ]
         trace = segment_stream(self.events(lines))
         assert len(trace) == 2
-        assert trace.state_at(0).value("x").data == 0
-        assert trace.state_at(2).value("x").data == 2
+        assert trace.states[0].value("x").data == 0
+        assert trace.states[2].value("x").data == 2
 
 
 class TestRoundTrip:
@@ -193,21 +206,9 @@ class TestTraceLog:
 
     def test_indices_stable_across_append(self):
         log = mk_log([mk_trace("a", [{"x": 1}, {"x": 2}], ["go"])])
-        before = log.state_at(0, 1)
+        before = log[0].states[1]
         log.append(mk_trace("b", [{"x": 5}, {"x": 6}], ["go"]))
-        assert log.state_at(0, 1) == before
-
-    def test_action_equality_by_name(self):
-        assert ActionSymbol("a", "digest1") == ActionSymbol("a", "digest2")
-        assert len({ActionSymbol("a", "x"), ActionSymbol("a", "y")}) == 1
-
-
-def test_trace_chain_property_enforced():
-    s0, s1, s2 = (mk_state(state={"x": i}) for i in range(3))
-    good = Transition(s0, ActionSymbol("a"), s1)
-    bad = Transition(s0, ActionSymbol("a"), s2)
-    with pytest.raises(ChainBreak):
-        Trace("t", (good, bad))
+        assert log[0].states[1] == before
 
 
 def test_mixed_schema_stream_rejected():
