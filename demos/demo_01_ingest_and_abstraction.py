@@ -8,13 +8,9 @@ concrete snapshots route to abstract states.
 
 import tempfile
 
-from tracemdp import (
-    GeneratorConfig,
-    TreeConfig,
-    build_initial_tree,
-    generate_corpus,
-    read_trace_log,
-)
+from tracemdp.generator import GeneratorConfig, generate_corpus
+from tracemdp.predicate_tree import TreeConfig, build_initial_tree
+from tracemdp.trace_model import read_trace_log
 from tracemdp.trace_trie import abstract_trace, rebuild
 
 with tempfile.TemporaryDirectory(prefix="tracemdp-demo1-") as workdir:

@@ -8,17 +8,12 @@ and exports the model in the PRISM explicit-state text format.
 
 import tempfile
 
-from tracemdp import (
-    GeneratorConfig,
-    TreeConfig,
-    build,
-    build_initial_tree,
-    check,
-    export_explicit,
-    generate_corpus,
-    parse_property,
-    read_trace_log,
-)
+from tracemdp.amdp import export_explicit
+from tracemdp.checker import check, parse_property
+from tracemdp.generator import GeneratorConfig, generate_corpus
+from tracemdp.linked_store import build
+from tracemdp.predicate_tree import TreeConfig, build_initial_tree
+from tracemdp.trace_model import read_trace_log
 
 with tempfile.TemporaryDirectory(prefix="tracemdp-demo2-") as workdir:
     paths = generate_corpus(GeneratorConfig(seed=7, n_baseline=300, n_anomalous=0), workdir)

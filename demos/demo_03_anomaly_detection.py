@@ -9,19 +9,17 @@ per anomaly class plus the false-positive rate on held-out baseline runs.
 import json
 import tempfile
 
-from tracemdp import (
+from tracemdp.anomaly import (
     DetectorConfig,
-    GeneratorConfig,
     OfflineDetector,
-    TreeConfig,
-    build,
-    build_initial_tree,
-    generate_corpus,
+    checkpoint_warnings,
     prefix_stats,
-    read_trace_log,
     run_loglik,
 )
-from tracemdp.anomaly import checkpoint_warnings
+from tracemdp.generator import GeneratorConfig, generate_corpus
+from tracemdp.linked_store import build
+from tracemdp.predicate_tree import TreeConfig, build_initial_tree
+from tracemdp.trace_model import read_trace_log
 from tracemdp.trace_trie import abstract_trace
 
 with tempfile.TemporaryDirectory(prefix="tracemdp-demo3-") as workdir:

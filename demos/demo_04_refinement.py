@@ -9,19 +9,11 @@ trace trie; the loop splits the offending leaf and re-verifies.
 
 import json
 
-from tracemdp import (
-    ConcreteState,
-    RefinementConfig,
-    TerminalStatus,
-    Trace,
-    TraceLog,
-    TreeConfig,
-    Value,
-    build_initial_tree,
-    parse_property,
-    verify_refine_loop,
-)
+from tracemdp.checker import parse_property
 from tracemdp.linked_store import check_invariants
+from tracemdp.predicate_tree import TreeConfig, build_initial_tree
+from tracemdp.refinement import RefinementConfig, verify_refine_loop
+from tracemdp.trace_model import ConcreteState, TerminalStatus, Trace, TraceLog, Value
 
 
 def snapshot(stage: int, mode: int) -> ConcreteState:

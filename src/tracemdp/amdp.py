@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import SchemaViolation, UnknownVariable, UnobservedStateAction
 from .predicate_tree import BooleanEq, Predicate, ScalarThreshold
 from .trace_model import CHECK, GOAL, ConcreteState, TerminalStatus, TraceLog
@@ -226,7 +224,7 @@ def label_by_terminal(
 # Compiled model and its explicit-state export / import
 # ---------------------------------------------------------------------------
 
-Choice = tuple[str, np.ndarray, np.ndarray]
+Choice = tuple[str, tuple[int, ...], tuple[float, ...]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,10 +233,10 @@ class CompiledModel:
 
     ``states[i]`` is the stable id of state index ``i`` (ids ascending).
     ``rows[i]`` holds state ``i``'s choices in action-name order, each
-    ``(action, destination indices ascending as int64, probabilities as
-    float64)``; a terminal state has an empty row.  ``labels`` maps every
-    declared label, empty ones included, to its state indices, and
-    ``init`` holds the indices of the initial states.
+    ``(action, destination indices ascending, their probabilities)``, the
+    last two tuples of ``int`` and ``float``; a terminal state has an empty
+    row.  ``labels`` maps every declared label, empty ones included, to its
+    state indices, and ``init`` holds the indices of the initial states.
     """
 
     states: tuple[int, ...]
@@ -258,7 +256,7 @@ def _rows(n_states: int, grouped: Grouped) -> tuple[tuple[Choice, ...], ...]:
     """Per-state choice rows from (src index, action) -> (dst indices, probabilities)."""
     rows: list[list[Choice]] = [[] for _ in range(n_states)]
     for (src, action), (dsts, probs) in sorted(grouped.items()):
-        rows[src].append((action, np.asarray(dsts, dtype=np.int64), np.asarray(probs, dtype=np.float64)))
+        rows[src].append((action, tuple(dsts), tuple(probs)))
     return tuple(tuple(row) for row in rows)
 
 
@@ -291,7 +289,7 @@ def export_explicit(mdp: Amdp) -> tuple[str, str]:
     for src, row in enumerate(model.rows):
         n_choices += len(row)
         for choice, (action, dsts, probs) in enumerate(row):
-            for dst, prob in zip(dsts.tolist(), probs.tolist()):
+            for dst, prob in zip(dsts, probs):
                 lines.append(f"{src} {choice} {dst} {prob!r} {action}")
     header = f"{model.n_states} {n_choices} {len(lines)}"
     tra = "\n".join([header] + lines) + "\n"

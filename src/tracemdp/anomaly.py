@@ -17,6 +17,9 @@ are strongly skewed it uses their empirical alpha-quantile instead.  Online
 detection applies the normal rule, without that fallback, to prefix scores
 at fixed checkpoints, where the statistics for checkpoint k use only
 historical runs of length >= k truncated to their first k transitions.
+
+The statistics (means, deviations, quantiles, skewness) are numpy's, which
+fixes their last digits; only the functions that compute them import it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import DomainError, InsufficientData, InvalidConfig, UnobservedStateAction
 from .trace_trie import AbstractPath
@@ -115,6 +116,8 @@ def offline_stats(scores: Iterable[RunScore]) -> OfflineStats:
             unseen += 1
     if len(finite) < 2:
         raise InsufficientData(f"need at least 2 finite scores, got {len(finite)}")
+    import numpy as np
+
     arr = np.asarray(finite)
     return OfflineStats(float(arr.mean()), float(arr.std(ddof=1)), len(finite), unseen)
 
@@ -129,6 +132,8 @@ def offline_threshold(
     if mode == "empirical":
         if history is None or len(history) == 0:
             raise InsufficientData("empirical mode needs the historical scores")
+        import numpy as np
+
         return float(np.quantile(np.asarray(history), alpha))
     return mu - normal_quantile(1.0 - alpha) * sigma
 
@@ -148,6 +153,8 @@ def offline_flag(
 
 
 def skewness(values: Sequence[float]) -> float:
+    import numpy as np
+
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 2:
         return 0.0
@@ -246,6 +253,8 @@ def prefix_stats(
     once, up to the last checkpoint it reaches or its first unseen
     transition, and its prefix score is read off at every checkpoint.
     """
+    import numpy as np
+
     ks = sorted(set(checkpoints))
     unseen = dict.fromkeys(ks, 0)
     finite: dict[int, list[float]] = {k: [] for k in ks}

@@ -19,8 +19,6 @@ import math
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .amdp import Amdp, Choice, CompiledModel, compile_model
 from .errors import InvalidConfig, PropertySyntaxError, UnknownLabel
 from .trace_trie import AbstractPath
@@ -64,7 +62,13 @@ class ReachQuery:
 
     def __str__(self) -> str:
         head = f"P{self.direction}"
-        head += "=?" if self.threshold is None else f"{self.threshold[0]}{self.threshold[1]:g}"
+        if self.threshold is None:
+            head += "=?"
+        else:
+            rel, bound = self.threshold
+            text = f"{bound:g}"
+            # ``:g`` keeps six digits; a bound it would round prints in full.
+            head += rel + (text if float(text) == bound else repr(bound))
         return f'{head} [F "{self.target_label}"]'
 
 
@@ -76,9 +80,14 @@ def parse_property(text: str) -> ReachQuery:
     threshold = None
     if m.group("rel"):
         try:
-            threshold = (m.group("rel"), float(m.group("bound")))
+            bound = float(m.group("bound"))
         except ValueError:
             raise PropertySyntaxError(f"bad threshold in property: {text!r}") from None
+        if not 0 <= bound <= 1:
+            raise PropertySyntaxError(
+                f"probability bound {m.group('bound')} is outside [0, 1] in property: {text!r}"
+            )
+        threshold = (m.group("rel"), bound)
     return ReachQuery(m.group("dir"), m.group("label"), threshold)
 
 
@@ -109,8 +118,9 @@ def _cannot_reach(rows: tuple[tuple[Choice, ...], ...], target: set[int]) -> set
     reverse: list[set[int]] = [set() for _ in rows]
     for src, row in enumerate(rows):
         for _action, dsts, probs in row:
-            for dst in dsts[probs > 0].tolist():
-                reverse[dst].add(src)
+            for dst, prob in zip(dsts, probs):
+                if prob > 0:
+                    reverse[dst].add(src)
     reached = set(target)
     frontier = list(reached)
     while frontier:
@@ -139,13 +149,21 @@ def reach_values(
     are probabilities, so a change of 1 or more cannot be seen, and a larger
     ``epsilon`` would stop after one sweep.
     """
+    import numpy as np
+
     if not 0 < epsilon < 1:
         raise InvalidConfig(f"epsilon must be in (0, 1), got {epsilon!r}")
     target = _target(model, query)
     frozen = set(target)
     if query.direction == MAX:
         frozen |= _cannot_reach(model.rows, frozen)
-    active = [i for i, row in enumerate(model.rows) if i not in frozen and row]
+    # Each active state's choices as int64 destinations and float64
+    # probabilities: numpy's dot product fixes the last digits of a value.
+    active = [
+        (i, [(np.asarray(d, dtype=np.int64), np.asarray(p, dtype=np.float64)) for _, d, p in row])
+        for i, row in enumerate(model.rows)
+        if i not in frozen and row
+    ]
 
     x = np.zeros(model.n_states)
     for t in target:
@@ -156,8 +174,8 @@ def reach_values(
     iterations = 0
     for iterations in range(1, max_iters + 1):
         delta = 0.0
-        for i in active:
-            best = pick(float(probs @ x[dsts]) for _action, dsts, probs in model.rows[i])
+        for i, choices in active:
+            best = pick(float(probs @ x[dsts]) for dsts, probs in choices)
             delta = max(delta, abs(best - x[i]))
             x[i] = best
         if delta < epsilon:
@@ -192,7 +210,7 @@ def optimizing_scheduler(
         best_action = None
         best_value = None
         for action, dsts, probs in row:
-            v = sum(p * x[d] for d, p in zip(dsts.tolist(), probs.tolist()))
+            v = sum(p * x[d] for d, p in zip(dsts, probs))
             if best_action is None or pick_better(v, best_value):
                 best_action, best_value = action, v
         if best_action is not None:
@@ -238,7 +256,7 @@ def extract_witness(
         if action is None:
             continue
         _action, dsts, probs = next(c for c in model.rows[node] if c[0] == action)
-        for dst, prob in zip(dsts.tolist(), probs.tolist()):
+        for dst, prob in zip(dsts, probs):
             if prob <= 0 or dst in settled:
                 continue
             nd = d - math.log(prob)

@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 a thresholded property is violated, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -32,7 +33,6 @@ from .anomaly import (
 )
 from .checker import check, parse_property
 from .errors import InvalidConfig, MalformedRecord, PropertySyntaxError, TraceMdpError
-from .generator import GeneratorConfig, generate_corpus
 from .linked_store import (
     LabelingConfig,
     build,
@@ -45,6 +45,10 @@ from .predicate_tree import PredicateTree, TreeConfig, build_initial_tree
 from .refinement import RefinementConfig, verify_refine_loop
 from .trace_model import SnapshotTable, parse_event_line, read_trace_log
 from .trace_trie import abstract_trace
+
+# Every module the traced benchmark wraps is imported above, at module
+# level; only the generator, the one module that needs numpy when it is
+# imported, waits for ``gen``.
 
 JSON_KW = {"sort_keys": True, "separators": (",", ":")}
 
@@ -99,6 +103,8 @@ def _detector_setup(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
+    from .generator import GeneratorConfig, generate_corpus
+
     cfg = GeneratorConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -477,5 +483,19 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """Process entry: exits with ``main()``'s code, skipping the collector at exit.
+
+    Freezing moves every live object out of the collector's reach, so
+    interpreter shutdown does not walk the imported modules' objects.
+    ``main`` itself leaves the collector alone, as callers in a running
+    process need it.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

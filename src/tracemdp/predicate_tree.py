@@ -7,7 +7,9 @@ construction and splitting return new trees, and abstract-state ids are
 never reused after a split retires them.
 
 Splits are chosen greedily by information gain of the next-action label
-distribution, computed with base-2 entropy.
+distribution, computed with base-2 entropy.  Only learning needs numpy:
+the functions that build columns and count labels import it, so routing a
+state through a loaded tree does not.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import EmptyBatch, EmptyLog, InvalidConfig, SchemaViolation, UnknownLeaf
 from .trace_model import (
@@ -30,6 +30,9 @@ from .trace_model import (
     TraceLog,
     Value,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Class label assigned to a trace's final state, which has no next action.
 END_LABEL = "⊥"  # ⊥
@@ -122,6 +125,8 @@ class TextEq(Predicate):
         return value.data == self.expected
 
     def mask(self, column: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.asarray([x == self.expected for x in column], dtype=bool)
 
     def sort_key(self) -> tuple:
@@ -240,6 +245,8 @@ class LabeledBatch:
     def column(self, var: str) -> np.ndarray:
         col = self._columns.get(var)
         if col is None:
+            import numpy as np
+
             kind = self.var_catalog[var][1]
             values = [_column_value(s.value(var)) for s in self.states]
             if kind in (NUMBER, INTEGER):
@@ -255,6 +262,8 @@ class LabeledBatch:
 
     def label_codes(self) -> tuple[np.ndarray, list[str]]:
         if self._codes is None:
+            import numpy as np
+
             names = sorted(set(self.labels))
             index = {name: i for i, name in enumerate(names)}
             self._codes = np.asarray([index[l] for l in self.labels], dtype=np.int64)
@@ -271,6 +280,8 @@ class LabeledBatch:
         return len(set(self.labels)) <= 1
 
     def subset(self, mask: np.ndarray) -> "LabeledBatch":
+        import numpy as np
+
         idx = np.flatnonzero(mask)
         sub = LabeledBatch([self.states[i] for i in idx], [self.labels[i] for i in idx])
         for var, col in self._columns.items():
@@ -319,6 +330,8 @@ def entropy(class_counts: Mapping[str, int]) -> float:
 
 
 def _entropy_from_bincount(counts: np.ndarray) -> float:
+    import numpy as np
+
     total = int(counts.sum())
     if total == 0:
         return 0.0
@@ -332,6 +345,8 @@ def information_gain(batch: LabeledBatch, predicate: Predicate) -> float:
     Degenerate splits (one side empty) get gain 0 by convention and are
     never selected.
     """
+    import numpy as np
+
     if len(batch) == 0:
         raise EmptyBatch("information gain over an empty batch is undefined")
     codes, names = batch.label_codes()
@@ -381,6 +396,8 @@ def candidate_predicates(batch: LabeledBatch, excluded: Iterable = ()) -> list[P
     cardinality thresholds.  Candidates whose key is in ``excluded`` are
     dropped.
     """
+    import numpy as np
+
     if len(batch) == 0:
         raise EmptyBatch("cannot derive candidates from an empty batch")
     excluded = set(excluded)

@@ -30,6 +30,9 @@ Parsing costs little more than ``json.loads``:
   per value, through a bounded cache, so an endless stream cannot grow it);
   floats never are, as ``-0.0 == 0.0`` would let a shared instance print
   the wrong sign;
+* action names, and the variable names of each snapshot converted, are
+  interned strings, so a log keeps one copy of each name rather than one
+  per line;
 * snapshots are interned too, through a table that the reader owns:
   ``read_events`` keeps one per read and ``monitor`` one that it empties
   at a fixed size.  A snapshot's key is each partition's names and values
@@ -58,6 +61,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -238,7 +242,7 @@ def _partition(raw: Mapping[str, object], key: str) -> dict[str, Value]:
     sub = raw.get(key, {})
     if type(sub) is not dict and not isinstance(sub, Mapping):
         raise MalformedRecord(f"snapshot partition {key!r} must be an object")
-    return {str(k): Value.from_json(v) for k, v in sub.items()}
+    return {sys.intern(str(k)): Value.from_json(v) for k, v in sub.items()}
 
 
 class TerminalStatus(Enum):
@@ -486,6 +490,7 @@ def parse_event_line(
         action = raw.get("action")
         if not isinstance(action, str) or not action:
             raise MalformedRecord("tool_call event needs a non-empty 'action'")
+        action = sys.intern(action)
         if "post" not in raw:
             raise MalformedRecord("tool_call event needs a 'post' snapshot")
         pre, check_pre = _snapshot(raw["pre"], table, new) if "pre" in raw else (None, False)

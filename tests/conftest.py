@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from tracemdp.trace_model import ConcreteState, TerminalStatus, Trace, TraceLog, Value
@@ -66,7 +65,7 @@ def compiled_transitions(model) -> dict:
         (src, action, dst): p
         for src, row in enumerate(model.rows)
         for action, dsts, probs in row
-        for dst, p in zip(dsts.tolist(), probs.tolist())
+        for dst, p in zip(dsts, probs)
     }
 
 
@@ -77,10 +76,11 @@ def assert_compiled_equal(got, want) -> None:
     for got_row, want_row in zip(got.rows, want.rows):
         assert [c[0] for c in got_row] == [c[0] for c in want_row]
         for (_a, got_dsts, got_probs), (_b, want_dsts, want_probs) in zip(got_row, want_row):
-            assert got_dsts.dtype == want_dsts.dtype == np.int64
-            assert got_probs.dtype == want_probs.dtype == np.float64
-            assert np.array_equal(got_dsts, want_dsts)
-            assert np.array_equal(got_probs, want_probs)
+            for dsts, probs in ((got_dsts, got_probs), (want_dsts, want_probs)):
+                assert type(dsts) is tuple and all(type(d) is int for d in dsts)
+                assert type(probs) is tuple and all(type(p) is float for p in probs)
+            assert got_dsts == want_dsts
+            assert got_probs == want_probs
     assert got.labels == want.labels
     assert got.init == want.init
 

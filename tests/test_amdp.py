@@ -59,7 +59,7 @@ class TestIngestAndProbability:
             m.ingest(int(rng.integers(0, 5)), f"a{rng.integers(0, 3)}", int(rng.integers(0, 5)))
         for row in compile_model(m).rows:
             for _action, _dsts, probs in row:
-                assert abs(sum(probs.tolist()) - 1.0) <= 1e-12
+                assert abs(sum(probs) - 1.0) <= 1e-12
 
     def test_terminal_states(self):
         m = Amdp()

@@ -1,8 +1,11 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import count_successors
 from tracemdp.amdp import Amdp, compile_model
@@ -118,6 +121,30 @@ class TestParseProperty:
     def test_round_trip_str(self):
         q = parse_property('Pmin<=0.05 [F "failure"]')
         assert parse_property(str(q)) == q
+        assert str(q) == 'Pmin<=0.05 [F "failure"]'
+
+    @given(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from(["<=", ">=", "<", ">"]),
+        st.sampled_from(["min", "max"]),
+    )
+    def test_printed_bound_parses_back(self, bound, rel, direction):
+        q = ReachQuery(direction, "failure", (rel, bound))
+        text = str(q)
+        assert parse_property(text).threshold[1] == bound
+        assert parse_property(text) == q
+        # A bound six significant digits hold is printed as before.
+        if float(f"{bound:g}") == bound:
+            assert text == f'P{direction}{rel}{bound:g} [F "failure"]'
+
+    @pytest.mark.parametrize("text", ["1.5", "-0.2", "1e400", "+2", "-1e-300"])
+    def test_bound_outside_unit_interval_rejected(self, text):
+        with pytest.raises(PropertySyntaxError, match=re.escape(f"bound {text} is outside [0, 1]")):
+            parse_property(f'Pmax<={text} [F "success"]')
+
+    @pytest.mark.parametrize("text", ["0", "1", "-0", "1e0", "0.0512345678"])
+    def test_bound_inside_unit_interval_accepted(self, text):
+        assert parse_property(f'Pmin>={text} [F "failure"]').threshold == (">=", float(text))
 
 
 # ---------------------------------------------------------------------------

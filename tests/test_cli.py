@@ -541,6 +541,25 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"] == "PropertySyntaxError"
 
+    @pytest.mark.parametrize("command", ["check", "refine"])
+    @pytest.mark.parametrize(
+        "prop",
+        ['Pmax<=1.5 [F "success"]', 'Pmin>=-0.2 [F "failure"]', 'Pmax<=1e400 [F "success"]'],
+        ids=["above_1", "negative", "overflow_to_inf"],
+    )
+    def test_bound_outside_unit_interval_exit_2(self, pipeline, capsys, command, prop):
+        code, out, err = run_cli(capsys, command, "--store", str(pipeline["store"]), "--prop", prop)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "PropertySyntaxError"
+        assert "outside [0, 1]" in error["message"]
+
+    def test_printed_bound_is_the_checked_bound(self, pipeline, capsys):
+        prop = 'Pmin<=0.0512345678 [F "failure"]'
+        code, out, _ = run_cli(capsys, "check", "--store", str(pipeline["store"]), "--prop", prop)
+        assert code in (0, 1)
+        assert json.loads(out)["property"] == prop
+
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "learn", "--log", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "t")
@@ -741,3 +760,59 @@ class TestMonitorReaderErrors:
         proc = run_monitor(pipeline["store"], log, "--interval", interval)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "--interval" in proc.stderr
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Runs each argv through cli.main in one process, then prints the loaded
+# numpy and tracemdp modules as JSON on stderr.
+LOADED_MODULES_SCRIPT = """
+import json, sys
+from tracemdp.cli import main
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --version
+        code = exc.code
+    assert code == 0, (argv, code)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "tracemdp"))), file=sys.stderr)
+"""
+
+
+def loaded_modules(*argvs) -> list[str]:
+    env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+class TestImports:
+    def test_read_path_commands_do_not_load_numpy(self, pipeline, tmp_path):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"trace_id": "a", "verdict": "anomalous"}\n')
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text('{"trace_id": "a", "anomaly": "too_long"}\n')
+        store = str(tmp_path / "store")
+        loaded = loaded_modules(
+            ["build", "--log", str(pipeline["corpus"] / "baseline.jsonl"),
+             "--tree", str(pipeline["tree"]), "--out", store],
+            ["export", "--store", store, "--out", str(tmp_path / "export")],
+            ["report", "--scores", str(scores), "--truth", str(truth), "--json"],
+            ["--version"],
+        )
+        assert (tmp_path / "export" / "model.tra").exists()
+        assert "tracemdp.linked_store" in loaded
+        assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+
+    def test_cli_imports_every_traced_layer(self):
+        """The traced benchmark wraps only modules that ``import tracemdp.cli`` loads."""
+        sys.path.insert(0, os.path.join(REPO, "perfbench"))
+        try:
+            from layers import LAYERS
+        finally:
+            sys.path.pop(0)
+        loaded = loaded_modules()
+        assert LAYERS and not [m for m in LAYERS if f"tracemdp.{m}" not in loaded]
