@@ -47,6 +47,8 @@ class DetectorConfig:
             raise InvalidConfig("alpha must lie in (0, 0.5)")
         if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
             raise InvalidConfig("checkpoints must be strictly increasing")
+        if any(k <= 0 for k in self.checkpoints):
+            raise InvalidConfig("checkpoints must be positive prefix lengths")
 
 
 @dataclass(frozen=True)

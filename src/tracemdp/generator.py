@@ -22,12 +22,21 @@ Anomaly instantiations:
 
 Every anomalous trace is tagged exactly once in the ground-truth sidecar.
 Generation is a pure function of the config (seeded), byte for byte.
+
+Each line is filled into a fixed template whose keys are already in sorted
+order, and each snapshot's JSON text is encoded once, a step's post being
+the next step's pre.  The result is byte-identical to
+``json.dumps(record, sort_keys=True, separators=(",", ":"))`` of the
+record dict, which is the reference ``tests/test_generator.py`` checks
+the templates against.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,18 +104,29 @@ class GeneratorConfig:
                 raise InvalidConfig("length bounds must satisfy 1 <= min <= max")
         if not 0.0 < self.write_ratio_min <= self.write_ratio_max < 1.0:
             raise InvalidConfig("write ratio bounds must be inside (0, 1)")
+        if not isinstance(self.anomaly_weights, dict) or not all(
+            _is_number(w) and w >= 0 for w in self.anomaly_weights.values()
+        ):
+            raise InvalidConfig(f"anomaly weights must be non-negative numbers, got {self.anomaly_weights!r}")
         unknown = set(self.anomaly_weights) - set(ANOMALY_KINDS)
         if unknown:
             raise InvalidConfig(f"unknown anomaly kinds: {sorted(unknown)}")
-        if any(w < 0 for w in self.anomaly_weights.values()):
-            raise InvalidConfig("anomaly weights must be non-negative")
         if self.n_anomalous and abs(sum(self.anomaly_weights.values()) - 1.0) > 1e-9:
             raise InvalidConfig("anomaly weights must sum to 1")
         if not self.read_mean > 0 or self.read_cap < 1 or self.read_pool < 1:
             raise InvalidConfig("read phase parameters must be positive")
+        if self.anomaly_weights.get("ratio_skew", 0) > 0 and not self.skew_ratios:
+            raise InvalidConfig("skew_ratios must not be empty while ratio_skew has weight")
+        if not isinstance(self.malformed_value, str) or not self.malformed_value:
+            raise InvalidConfig(f"malformed_value must be a non-empty string, got {self.malformed_value!r}")
+        pool_index = re.fullmatch(r"doc_(0|[1-9][0-9]*)\.txt", self.malformed_value)
+        if pool_index and int(pool_index[1]) < self.read_pool:
+            raise InvalidConfig(f"malformed_value {self.malformed_value!r} is a baseline read path")
 
     @staticmethod
     def from_json_dict(raw: dict) -> "GeneratorConfig":
+        if not isinstance(raw, dict):
+            raise InvalidConfig(f"a generator config must be a JSON object, got {type(raw).__name__}")
         kwargs = dict(raw)
         if "skew_ratios" in kwargs:
             kwargs["skew_ratios"] = tuple(kwargs["skew_ratios"])
@@ -120,16 +140,20 @@ class CorpusPaths:
     sidecar: str
 
 
-def _snapshot(iteration: int, files_written: int, last_read: str, done: bool) -> dict:
-    return {
-        "goal": {"task": "file-sync"},
-        "check": {"opsCompleted": done},
-        "state": {
-            "filesWrittenCount": files_written,
-            "iteration": iteration,
-            "lastFileRead": last_read,
-        },
-    }
+# Line templates, keys in sorted order.  String values are filled in as
+# their own json.dumps text (json's escaping); integers as %d, which is
+# how json writes them.
+_SNAPSHOT = (
+    '{"check":{"opsCompleted":%s},"goal":{"task":"file-sync"},'
+    '"state":{"filesWrittenCount":%d,"iteration":%d,"lastFileRead":%s}}'
+)
+_TOOL_CALL = '{"action":%s,"kind":"tool_call","post":%s,"pre":%s,"seq":%d,"trace_id":%s}'
+_TERMINAL = '{"kind":"terminal","seq":%d,"status":%s,"trace_id":%s}'
+_SIDECAR = '{"anomaly":%s,"trace_id":%s}'
+
+# JSON text of the few strings that recur on every line: actions, statuses,
+# read paths and anomaly kinds.
+_quoted = functools.lru_cache(maxsize=256)(json.dumps)
 
 
 def _emit_trace(
@@ -139,46 +163,31 @@ def _emit_trace(
     cfg: GeneratorConfig,
     malformed_at: int | None = None,
 ) -> list[str]:
-    """Event lines for one run; the final op completes the plan."""
+    """Event lines for one run; the final op completes the plan.
+
+    Each snapshot is encoded once: a step's post is the next step's pre.
+    """
     lines: list[str] = []
-    iteration = 0
+    quoted_id = json.dumps(trace_id)
     files_written = 0
-    last_read = ""
+    last_read = _quoted("")
     reads_done = 0
+    pre = _SNAPSHOT % ("false", 0, 0, last_read)
+    last_seq = len(ops) - 1
     for seq, op in enumerate(ops):
-        pre = _snapshot(iteration, files_written, last_read, False)
-        iteration += 1
         if op == "readFile":
             if malformed_at is not None and reads_done == malformed_at:
-                last_read = cfg.malformed_value
+                last_read = _quoted(cfg.malformed_value)
             else:
-                last_read = f"doc_{reads_done % cfg.read_pool}.txt"
+                last_read = _quoted(f"doc_{reads_done % cfg.read_pool}.txt")
             reads_done += 1
         else:
             files_written += 1
-        done = seq == len(ops) - 1
-        post = _snapshot(iteration, files_written, last_read, done)
-        lines.append(
-            json.dumps(
-                {
-                    "trace_id": trace_id,
-                    "seq": seq,
-                    "kind": "tool_call",
-                    "action": op,
-                    "pre": pre,
-                    "post": post,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    lines.append(
-        json.dumps(
-            {"trace_id": trace_id, "seq": len(ops), "kind": "terminal", "status": status},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    )
+        done = "true" if seq == last_seq else "false"
+        post = _SNAPSHOT % (done, files_written, seq + 1, last_read)
+        lines.append(_TOOL_CALL % (_quoted(op), post, pre, seq, quoted_id))
+        pre = post
+    lines.append(_TERMINAL % (len(ops), _quoted(status), quoted_id))
     return lines
 
 
@@ -211,8 +220,8 @@ def generate_corpus(cfg: GeneratorConfig, out_dir: str) -> CorpusPaths:
     with open(paths.baseline, "w", encoding="utf-8") as fh:
         for i in range(cfg.n_baseline):
             ops = _baseline_ops(rng, cfg)
-            for line in _emit_trace(f"b{i:05d}", ops, _status_for(len(ops), cfg), cfg):
-                fh.write(line + "\n")
+            lines = _emit_trace(f"b{i:05d}", ops, _status_for(len(ops), cfg), cfg)
+            fh.write("\n".join(lines) + "\n")
 
     kinds = [k for k in ANOMALY_KINDS if cfg.anomaly_weights.get(k, 0.0) > 0]
     weights = np.asarray([cfg.anomaly_weights[k] for k in kinds])
@@ -246,16 +255,7 @@ def generate_corpus(cfg: GeneratorConfig, out_dir: str) -> CorpusPaths:
                     ops = ["readFile"] + ops
                     n_reads = 1
                 malformed_at = int(rng.integers(0, n_reads))
-            for line in _emit_trace(
-                trace_id, ops, _status_for(len(ops), cfg), cfg, malformed_at
-            ):
-                fh.write(line + "\n")
-            sidecar.write(
-                json.dumps(
-                    {"trace_id": trace_id, "anomaly": kind},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            lines = _emit_trace(trace_id, ops, _status_for(len(ops), cfg), cfg, malformed_at)
+            fh.write("\n".join(lines) + "\n")
+            sidecar.write(_SIDECAR % (_quoted(kind), json.dumps(trace_id)) + "\n")
     return paths

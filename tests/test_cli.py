@@ -650,8 +650,19 @@ class TestErrors:
             '{"n_baseline": "many"}',
             '{"seed": -1}',
             '{"n_baseline": 1.5}',
+            "[]",
+            '[["seed", 3]]',
+            '{"skew_ratios": []}',
+            '{"malformed_value": 5}',
+            '{"malformed_value": "doc_2.txt"}',
+            '{"anomaly_weights": [], "n_anomalous": 2}',
+            '{"anomaly_weights": {"too_long": NaN}, "n_anomalous": 2}',
         ],
-        ids=["not_json", "unknown_key", "not_object", "bad_value", "negative_seed", "float_count"],
+        ids=[
+            "not_json", "unknown_key", "not_object", "bad_value", "negative_seed", "float_count",
+            "empty_list", "pair_list", "empty_skew_ratios", "number_malformed_value", "pool_malformed_value",
+            "list_weights", "nan_weight",
+        ],
     )
     def test_malformed_gen_config_exit_3(self, capsys, tmp_path, text):
         config = tmp_path / "gen.json"
@@ -674,6 +685,8 @@ class TestErrors:
             ("score", "--store", "{store}", "--log", "{log}", "--alpha", "0.7"),
             ("score", "--store", "{store}", "--log", "{log}", "--checkpoints", "20,10"),
             ("score", "--store", "{store}", "--log", "{log}", "--checkpoints", "10,x"),
+            ("score", "--store", "{store}", "--log", "{log}", "--checkpoints", "0"),
+            ("monitor", "--store", "{store}", "--follow", "{log}", "--once", "--checkpoints=-5,10"),
             ("refine", "--store", "{store}", "--prop", 'Pmax=? [F "success"]', "--max-iters", "-1"),
             ("learn", "--log", "{log}", "--out", "{out}", "--max-depth", "0"),
             ("learn", "--log", "{log}", "--out", "{out}", "--gamma", "-1"),
@@ -689,6 +702,8 @@ class TestErrors:
             "alpha_0.7",
             "checkpoints_decreasing",
             "checkpoints_not_int",
+            "checkpoints_zero",
+            "checkpoints_negative",
             "max_iters_negative",
             "max_depth_0",
             "learn_gamma_negative",
@@ -806,6 +821,22 @@ class TestImports:
         assert (tmp_path / "export" / "model.tra").exists()
         assert "tracemdp.linked_store" in loaded
         assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+
+    def test_pipeline_commands_do_not_load_the_generator(self, pipeline, tmp_path):
+        log = str(pipeline["corpus"] / "baseline.jsonl")
+        anomalous = str(pipeline["corpus"] / "anomalous.jsonl")
+        tree, store = str(tmp_path / "tree.json"), str(tmp_path / "store")
+        loaded = loaded_modules(
+            ["learn", "--log", log, "--out", tree],
+            ["build", "--log", log, "--tree", tree, "--out", store],
+            ["check", "--store", store, "--prop", 'Pmax=? [F "success"]'],
+            ["score", "--store", store, "--log", anomalous, "--out", str(tmp_path / "scores.jsonl")],
+            ["monitor", "--store", store, "--follow", anomalous, "--once"],
+            ["refine", "--store", store, "--prop", 'Pmax>=0 [F "success"]', "--max-iters", "1"],
+            ["export", "--store", store, "--out", str(tmp_path / "export")],
+        )
+        assert "tracemdp.refinement" in loaded
+        assert "tracemdp.generator" not in loaded
 
     def test_cli_imports_every_traced_layer(self):
         """The traced benchmark wraps only modules that ``import tracemdp.cli`` loads."""

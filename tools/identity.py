@@ -5,8 +5,11 @@
 PARENT_SRC and CHANGE_SRC are directories holding a ``tracemdp`` package,
 such as the ``src`` directories of two checkouts.  For the desk, deep and
 x10 workloads of ``perfbench/workloads.json`` at seeds 0 and 1, the script
-generates each corpus once with ``perfbench/corpus.make_corpus`` (importing
-the generator from PARENT_SRC) and runs the command sequence of
+generates each corpus with ``perfbench/corpus.make_corpus`` under each
+source tree, in a process whose ``PYTHONPATH`` holds that tree, and
+compares the corpus files (``baseline.jsonl``, ``anomalous.jsonl``,
+``anomalies.jsonl``, ``train.jsonl``) byte for byte; if any differ, it
+prints them and exits 1.  It then runs the command sequence of
 ``perfbench/run.commands`` under each source tree, one process per command,
 with ``--iteration-log`` added to ``refine``.  Every command's standard
 output, standard error and exit code are kept next to the files the
@@ -14,15 +17,16 @@ commands write (the store, ``scores.jsonl``, the refine iteration log, the
 export).  ``diff -r`` then compares the two trees' outputs; the script
 prints the differences and exits 1 if there are any, else 0.
 
-Both trees read the same corpus files, so the training-log path a store's
-manifest records is the same on both sides.  Nothing is written into
-either source tree or into ``perfbench/``: processes run with
-``PYTHONDONTWRITEBYTECODE=1`` and all files go to a temporary directory
-that is removed at the end.
+Both trees' flows read PARENT_SRC's corpus files, so the training-log
+path a store's manifest records is the same on both sides.  Nothing is
+written into either source tree or into ``perfbench/``: processes run
+with ``PYTHONDONTWRITEBYTECODE=1`` and all files go to a temporary
+directory that is removed at the end.
 """
 
 from __future__ import annotations
 
+import filecmp
 import json
 import os
 import subprocess
@@ -36,10 +40,28 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 WORKLOADS = ("desk", "deep", "x10")
 SEEDS = (0, 1)
 ITERATION_LOG = "iterations.jsonl"
+MAKE_CORPUS = "import json, sys; from corpus import make_corpus; print(json.dumps(make_corpus(*json.loads(sys.argv[1]))))"
 
 
 def _env(src: str) -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def generate(src: str, args: list) -> dict:
+    """``make_corpus(*args)`` with the generator of ``src``; the corpus paths it returns."""
+    env = {**_env(src), "PYTHONPATH": src + os.pathsep + PERFBENCH}
+    proc = subprocess.run(
+        [sys.executable, "-c", MAKE_CORPUS, json.dumps(args)],
+        env=env, check=True, stdout=subprocess.PIPE, text=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def differing_files(a_dir: str, b_dir: str) -> list[str]:
+    """Names of the files that are not byte-identical in both directories."""
+    names = sorted(set(os.listdir(a_dir)) | set(os.listdir(b_dir)))
+    _, mismatch, errors = filecmp.cmpfiles(a_dir, b_dir, names, shallow=False)
+    return mismatch + errors
 
 
 def run_flow(commands: list[tuple[str, list[str]]], src: str, out_dir: str) -> None:
@@ -64,8 +86,7 @@ def main(argv: list[str]) -> int:
         print("each argument must be a directory holding tracemdp/cli.py", file=sys.stderr)
         return 2
     parent_src, change_src = (os.path.abspath(p) for p in argv)
-    sys.path[:0] = [PERFBENCH, parent_src]
-    from corpus import make_corpus
+    sys.path.insert(0, PERFBENCH)
     from run import commands
 
     with open(os.path.join(PERFBENCH, "workloads.json"), "r", encoding="utf-8") as fh:
@@ -77,11 +98,17 @@ def main(argv: list[str]) -> int:
             for seed in SEEDS:
                 case = f"{name}-{seed}"
                 gen = workload["generator"]
-                corpus = make_corpus(
-                    seed, gen["n_baseline"], gen["n_anomalous"],
-                    os.path.join(work, "corpus", case), workload["train"] != "baseline",
-                )
-                flow = commands(workload, corpus)
+                corpora = {side: os.path.join(work, "corpus", side, case) for side in sides}
+                paths = {
+                    side: generate(src, [seed, gen["n_baseline"], gen["n_anomalous"], corpora[side],
+                                         workload["train"] != "baseline"])
+                    for side, src in sides.items()
+                }
+                different = differing_files(corpora["parent"], corpora["change"])
+                if different:
+                    print(f"DIFFERENT corpus files for {case}: {', '.join(different)}")
+                    return 1
+                flow = commands(workload, paths["parent"])
                 for side, src in sides.items():
                     run_flow(flow, src, os.path.join(work, side, case))
                 print(f"{case}: ran {len(flow)} commands under each tree", flush=True)

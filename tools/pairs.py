@@ -12,8 +12,11 @@ For every end-to-end metric of ``BENCHMARK.json`` the script prints each
 side's median and quartiles, the pairs the change won (ties count for
 neither side) and whether the gain clears the bar for a claim: the change
 wins at least nine tenths of the pairs, and its median is better than the
-parent's by more than the distance between the parent's quartiles.  It
-exits 1 if any run reports ``correct: false`` or gives no result line.
+parent's by more than the distance between the parent's quartiles.  Next
+to that it prints the change's median relative to the parent's against
+the metric's ``bound``, and marks a metric whose median got worse by more
+than its bound.  It exits 1 if any run reports ``correct: false`` or gives
+no result line.
 """
 
 from __future__ import annotations
@@ -50,18 +53,22 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(parent: list[float], change: list[float], better: str) -> str:
-    """One line: both sides' quartiles, the change's wins and whether they clear the bar."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One line: both sides' quartiles, the change's wins and whether they clear the bar,
+    and the change of the median against the metric's regression bound."""
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     p1, p_med, p3 = quartiles(parent)
     c1, c_med, c3 = quartiles(change)
     gain = sign * (c_med - p_med)
     clears = wins >= math.ceil(0.9 * len(parent)) and gain > p3 - p1
+    relative = (c_med - p_med) / p_med
     return (
         f"parent {p_med:.6g} [{p1:.6g}, {p3:.6g}]  change {c_med:.6g} [{c1:.6g}, {c3:.6g}]  "
         f"wins {wins}/{len(parent)}  gain {gain:+.6g} vs parent spread {p3 - p1:.6g}  "
-        f"{'CLEARS' if clears else 'does not clear'} the bar"
+        f"{'CLEARS' if clears else 'does not clear'} the bar  "
+        f"median {relative:+.1%} vs bound {bound:.0%}"
+        + ("  WORSE than its bound" if -sign * relative > bound else "")
     )
 
 
@@ -107,7 +114,7 @@ def main(argv: list[str]) -> int:
             print(f"{name}: missing from some runs")
             continue
         print(f"{name} ({metric['unit']}, {metric['better']} is better): "
-              + verdict(values["parent"], values["change"], metric["better"]))
+              + verdict(values["parent"], values["change"], metric["better"], metric["bound"]))
     return 0 if ok else 1
 
 
