@@ -7,11 +7,11 @@ concrete snapshots route to abstract states.
 """
 
 import tempfile
+from collections import Counter
 
 from tracemdp.generator import GeneratorConfig, generate_corpus
-from tracemdp.predicate_tree import TreeConfig, build_initial_tree
+from tracemdp.predicate_tree import TreeConfig, abstract_trace, build_initial_tree
 from tracemdp.trace_model import read_trace_log
-from tracemdp.trace_trie import abstract_trace, rebuild
 
 with tempfile.TemporaryDirectory(prefix="tracemdp-demo1-") as workdir:
     paths = generate_corpus(GeneratorConfig(seed=42, n_baseline=200, n_anomalous=0), workdir)
@@ -30,7 +30,7 @@ runs = [abstract_trace(tree, trace) for trace in log]
 print(f"trace {log[0].trace_id!r} routes through abstract states:")
 print(" ", runs[0])
 
-trie = rebuild(runs)
-print(f"\nprefix trie over all {len(log)} abstracted traces: {trie.node_count} nodes")
-print("first lines of the debug dump:")
-print("\n".join(trie.dump().splitlines()[:8]))
+distinct = Counter(runs)
+print(f"\n{len(runs)} routed runs, {len(distinct)} distinct abstract runs; the most frequent:")
+for run, count in distinct.most_common(3):
+    print(f"  x{count:<4} {run}")

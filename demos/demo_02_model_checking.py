@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Walkthrough: induce the behavioral MDP and check reachability bounds.
 
-Builds the linked store (tree + trie + MDP with terminal-status labels),
+Builds the linked store (tree + routed runs + MDP with terminal-status labels),
 evaluates Pmax/Pmin reachability templates, inspects the diagnostic witness,
 and exports the model in the PRISM explicit-state text format.
 """

@@ -18,9 +18,8 @@ from tracemdp.anomaly import (
 )
 from tracemdp.generator import GeneratorConfig, generate_corpus
 from tracemdp.linked_store import build
-from tracemdp.predicate_tree import TreeConfig, build_initial_tree
+from tracemdp.predicate_tree import TreeConfig, abstract_trace, build_initial_tree
 from tracemdp.trace_model import read_trace_log
-from tracemdp.trace_trie import abstract_trace
 
 with tempfile.TemporaryDirectory(prefix="tracemdp-demo3-") as workdir:
     train = generate_corpus(GeneratorConfig(seed=0, n_baseline=500, n_anomalous=400), workdir + "/train")

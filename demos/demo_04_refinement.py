@@ -3,8 +3,8 @@
 
 Two behavioral regimes share their early abstract states under the initial
 tree, so the induced MDP admits an action combination no real run ever
-exhibited.  The checker's failure witness is therefore unsupported by the
-trace trie; the loop splits the offending leaf and re-verifies.
+exhibited.  The checker's failure witness is therefore realized by none of
+the routed runs; the loop splits the offending leaf and re-verifies.
 """
 
 import json

@@ -17,8 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import SchemaViolation, UnknownVariable, UnobservedStateAction
 from .predicate_tree import BooleanEq, Predicate, ScalarThreshold
-from .trace_model import CHECK, GOAL, ConcreteState, TerminalStatus, TraceLog
-from .trace_trie import AbstractPath
+from .trace_model import CHECK, GOAL, AbstractPath, ConcreteState, TerminalStatus, TraceLog
 
 SUCCESS_LABEL = "success"
 FAILURE_LABEL = "failure"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InsufficientData, InvalidConfig, UnobservedStateAction
-from .trace_trie import AbstractPath
+from .trace_model import AbstractPath
 
 DEFAULT_CHECKPOINTS = tuple(range(10, 201, 10))
 # |skewness| of the training scores above this switches the offline rule to

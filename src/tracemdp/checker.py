@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .amdp import Amdp, Choice, CompiledModel, compile_model
 from .errors import InvalidConfig, PropertySyntaxError, UnknownLabel
-from .trace_trie import AbstractPath
+from .trace_model import AbstractPath
 
 MAX = "max"
 MIN = "min"

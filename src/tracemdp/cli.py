@@ -41,10 +41,9 @@ from .linked_store import (
     save_store,
     write_model,
 )
-from .predicate_tree import PredicateTree, TreeConfig, build_initial_tree
+from .predicate_tree import PredicateTree, TreeConfig, abstract_trace, build_initial_tree
 from .refinement import RefinementConfig, verify_refine_loop
 from .trace_model import SnapshotTable, parse_event_line, read_trace_log
-from .trace_trie import abstract_trace
 
 # Every module the traced benchmark wraps is imported above, at module
 # level; only the generator, the one module that needs numpy when it is

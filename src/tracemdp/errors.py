@@ -49,6 +49,10 @@ class StaleLog(TraceMdpError):
     """A saved store's training log no longer matches the hash in its manifest."""
 
 
+class DamagedStore(TraceMdpError):
+    """A saved store's file is not the JSON it should be, or lacks a key."""
+
+
 class InsufficientData(TraceMdpError):
     """Offline statistics need at least two finite run scores."""
 

@@ -3,9 +3,10 @@
 ``build`` routes every state of the log through the tree exactly once and
 keeps the abstract runs (``LinkedStore.runs``, one per trace, in log
 order).  The runs are the store's only record of where each concrete state
-routes: the trie, the count MDP, the terminal labels and (saved with the
-store) the detectors of ``score`` and ``monitor`` are built from them, and
-the concrete states behind an abstract state are read straight off them
+routes: the count MDP, the terminal labels and (saved with the store) the
+detectors of ``score`` and ``monitor`` are built from them, a refinement
+witness is realized against them (``refinement.concretize``), and the
+concrete states behind an abstract state are read straight off them
 (``batch_for_leaf``).  ``check_invariants`` verifies two invariants:
 
 * I2  there is one run per trace, and each run is its trace re-abstracted
@@ -27,6 +28,10 @@ A saved store is a directory of five files:
 * ``manifest.json``, naming the training log, its SHA-256, the tree file
   and the labeling config.
 
+A store file that is not the JSON it should be, or lacks a key, raises
+``DamagedStore`` naming the file; a malformed tree file raises
+``InvalidConfig`` (``PredicateTree.load``).
+
 ``load_store`` hashes the training log and refuses it if the hash no longer
 matches the manifest (``StaleLog``), but never parses it: it returns a
 ``SavedStore`` (tree, MDP induced from the saved runs with the saved
@@ -42,21 +47,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from . import amdp as amdp_mod
-from . import trace_trie as trie_mod
 from .amdp import Amdp, LabelReport, LabelRule
-from .errors import StaleLog, StaleSplit
+from .errors import DamagedStore, StaleLog, StaleSplit, TraceMdpError
 from .predicate_tree import (
     LabeledBatch,
     LeafSplit,
     PredicateTree,
+    abstract_trace,
     labeled_batch_from_log,
     predicate_from_json,
     predicate_to_json,
 )
-from .trace_model import ConcreteState, TraceLog, read_trace_log
-from .trace_trie import AbstractPath
+from .trace_model import AbstractPath, ConcreteState, TraceLog, read_trace_log
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,6 @@ class LabelingConfig:
 class LinkedStore:
     tree: PredicateTree
     amdp: Amdp
-    trie: trie_mod.TraceTrie
     log: TraceLog
     runs: tuple[AbstractPath, ...]  # runs[i] is log[i] routed through tree
     labeling: LabelingConfig = field(default_factory=LabelingConfig)
@@ -109,10 +113,9 @@ def build(
     tree: PredicateTree,
     labeling: LabelingConfig | None = None,
 ) -> LinkedStore:
-    """Routes a log through a tree and assembles the trie, MDP and labels."""
+    """Routes a log through a tree and assembles the MDP and labels."""
     labeling = labeling or LabelingConfig()
-    runs = tuple(trie_mod.abstract_trace(tree, trace) for trace in log)
-    trie = trie_mod.rebuild(runs)
+    runs = tuple(abstract_trace(tree, trace) for trace in log)
     mdp = amdp_mod.induce(runs, tree.abstract_ids())
 
     report = LabelReport()
@@ -131,7 +134,6 @@ def build(
     return LinkedStore(
         tree=tree,
         amdp=mdp,
-        trie=trie,
         log=log,
         runs=runs,
         labeling=labeling,
@@ -248,6 +250,17 @@ def save_store(store: LinkedStore, directory: str, log_path: str) -> None:
         fh.write(json.dumps(saved, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+@contextmanager
+def _reading(path: str):
+    """Reports a store file that is not JSON, or lacks a key, as DamagedStore naming the file."""
+    try:
+        yield
+    except TraceMdpError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DamagedStore(f"store file {path!r} is damaged: {type(exc).__name__}: {exc}") from None
+
+
 def _open_store(directory: str, log_path: str | None) -> tuple[dict, PredicateTree, str]:
     """A saved store's manifest, tree and training log path.
 
@@ -255,16 +268,17 @@ def _open_store(directory: str, log_path: str | None) -> tuple[dict, PredicateTr
     to the manifest's SHA-256, else StaleLog.  An explicit ``log_path``
     overrides the manifest's log and skips the comparison.
     """
-    with open(os.path.join(directory, MANIFEST_FILE), "r", encoding="utf-8") as fh:
+    path = os.path.join(directory, MANIFEST_FILE)
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    tree = PredicateTree.load(os.path.join(directory, manifest["tree_file"]))
-    if not log_path:
-        log_path = manifest["log"]
-        if _sha256_file(log_path) != manifest.get("log_sha256"):
-            raise StaleLog(
-                f"store {directory!r}: training log {log_path!r} changed since the store was built"
-            )
-    return manifest, tree, log_path
+        tree = PredicateTree.load(os.path.join(directory, manifest["tree_file"]))
+        if not log_path:
+            log_path = manifest["log"]
+            if _sha256_file(log_path) != manifest.get("log_sha256"):
+                raise StaleLog(
+                    f"store {directory!r}: training log {log_path!r} changed since the store was built"
+                )
+        return manifest, tree, log_path
 
 
 def load_store_inputs(
@@ -272,7 +286,8 @@ def load_store_inputs(
 ) -> tuple[TraceLog, PredicateTree, LabelingConfig]:
     """Reads a saved store's training log, tree and labeling config (see ``_open_store``)."""
     manifest, tree, log_path = _open_store(directory, log_path)
-    labeling = LabelingConfig.from_json_dict(manifest.get("labeling", {}))
+    with _reading(os.path.join(directory, MANIFEST_FILE)):
+        labeling = LabelingConfig.from_json_dict(manifest.get("labeling", {}))
     return read_trace_log(log_path), tree, labeling
 
 
@@ -283,16 +298,14 @@ def load_store(directory: str) -> SavedStore:
     its labels are the saved ones.
     """
     _manifest, tree, _log_path = _open_store(directory, None)
-    with open(os.path.join(directory, RUNS_FILE), "r", encoding="utf-8") as fh:
+    path = os.path.join(directory, RUNS_FILE)
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         saved = json.load(fh)
-    runs = tuple(AbstractPath(tuple(states), tuple(actions)) for _id, states, actions in saved["runs"])
+        runs = tuple(AbstractPath(tuple(states), tuple(actions)) for _id, states, actions in saved["runs"])
+        labels = {name: set(states) for name, states in saved["labels"].items()}
+        trace_ids = tuple(trace_id for trace_id, _states, _actions in saved["runs"])
+        schema = saved["schema"]
+        schema = None if schema is None else {name: (part, tag) for name, part, tag in schema}
     mdp = amdp_mod.induce(runs, tree.abstract_ids())
-    mdp.labels = {name: set(states) for name, states in saved["labels"].items()}
-    schema = saved["schema"]
-    return SavedStore(
-        tree=tree,
-        amdp=mdp,
-        runs=runs,
-        trace_ids=tuple(trace_id for trace_id, _states, _actions in saved["runs"]),
-        schema=None if schema is None else {name: (part, tag) for name, part, tag in schema},
-    )
+    mdp.labels = labels
+    return SavedStore(tree=tree, amdp=mdp, runs=runs, trace_ids=trace_ids, schema=schema)

@@ -26,7 +26,9 @@ from .trace_model import (
     INTEGER,
     NUMBER,
     TEXT,
+    AbstractPath,
     ConcreteState,
+    Trace,
     TraceLog,
     Value,
 )
@@ -565,17 +567,54 @@ class PredicateTree:
 
     @staticmethod
     def from_json_dict(raw: Mapping) -> "PredicateTree":
-        nodes: dict[int, LeafNode | InternalNode] = {}
-        for item in raw["nodes"]:
-            if item["kind"] == "leaf":
-                nodes[int(item["id"])] = LeafNode(int(item["abstract_state_id"]))
-            else:
-                nodes[int(item["id"])] = InternalNode(
-                    predicate_from_json(item["predicate"]), int(item["ch0"]), int(item["ch1"])
-                )
-        return PredicateTree(
-            nodes, int(raw["root"]), int(raw["next_node_id"]), int(raw["next_abstract_id"])
-        )
+        """The tree ``to_json_dict`` wrote; InvalidConfig unless ``raw`` is a well-formed tree.
+
+        Well-formed: the root reaches every node exactly once (so no child is
+        undefined, shared or an ancestor), no two leaves share an abstract-state
+        id, and each id counter lies above every id in use.
+        """
+        try:
+            nodes: dict[int, LeafNode | InternalNode] = {}
+            for item in raw["nodes"]:
+                if item["kind"] == "leaf":
+                    node: LeafNode | InternalNode = LeafNode(int(item["abstract_state_id"]))
+                else:
+                    node = InternalNode(
+                        predicate_from_json(item["predicate"]), int(item["ch0"]), int(item["ch1"])
+                    )
+                nodes.setdefault(int(item["id"]), node)
+            duplicates = len(raw["nodes"]) - len(nodes)
+            tree = PredicateTree(
+                nodes, int(raw["root"]), int(raw["next_node_id"]), int(raw["next_abstract_id"])
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidConfig(f"{type(exc).__name__}: {exc}") from None
+        if duplicates:
+            raise InvalidConfig(f"{duplicates} node id(s) defined twice")
+        reached: set[int] = set()
+        pending = [tree.root]
+        while pending:
+            nid = pending.pop()
+            if nid not in nodes:
+                raise InvalidConfig(f"node {nid} is named but not defined")
+            if nid in reached:
+                raise InvalidConfig(f"node {nid} is reached twice from the root (a cycle or a shared child)")
+            reached.add(nid)
+            node = nodes[nid]
+            if isinstance(node, InternalNode):
+                pending += (node.ch0, node.ch1)
+        if len(reached) != len(nodes):
+            raise InvalidConfig(f"nodes {sorted(set(nodes) - reached)} are not reached from the root")
+        abstract_ids = [n.abstract_id for n in nodes.values() if isinstance(n, LeafNode)]
+        if len(set(abstract_ids)) != len(abstract_ids):
+            raise InvalidConfig("two leaves share an abstract-state id")
+        if tree._next_node_id <= max(nodes):
+            raise InvalidConfig(f"next_node_id {tree._next_node_id} is not above node id {max(nodes)}")
+        if tree._next_abstract_id <= max(abstract_ids):
+            raise InvalidConfig(
+                f"next_abstract_id {tree._next_abstract_id} is not above abstract-state id {max(abstract_ids)}"
+            )
+        return tree
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -590,8 +629,13 @@ class PredicateTree:
 
     @staticmethod
     def load(path: str) -> "PredicateTree":
+        """The tree saved at ``path``; InvalidConfig naming the file if it is not one."""
         with open(path, "r", encoding="utf-8") as fh:
-            return PredicateTree.from_json(fh.read())
+            text = fh.read()
+        try:
+            return PredicateTree.from_json(text)
+        except ValueError as exc:  # not JSON, or InvalidConfig
+            raise InvalidConfig(f"tree file {path!r} is malformed: {exc}") from None
 
     def structurally_equal(self, other: "PredicateTree") -> bool:
         return (
@@ -600,6 +644,11 @@ class PredicateTree:
             and self._next_node_id == other._next_node_id
             and self._next_abstract_id == other._next_abstract_id
         )
+
+
+def abstract_trace(tree: PredicateTree, trace: Trace) -> AbstractPath:
+    """Abstracts a trace under a predicate tree: one routed state per snapshot."""
+    return AbstractPath(tuple(map(tree.abstract, trace.states)), trace.actions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,24 @@
 """Verification-and-refinement loop.
 
 Each iteration rebuilds the store, checks the thresholded reachability
-property, and, on violation, tries to realize the diagnostic witness inside
-the observed trace trie.  A witness whose prefix is realizable end to end is
-a real counterexample; otherwise the leaf at the earliest divergence point
-is split by the max-gain predicate and the loop repeats.  When the
-divergence leaf admits no beneficial split, earlier witness leaves are tried
-before giving up.
+property, and, on violation, tries to realize the diagnostic witness in
+the observed behaviour: the store's routed runs.  A witness that some run
+starts with is a real counterexample; otherwise the leaf at the earliest
+divergence point is split by the max-gain predicate and the loop repeats.
+When the divergence leaf admits no beneficial split, earlier witness leaves
+are tried before giving up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .checker import ReachQuery, check
 from .errors import InvalidConfig, UnknownLeaf
 from .linked_store import LabelingConfig, LinkedStore, apply_split, batch_for_leaf, build
 from .predicate_tree import LeafSplit, PredicateTree, SplitRejected, TreeConfig, split_leaf
-from .trace_model import TraceLog
-from .trace_trie import AbstractPath
+from .trace_model import AbstractPath, TraceLog
 
 Ref = tuple[int, int]  # (trace index, state index)
 
@@ -69,22 +68,41 @@ class Spurious:
     leaf: int
 
 
-def concretize(store: LinkedStore, witness: AbstractPath) -> Real | Spurious:
+def _matched(run: AbstractPath, witness: AbstractPath) -> int:
+    """How many leading witness states the run matches, each action between them matching too."""
+    m = 0
+    for i, (state, wanted) in enumerate(zip(run.states, witness.states)):
+        if state != wanted or (i and run.actions[i - 1] != witness.actions[i - 1]):
+            break
+        m += 1
+    return m
+
+
+def concretize(runs: Sequence[AbstractPath], witness: AbstractPath) -> Real | Spurious:
     """Classifies a witness as realizable (with concrete refs) or spurious.
 
-    Realizability is exact prefix support in the trie.  A realized witness
-    of k transitions refers to state k of every run that starts with it.
-    The spurious case reports the earliest divergence index k and the
-    abstract state s_k where the first unsupported step starts.
+    One pass over the routed runs.  A witness of k transitions is realized
+    by every run that starts with it, and refers to state k of each.  If no
+    run does, j is the number of transitions in the longest witness prefix
+    that some run starts with (0 if none), and the result is the earliest
+    divergence index j with the abstract state s_j where the first
+    unmatched step starts.  The empty witness is realized, with no refs.
     """
-    if not store.trie.supports(witness):
-        k = store.trie.earliest_divergence(witness)
-        return Spurious(k, witness.states[k])
+    n = len(witness.states)
+    if not n:
+        return Real(frozenset())
     k = witness.n_transitions
-    return Real(frozenset(
-        (t, k) for t, run in enumerate(store.runs)
-        if witness.states and run.states[: k + 1] == witness.states and run.actions[:k] == witness.actions
-    ))
+    refs: set[Ref] = set()
+    longest = 0
+    for t, run in enumerate(runs):
+        m = _matched(run, witness)
+        if m == n:
+            refs.add((t, k))
+        longest = max(longest, m)
+    if refs:
+        return Real(frozenset(refs))
+    j = max(longest - 1, 0)
+    return Spurious(j, witness.states[j])
 
 
 def refine_once(
@@ -168,7 +186,7 @@ def verify_refine_loop(
             outcome.reason = "no_witness_path"
             break
 
-        realized = concretize(store, result.witness.path)
+        realized = concretize(store.runs, result.witness.path)
         if isinstance(realized, Real):
             entry["action"] = "real_ce"
             record(entry)

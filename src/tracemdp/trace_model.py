@@ -296,6 +296,51 @@ class Trace:
         return self.states[0].schema() if self.states else None
 
 
+@dataclass(frozen=True)
+class AbstractPath:
+    """Alternating sequence s0, a0, s1, ..., sn of abstract states and actions.
+
+    The abstract twin of ``Trace``: a trace routed through a predicate tree
+    (``predicate_tree.abstract_trace``), or a checker witness.  The empty
+    path (no states at all) is allowed and represents a trace with no
+    recorded snapshots.
+    """
+
+    states: tuple[int, ...]
+    actions: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if self.states:
+            if len(self.states) != len(self.actions) + 1:
+                raise ValueError("need exactly one more state than actions")
+        elif self.actions:
+            raise ValueError("an empty path has no actions")
+
+    @property
+    def n_transitions(self) -> int:
+        return len(self.actions)
+
+    def steps(self) -> Iterator[tuple[int, str, int]]:
+        for i, action in enumerate(self.actions):
+            yield self.states[i], action, self.states[i + 1]
+
+    def prefix(self, k: int) -> "AbstractPath":
+        """The prefix with the first k transitions (k+1 states)."""
+        if not 0 <= k <= self.n_transitions:
+            raise ValueError(f"prefix length {k} out of range")
+        if not self.states:
+            return self
+        return AbstractPath(self.states[: k + 1], self.actions[:k])
+
+    def __str__(self) -> str:
+        if not self.states:
+            return "(empty)"
+        parts = [str(self.states[0])]
+        for i, action in enumerate(self.actions):
+            parts.append(f"-{action}-> {self.states[i + 1]}")
+        return " ".join(parts)
+
+
 class TraceLog:
     """Append-only collection of traces sharing one schema.
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from tracemdp.predicate_tree import abstract_trace
 from tracemdp.trace_model import ConcreteState, TerminalStatus, Trace, TraceLog, Value
-from tracemdp.trace_trie import abstract_trace
 
 
 def mk_state(state=None, check=None, goal=None) -> ConcreteState:

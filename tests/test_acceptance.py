@@ -33,15 +33,22 @@ from tracemdp.predicate_tree import (
     LabeledBatch,
     SplitRejected,
     TreeConfig,
+    abstract_trace,
     build_initial_tree,
     candidate_predicates,
     entropy,
     information_gain,
     split_leaf,
 )
-from tracemdp.refinement import RefinementConfig, batch_for_leaf, verify_refine_loop
-from tracemdp.trace_model import read_trace_log
-from tracemdp.trace_trie import AbstractPath, TraceTrie, abstract_trace
+from tracemdp.refinement import (
+    Real,
+    RefinementConfig,
+    Spurious,
+    batch_for_leaf,
+    concretize,
+    verify_refine_loop,
+)
+from tracemdp.trace_model import AbstractPath, read_trace_log
 
 
 def criterion(number: int, title: str):
@@ -196,46 +203,27 @@ def test_criterion_2_reachability_oracle():
 
 
 # ---------------------------------------------------------------------------
-# 3. Trie vs linear scan
+# 3. Witness concretization vs the set of observed prefixes
 # ---------------------------------------------------------------------------
 
-def _scan_supports(paths, probe) -> bool:
-    if not probe.states:
-        return True
-    for q in paths:
-        if (
-            len(probe.states) <= len(q.states)
-            and q.states[: len(probe.states)] == probe.states
-            and q.actions[: len(probe.actions)] == probe.actions
-        ):
-            return True
-    return False
+def _prefix_key(path, k):
+    """The prefix of ``path`` with k transitions, as a hashable pair."""
+    return path.states[: k + 1], path.actions[:k]
 
 
-def _scan_divergence(paths, probe):
-    if _scan_supports(paths, probe):
-        return None
-    for k in range(probe.n_transitions, -1, -1):
-        if _scan_supports(paths, probe.prefix(k)):
-            return k
-    return 0
-
-
-@criterion(3, "trie supports/earliest_divergence match linear scan on 100 corpora")
+@criterion(3, "concretize matches the set of observed prefixes on 100 corpora")
 def test_criterion_3_trie_oracle():
     rng = np.random.default_rng(303)
     start = time.perf_counter()
     for _ in range(100):
         n_paths = int(rng.integers(1, 201))
-        trie = TraceTrie()
         paths = []
         for _ in range(n_paths):
             n = int(rng.integers(0, 31))
             states = tuple(int(rng.integers(0, 6)) for _ in range(n + 1))
             actions = tuple(f"a{rng.integers(0, 3)}" for _ in range(n))
-            p = AbstractPath(states, actions)
-            paths.append(p)
-            trie.insert(p)
+            paths.append(AbstractPath(states, actions))
+        prefixes = {_prefix_key(p, k) for p in paths for k in range(p.n_transitions + 1)}
         for _ in range(12):
             if paths and rng.uniform() < 0.5:
                 base = paths[int(rng.integers(0, len(paths)))]
@@ -252,8 +240,17 @@ def test_criterion_3_trie_oracle():
                     tuple(int(rng.integers(0, 6)) for _ in range(n + 1)),
                     tuple(f"a{rng.integers(0, 3)}" for _ in range(n)),
                 )
-            assert trie.supports(probe) == _scan_supports(paths, probe)
-            assert trie.earliest_divergence(probe) == _scan_divergence(paths, probe)
+            k = probe.n_transitions
+            verdict = concretize(paths, probe)
+            if _prefix_key(probe, k) in prefixes:
+                refs = {
+                    (t, k) for t, p in enumerate(paths)
+                    if p.n_transitions >= k and _prefix_key(p, k) == _prefix_key(probe, k)
+                }
+                assert verdict == Real(frozenset(refs))
+            else:
+                j = max((j for j in range(k + 1) if _prefix_key(probe, j) in prefixes), default=0)
+                assert verdict == Spurious(j, probe.states[j])
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"criterion 3 took {elapsed:.1f}s (budget 10s)"
     return f"100 corpora, {elapsed:.2f}s"
@@ -283,7 +280,6 @@ def _random_refinement_log(rng):
 def _stores_equal(a, b) -> bool:
     return (
         a.tree.structurally_equal(b.tree)
-        and a.trie.structurally_equal(b.trie)
         and a.amdp.equal_counts(b.amdp)
         and a.amdp.labels == b.amdp.labels
         and a.runs == b.runs

@@ -22,7 +22,7 @@ from tracemdp.anomaly import (
     skewness,
 )
 from tracemdp.errors import DomainError, InsufficientData
-from tracemdp.trace_trie import AbstractPath
+from tracemdp.trace_model import AbstractPath
 
 
 def chain_model(probs):

@@ -17,7 +17,7 @@ from tracemdp.checker import (
     reach_values,
 )
 from tracemdp.errors import PropertySyntaxError, UnknownLabel
-from tracemdp.trace_trie import AbstractPath
+from tracemdp.trace_model import AbstractPath
 
 
 def model_from_counts(counts, labels=None, initial=(0,)):

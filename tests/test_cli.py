@@ -322,7 +322,7 @@ class TestMonitorRouting:
         from tracemdp.linked_store import load_store
         from tracemdp.predicate_tree import PredicateTree
         from tracemdp.trace_model import read_trace_log
-        from tracemdp.trace_trie import abstract_trace
+        from tracemdp.predicate_tree import abstract_trace
 
         target = pipeline["corpus"] / "anomalous.jsonl"
         store = load_store(str(pipeline["store"]))
@@ -721,6 +721,69 @@ class TestErrors:
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "InvalidConfig"
 
+    @staticmethod
+    def damage_tree(text: str, defect: str) -> str:
+        raw = json.loads(text)
+        leaves = [n for n in raw["nodes"] if n["kind"] == "leaf"]
+        internal = next(n for n in raw["nodes"] if n["kind"] == "internal")
+        if defect == "undefined_child":
+            internal["ch1"] = max(n["id"] for n in raw["nodes"]) + 1
+        elif defect == "shared_abstract_id":
+            leaves[1]["abstract_state_id"] = leaves[0]["abstract_state_id"]
+        elif defect == "next_abstract_id_in_use":
+            raw["next_abstract_id"] = max(n["abstract_state_id"] for n in leaves)
+        elif defect == "no_nodes":
+            del raw["nodes"]
+        else:
+            return "not json"
+        return json.dumps(raw)
+
+    @pytest.mark.parametrize(
+        "defect",
+        ["undefined_child", "shared_abstract_id", "next_abstract_id_in_use", "no_nodes", "not_json"],
+    )
+    def test_malformed_tree_exit_3(self, pipeline, capsys, tmp_path, defect):
+        tree = tmp_path / "tree.json"
+        tree.write_text(self.damage_tree(pipeline["tree"].read_text(), defect))
+        log = str(pipeline["corpus"] / "baseline.jsonl")
+        store = tmp_path / "store"
+        shutil.copytree(pipeline["store"], store)
+        shutil.copy(tree, store / "tree.json")
+        for argv in (
+            ["build", "--log", log, "--tree", str(tree), "--out", str(tmp_path / "built")],
+            ["check", "--store", str(store), "--prop", 'Pmax=? [F "success"]'],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "", argv[0]
+            error = json.loads(err)
+            assert error["error"] == "InvalidConfig"
+            assert "tree.json" in error["message"]
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("runs.json", lambda text: text[: len(text) // 2]),
+            ("runs.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "labels"})),
+            ("manifest.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "tree_file"})),
+            ("manifest.json", lambda text: text[: len(text) // 2]),
+        ],
+        ids=["truncated_runs", "runs_without_labels", "manifest_without_tree_file", "truncated_manifest"],
+    )
+    def test_damaged_store_exit_3(self, pipeline, capsys, tmp_path, name, damage):
+        store = tmp_path / "store"
+        shutil.copytree(pipeline["store"], store)
+        (store / name).write_text(damage((store / name).read_text()))
+        for argv in (
+            ["check", "--store", str(store), "--prop", 'Pmax=? [F "success"]'],
+            ["score", "--store", str(store), "--log", str(pipeline["corpus"] / "anomalous.jsonl")],
+            ["export", "--store", str(store), "--out", str(tmp_path / "exported")],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "", argv[0]
+            error = json.loads(err)
+            assert error["error"] == "DamagedStore"
+            assert name in error["message"]
+
     def test_undeclared_label_exit_3(self, pipeline, capsys):
         code, out, err = run_cli(
             capsys, "check", "--store", str(pipeline["store"]), "--prop", 'Pmax=? [F "nolabel"]'
@@ -839,11 +902,13 @@ class TestImports:
         assert "tracemdp.generator" not in loaded
 
     def test_cli_imports_every_traced_layer(self):
-        """The traced benchmark wraps only modules that ``import tracemdp.cli`` loads."""
+        """``import tracemdp.cli`` loads every traced layer that is a module of the package."""
         sys.path.insert(0, os.path.join(REPO, "perfbench"))
         try:
             from layers import LAYERS
         finally:
             sys.path.pop(0)
+        package = os.path.join(REPO, "src", "tracemdp")
+        present = [m for m in LAYERS if os.path.isfile(os.path.join(package, f"{m}.py"))]
         loaded = loaded_modules()
-        assert LAYERS and not [m for m in LAYERS if f"tracemdp.{m}" not in loaded]
+        assert present and not [m for m in present if f"tracemdp.{m}" not in loaded]

@@ -27,11 +27,12 @@ from tracemdp.predicate_tree import (
     SplitRejected,
     TreeConfig,
     END_LABEL,
+    abstract_trace,
     build_initial_tree,
     split_leaf,
 )
 from tracemdp.refinement import Real, Spurious, batch_for_leaf, concretize
-from tracemdp.trace_trie import AbstractPath, abstract_trace
+from tracemdp.trace_model import AbstractPath
 
 
 def small_log():
@@ -65,7 +66,6 @@ def random_log(rng, n_traces=30, max_len=10):
 def stores_equal(a, b) -> bool:
     return (
         a.tree.structurally_equal(b.tree)
-        and a.trie.structurally_equal(b.trie)
         and a.amdp.equal_counts(b.amdp)
         and a.amdp.labels == b.amdp.labels
         and a.runs == b.runs
@@ -78,7 +78,6 @@ class TestBuild:
         store = build(log, PredicateTree.single_leaf())
         assert store.runs == (AbstractPath((0, 0), ("go",)),)
         assert store.amdp.states == {0}
-        assert store.trie.node_count == 2
         assert check_invariants(store) == []
 
     def test_empty_log_isolated_states(self):
@@ -86,7 +85,7 @@ class TestBuild:
         tree = PredicateTree.single_leaf()
         store = build(log, tree)
         assert store.amdp.states == {0}
-        assert store.trie.node_count == 0
+        assert store.runs == ()
         model = compile_model(store.amdp)
         assert model.states == (0,) and model.rows == ((),)
         assert check_invariants(store) == []
@@ -297,7 +296,7 @@ class TestRunReaders:
         t = data.draw(st.integers(0, len(log) - 1))
         k = data.draw(st.integers(0, log[t].n_states - 1))
         witness = store.runs[t].prefix(k)
-        verdict = concretize(store, witness)
+        verdict = concretize(store.runs, witness)
         assert isinstance(verdict, Real)
         expected = {
             (u, k)
@@ -309,7 +308,7 @@ class TestRunReaders:
         assert (t, k) in verdict.refs
         assert verdict.refs == expected
         unseen = AbstractPath(witness.states + (witness.states[-1],), witness.actions + ("never",))
-        assert isinstance(concretize(store, unseen), Spurious)
+        assert isinstance(concretize(store.runs, unseen), Spurious)
 
 
 class TestRuleLabels:

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import mk_log, mk_state, mk_trace
-from tracemdp.errors import EmptyBatch, EmptyLog, SchemaViolation, UnknownLeaf
+from tracemdp.errors import EmptyBatch, EmptyLog, InvalidConfig, SchemaViolation, UnknownLeaf
 from tracemdp.predicate_tree import (
     BooleanEq,
     InternalNode,
@@ -305,6 +306,68 @@ class TestSerialization:
         clone = PredicateTree.from_json(tree.to_json())
         assert clone.structurally_equal(tree)
         assert clone.to_json() == tree.to_json()
+
+    @staticmethod
+    def three_leaf_json() -> dict:
+        """Root 0 splits into leaf 1 and internal node 2, which splits into leaves 3 and 4."""
+        tree, _a1, a2 = PredicateTree.single_leaf().split(0, ScalarThreshold("x", 0.5))
+        tree, _a3, _a4 = tree.split(tree.leaf_node_of(a2), BooleanEq("f", True))
+        raw = tree.to_json_dict()
+        assert [n["kind"] for n in raw["nodes"]] == ["internal", "leaf", "internal", "leaf", "leaf"]
+        return raw
+
+    def test_well_formed_file_loads(self, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(self.three_leaf_json()))
+        assert PredicateTree.load(str(path)).n_leaves == 3
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw["nodes"][2].update(ch1=99),
+            lambda raw: raw.update(root=99),
+            lambda raw: raw["nodes"][2].update(ch0=0),
+            lambda raw: raw["nodes"][2].update(ch0=2),
+            lambda raw: raw["nodes"][2].update(ch0=1),
+            lambda raw: raw["nodes"][4].update(abstract_state_id=raw["nodes"][3]["abstract_state_id"]),
+            lambda raw: raw.update(next_abstract_id=raw["nodes"][4]["abstract_state_id"]),
+            lambda raw: raw.update(next_node_id=4),
+            lambda raw: raw["nodes"].append({"id": 5, "kind": "leaf", "abstract_state_id": 9}),
+            lambda raw: raw["nodes"].append(dict(raw["nodes"][4])),
+            lambda raw: raw.pop("nodes"),
+            lambda raw: raw["nodes"][0].pop("predicate"),
+            lambda raw: raw["nodes"][0]["predicate"].update(type="num_between"),
+        ],
+        ids=[
+            "undefined_child",
+            "undefined_root",
+            "child_is_the_root",
+            "child_is_itself",
+            "shared_child",
+            "shared_abstract_id",
+            "next_abstract_id_in_use",
+            "next_node_id_in_use",
+            "unreached_node",
+            "node_defined_twice",
+            "no_nodes",
+            "no_predicate",
+            "unknown_predicate",
+        ],
+    )
+    def test_malformed_file_is_invalid_config(self, tmp_path, damage):
+        raw = self.three_leaf_json()
+        damage(raw)
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(InvalidConfig, match="tree.json"):
+            PredicateTree.load(str(path))
+
+    @pytest.mark.parametrize("text", ["not json", "[]", "{\"nodes\": [1]}"], ids=["not_json", "list", "bad_node"])
+    def test_non_tree_text_is_invalid_config(self, tmp_path, text):
+        path = tmp_path / "tree.json"
+        path.write_text(text)
+        with pytest.raises(InvalidConfig, match="tree.json"):
+            PredicateTree.load(str(path))
 
     def test_ids_never_reused_after_reload(self):
         tree = PredicateTree.single_leaf()

@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import mk_log, mk_trace
 from tracemdp.checker import parse_property
 from tracemdp.linked_store import build, check_invariants
@@ -5,6 +8,7 @@ from tracemdp.predicate_tree import (
     PredicateTree,
     SplitRejected,
     TreeConfig,
+    abstract_trace,
     build_initial_tree,
 )
 from tracemdp.refinement import (
@@ -16,7 +20,7 @@ from tracemdp.refinement import (
     refine_once,
     verify_refine_loop,
 )
-from tracemdp.trace_trie import AbstractPath, abstract_trace
+from tracemdp.trace_model import AbstractPath
 
 
 def real_failure_log():
@@ -65,6 +69,41 @@ def merged_regime_log():
     return mk_log(traces)
 
 
+STATES = st.integers(0, 2)
+ACTIONS = st.sampled_from(["a", "b"])
+
+
+@st.composite
+def paths(draw, max_transitions=5):
+    """An abstract path over a small alphabet; the empty path included."""
+    n = draw(st.integers(-1, max_transitions))
+    if n < 0:
+        return AbstractPath((), ())
+    states = draw(st.lists(STATES, min_size=n + 1, max_size=n + 1))
+    actions = draw(st.lists(ACTIONS, min_size=n, max_size=n))
+    return AbstractPath(tuple(states), tuple(actions))
+
+
+def observed_prefixes(runs) -> set:
+    """Every (t, prefix) of the runs, the empty prefix of an empty run included."""
+    return {(t, run.prefix(k)) for t, run in enumerate(runs) for k in range(run.n_transitions + 1)}
+
+
+def brute_refs(runs, witness) -> set:
+    """(t, k) for every run t that has the k-transition witness as a prefix."""
+    if not witness.states:
+        return set()
+    return {(t, witness.n_transitions) for t, p in observed_prefixes(runs) if p == witness}
+
+
+def brute_divergence(runs, witness) -> int:
+    """Transitions in the longest witness prefix that some run has as a prefix; 0 if none."""
+    seen = {p for _t, p in observed_prefixes(runs)}
+    return max(
+        (k for k in range(witness.n_transitions + 1) if witness.prefix(k) in seen), default=0
+    )
+
+
 class TestConcretize:
     def store(self):
         log = real_failure_log()
@@ -74,13 +113,13 @@ class TestConcretize:
     def test_observed_witness_is_real_with_refs(self):
         store, log, tree = self.store()
         witness = abstract_trace(tree, log[0])
-        verdict = concretize(store, witness)
+        verdict = concretize(store.runs, witness)
         assert isinstance(verdict, Real)
         assert (0, 1) in verdict.refs
 
     def test_unsupported_first_step(self):
         store, _log, _tree = self.store()
-        verdict = concretize(store, AbstractPath((999,), ()))
+        verdict = concretize(store.runs, AbstractPath((999,), ()))
         assert verdict == Spurious(0, 999)
 
     def test_mid_divergence_matches_trie_oracle(self):
@@ -89,10 +128,34 @@ class TestConcretize:
         probe = AbstractPath(
             observed.states + (777,), observed.actions + ("weird",)
         )
-        verdict = concretize(store, probe)
+        verdict = concretize(store.runs, probe)
         assert isinstance(verdict, Spurious)
-        assert verdict.index == store.trie.earliest_divergence(probe)
+        assert verdict.index == brute_divergence(store.runs, probe) == observed.n_transitions
         assert verdict.leaf == probe.states[verdict.index]
+
+    def test_empty_witness_is_real_without_refs(self):
+        store, _log, _tree = self.store()
+        assert concretize(store.runs, AbstractPath((), ())) == Real(frozenset())
+        assert concretize((), AbstractPath((), ())) == Real(frozenset())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(paths(), max_size=8), st.data())
+    def test_matches_brute_force(self, runs, data):
+        witness = data.draw(paths())
+        if runs and data.draw(st.booleans()):
+            run = data.draw(st.sampled_from(runs))
+            witness = run.prefix(data.draw(st.integers(0, run.n_transitions)))
+            if witness.states and data.draw(st.booleans()):
+                witness = AbstractPath(
+                    witness.states + (data.draw(STATES),), witness.actions + (data.draw(ACTIONS),)
+                )
+        verdict = concretize(runs, witness)
+        refs = brute_refs(runs, witness)
+        if refs or not witness.states:
+            assert verdict == Real(frozenset(refs))
+        else:
+            index = brute_divergence(runs, witness)
+            assert verdict == Spurious(index, witness.states[index])
 
 
 class TestRefineOnce:

@@ -6,8 +6,9 @@ import pytest
 from conftest import mk_log, mk_trace
 from tracemdp.amdp import induce
 from tracemdp.errors import ChainBreak, DuplicateSeq, MalformedRecord, SchemaViolation
-from tracemdp.predicate_tree import build_initial_tree
+from tracemdp.predicate_tree import abstract_trace, build_initial_tree
 from tracemdp.trace_model import (
+    AbstractPath,
     TerminalStatus,
     Value,
     parse_event_line,
@@ -15,7 +16,6 @@ from tracemdp.trace_model import (
     segment_stream,
     trace_to_lines,
 )
-from tracemdp.trace_trie import abstract_trace
 
 
 def tool_call(trace_id, seq, action, pre, post, **extra):
@@ -194,6 +194,19 @@ class TestRoundTrip:
         log = read_events(trace_to_lines(trace))
         assert len(log) == 1
         assert log[0] == trace
+
+
+class TestPathType:
+    def test_alternation_enforced(self):
+        with pytest.raises(ValueError):
+            AbstractPath((1, 2), ())
+        with pytest.raises(ValueError):
+            AbstractPath((), ("a",))
+
+    def test_prefix_and_concat(self):
+        p = AbstractPath((1, 2, 3), ("a", "b"))
+        assert p.prefix(1) == AbstractPath((1, 2), ("a",))
+        assert p.prefix(0) == AbstractPath((1,), ())
 
 
 class TestTraceLog:

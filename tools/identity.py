@@ -10,11 +10,13 @@ source tree, in a process whose ``PYTHONPATH`` holds that tree, and
 compares the corpus files (``baseline.jsonl``, ``anomalous.jsonl``,
 ``anomalies.jsonl``, ``train.jsonl``) byte for byte; if any differ, it
 prints them and exits 1.  It then runs the command sequence of
-``perfbench/run.commands`` under each source tree, one process per command,
-with ``--iteration-log`` added to ``refine``.  Every command's standard
+``perfbench/run.commands`` under each source tree, followed by one more
+refine (``EXTRA_REFINE``) that ends with a realized witness on the deep
+store, so its refs are compared too; one process per command, with
+``--iteration-log`` added to each refine.  Every command's standard
 output, standard error and exit code are kept next to the files the
-commands write (the store, ``scores.jsonl``, the refine iteration log, the
-export).  ``diff -r`` then compares the two trees' outputs; the script
+commands write (the store, ``scores.jsonl``, each refine's iteration log,
+the export).  ``diff -r`` then compares the two trees' outputs; the script
 prints the differences and exits 1 if there are any, else 0.
 
 Both trees' flows read PARENT_SRC's corpus files, so the training-log
@@ -39,7 +41,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 WORKLOADS = ("desk", "deep", "x10")
 SEEDS = (0, 1)
-ITERATION_LOG = "iterations.jsonl"
+EXTRA_REFINE = ("refine", ["refine", "--store", "store", "--prop", 'Pmax<=0.5 [F "failure"]', "--max-iters", "3"])
 MAKE_CORPUS = "import json, sys; from corpus import make_corpus; print(json.dumps(make_corpus(*json.loads(sys.argv[1]))))"
 
 
@@ -68,9 +70,9 @@ def run_flow(commands: list[tuple[str, list[str]]], src: str, out_dir: str) -> N
     """Runs the command sequence under ``src`` in ``out_dir``, keeping every output."""
     os.makedirs(out_dir)
     for i, (name, args) in enumerate(commands):
-        if name == "refine":
-            args = [*args, "--iteration-log", ITERATION_LOG]
         stem = os.path.join(out_dir, f"{i:02d}-{name}")
+        if name == "refine":
+            args = [*args, "--iteration-log", f"{i:02d}-iterations.jsonl"]
         with open(stem + ".out", "wb") as out, open(stem + ".err", "wb") as err:
             proc = subprocess.run(
                 [sys.executable, "-m", "tracemdp.cli", *args],
@@ -108,7 +110,7 @@ def main(argv: list[str]) -> int:
                 if different:
                     print(f"DIFFERENT corpus files for {case}: {', '.join(different)}")
                     return 1
-                flow = commands(workload, paths["parent"])
+                flow = [*commands(workload, paths["parent"]), EXTRA_REFINE]
                 for side, src in sides.items():
                     run_flow(flow, src, os.path.join(work, side, case))
                 print(f"{case}: ran {len(flow)} commands under each tree", flush=True)
