@@ -21,12 +21,13 @@ with tempfile.TemporaryDirectory(prefix="tracemdp-demo2-") as workdir:
 tree = build_initial_tree(log, TreeConfig())
 store = build(log, tree)
 
-print(f"MDP: {len(store.amdp.states)} states, {len(store.amdp.counts3)} transitions")
-print(f"labels: { {k: sorted(v) for k, v in store.amdp.labels.items()} }")
-print(f"initial states (multiset): {dict(store.amdp.initial)}")
+model = store.model  # the one model the checker, the export and the scorer read
+print(f"MDP: {model.n_states} states, {len(model.counts3)} transitions")
+print(f"labels: {model.label_ids()}")
+print(f"initial states (multiset): {dict(model.initial)}")
 
 for prop in ('Pmax=? [F "success"]', 'Pmin=? [F "success"]', 'Pmin<=0.05 [F "failure"]'):
-    result = check(store.amdp, parse_property(prop))
+    result = check(model, parse_property(prop))
     verdict = "" if result.verdict is None else f"  verdict={'ok' if result.verdict else 'VIOLATED'}"
     print(f"\n{prop}")
     print(f"  value at modal initial = {result.value:.6f}{verdict}")
@@ -34,7 +35,7 @@ for prop in ('Pmax=? [F "success"]', 'Pmin=? [F "success"]', 'Pmin<=0.05 [F "fai
     if result.witness is not None:
         print(f"  witness path: {result.witness.path} (p={result.witness.probability:.4f})")
 
-tra, lab = export_explicit(store.amdp)
+tra, lab = export_explicit(model)
 print("\nPRISM explicit-state transitions file:")
 print(tra, end="")
 print("labels file:")

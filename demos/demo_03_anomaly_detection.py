@@ -32,7 +32,7 @@ with tempfile.TemporaryDirectory(prefix="tracemdp-demo3-") as workdir:
 
 tree = build_initial_tree(log, TreeConfig())
 store = build(log, tree)
-model = store.amdp
+model = store.model
 
 detector = OfflineDetector(DetectorConfig(alpha=0.05)).fit(
     run_loglik(model, run, t.trace_id) for run, t in zip(store.runs, log)

@@ -1,95 +1,145 @@
-"""Count-based MDP over abstract states with tool actions.
+"""The count model over abstract states with tool actions.
 
+``induce`` counts the routed runs once and returns a ``CompiledModel``: the
+one model that the checker, the explicit-state export and the scorer read.
 Successor probabilities are unsmoothed empirical frequencies
-P(s,a,s') = C(s,a,s') / C(s,a); unobserved transitions are absent, and
-states without an outgoing counted action are terminal.  ``Amdp`` holds the
-counts; ``compile_model`` turns them into a ``CompiledModel``, the one
-structure that the checker reads and that the explicit-state
-export/import pair writes and parses (the PRISM text format described in
-``export_explicit``).
+P(s,a,s') = C(s,a,s') / C(s,a), computed in ``from_counts`` alone;
+unobserved transitions are absent, and states without an outgoing counted
+action are terminal.  The label functions return label maps, which
+``induce`` attaches to the model.  ``export_explicit`` writes the model in
+the PRISM text format it describes, and ``parse_explicit`` reads it back.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import SchemaViolation, UnknownVariable, UnobservedStateAction
+from .errors import SchemaViolation, UnknownVariable
 from .predicate_tree import BooleanEq, Predicate, ScalarThreshold
 from .trace_model import CHECK, GOAL, AbstractPath, ConcreteState, TerminalStatus, TraceLog
 
 SUCCESS_LABEL = "success"
 FAILURE_LABEL = "failure"
+LABEL_MODES = ("all", "any")
+
+Choice = tuple[str, tuple[int, ...], tuple[float, ...]]
+Step = tuple[int, str, int]
 
 
-class Amdp:
-    """Count MDP, mutable during single-writer ingestion."""
+@dataclass(frozen=True)
+class CompiledModel:
+    """Dense, read-only MDP: what the checker, the export and the scorer read.
 
-    def __init__(self) -> None:
-        self.states: set[int] = set()
-        self.actions: set[str] = set()
-        self.counts3: dict[tuple[int, str, int], int] = {}
-        self.counts2: dict[tuple[int, str], int] = {}
-        self.initial: Counter[int] = Counter()
-        self.labels: dict[str, set[int]] = {}
+    ``states[i]`` is the stable id of state index ``i`` (ids ascending).
+    ``rows[i]`` holds state ``i``'s choices in action-name order, each
+    ``(action, destination indices ascending, their probabilities)``, the
+    last two tuples of ``int`` and ``float``; a terminal state has an empty
+    row.  ``labels`` maps every declared label, empty ones included, to its
+    state indices, and ``init`` holds the indices of the initial states.
+    Keyed by stable id, an induced model's ``counts3`` counts each observed
+    ``(src, action, dst)`` and ``initial`` the runs starting in each state (a
+    parsed export has neither); ``logp`` holds each transition's natural
+    log-probability, so a missing key is an unseen transition.
+    """
 
-    # -- construction ------------------------------------------------------
+    states: tuple[int, ...]
+    rows: tuple[tuple[Choice, ...], ...]
+    labels: Mapping[str, frozenset[int]]
+    init: frozenset[int]
+    counts3: Mapping[Step, int] = field(default_factory=dict)
+    initial: Mapping[int, int] = field(default_factory=dict)
+    logp: Mapping[Step, float] = field(init=False, repr=False, compare=False)
 
-    def add_state(self, state: int) -> None:
-        self.states.add(state)
+    def __post_init__(self) -> None:
+        ids = self.states
+        logp = {
+            (ids[src], action, ids[dst]): math.log(p)
+            for src, row in enumerate(self.rows)
+            for action, dsts, probs in row
+            for dst, p in zip(dsts, probs)
+        }
+        object.__setattr__(self, "logp", logp)
 
-    def record_initial(self, state: int) -> None:
-        self.add_state(state)
-        self.initial[state] += 1
-
-    def ingest(self, src: int, action: str, dst: int, weight: int = 1) -> None:
-        self.states.add(src)
-        self.states.add(dst)
-        self.actions.add(action)
-        self.counts3[(src, action, dst)] = self.counts3.get((src, action, dst), 0) + weight
-        self.counts2[(src, action)] = self.counts2.get((src, action), 0) + weight
-
-    # -- queries -----------------------------------------------------------
-
-    def probability(self, src: int, action: str, dst: int) -> float:
-        total = self.counts2.get((src, action), 0)
-        if total == 0:
-            raise UnobservedStateAction(f"no observations for state {src} action {action!r}")
-        return self.counts3.get((src, action, dst), 0) / total
+    @property
+    def n_states(self) -> int:
+        return len(self.states)
 
     def modal_initial(self) -> int | None:
-        """Most frequent initial state; ties go to the smallest id."""
+        """Most frequent initial state; ties go to the smallest id.  None without counts."""
         if not self.initial:
             return None
         return min(self.initial, key=lambda s: (-self.initial[s], s))
 
-    def equal_counts(self, other: "Amdp") -> bool:
-        return (
-            self.states == other.states
-            and self.actions == other.actions
-            and self.counts3 == other.counts3
-            and self.counts2 == other.counts2
-            and self.initial == other.initial
-        )
+    def label_ids(self) -> dict[str, list[int]]:
+        """Each label's state ids, ascending, in declaration order."""
+        return {name: [self.states[i] for i in sorted(members)] for name, members in self.labels.items()}
 
 
-def induce(runs: Iterable[AbstractPath], states: Iterable[int]) -> Amdp:
-    """MDP induction from abstract runs over the given abstract states.
+Grouped = dict[tuple[int, str], tuple[list[int], list[float]]]
+
+
+def _rows(n_states: int, grouped: Grouped) -> tuple[tuple[Choice, ...], ...]:
+    """Per-state choice rows from (src index, action) -> (dst indices, probabilities)."""
+    rows: list[list[Choice]] = [[] for _ in range(n_states)]
+    for (src, action), (dsts, probs) in sorted(grouped.items()):
+        rows[src].append((action, tuple(dsts), tuple(probs)))
+    return tuple(tuple(row) for row in rows)
+
+
+def from_counts(
+    states: Iterable[int],
+    counts3: Mapping[Step, int],
+    initial: Mapping[int, int],
+    labels: Mapping[str, Iterable[int]] | None = None,
+) -> CompiledModel:
+    """The model of transition and initial-state counts.
+
+    Every id in ``states``, ``counts3`` and ``initial`` becomes a state, and
+    zero counts are dropped.  ``labels`` maps each label to its state ids.
+    """
+    counts3 = {key: counts3[key] for key in sorted(counts3) if counts3[key]}
+    initial = {s: n for s, n in initial.items() if n}
+    ids = tuple(sorted({*states, *initial, *(s for src, _, dst in counts3 for s in (src, dst))}))
+    index = {s: i for i, s in enumerate(ids)}
+    grouped: Grouped = {}
+    for (src, action, dst), n in counts3.items():
+        dsts, ns = grouped.setdefault((index[src], action), ([], []))
+        dsts.append(index[dst])
+        ns.append(n)
+    for _dsts, ns in grouped.values():
+        total = sum(ns)
+        ns[:] = [n / total for n in ns]  # C(s,a,s') / C(s,a)
+    return CompiledModel(
+        ids,
+        _rows(len(ids), grouped),
+        {name: frozenset(index[s] for s in members) for name, members in (labels or {}).items()},
+        frozenset(index[s] for s in initial),
+        counts3,
+        initial,
+    )
+
+
+def induce(
+    runs: Iterable[AbstractPath],
+    states: Iterable[int],
+    labels: Mapping[str, Iterable[int]] | None = None,
+) -> CompiledModel:
+    """Counts the abstract runs once into the model over the given abstract states.
 
     Every state given becomes a vertex even when no run visits it, so with
     ``tree.abstract_ids()`` the state set stays aligned with the abstraction.
+    ``labels`` maps each label to its state ids.
     """
-    mdp = Amdp()
-    for abstract_id in states:
-        mdp.add_state(abstract_id)
+    counts3: Counter[Step] = Counter()
+    initial: Counter[int] = Counter()
     for run in runs:
-        if not run.states:
-            continue
-        mdp.record_initial(run.states[0])
-        for src, action, dst in run.steps():
-            mdp.ingest(src, action, dst)
-    return mdp
+        if run.states:
+            initial[run.states[0]] += 1
+            counts3.update(run.steps())
+    return from_counts(states, counts3, initial, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +160,7 @@ class LabelRule:
     mode: str = "all"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("all", "any"):
+        if self.mode not in LABEL_MODES:
             raise ValueError(f"unknown label mode {self.mode!r}")
         for atom in self.atoms:
             if not isinstance(atom, (BooleanEq, ScalarThreshold)):
@@ -141,29 +191,24 @@ class LabelReport:
     mixed: dict[str, set[int]] = field(default_factory=dict)
 
 
-def _lift(mode: str, matching: int, others: int) -> str | None:
-    """Lifts one state's evidence to "labeled", "mixed" or None (no label).
+def _lift(report: LabelReport, name: str, mode: str, tallies: Mapping[int, tuple[int, int]]) -> None:
+    """Lifts each state's evidence, (matching, other) counts, to label ``name`` in ``report``.
 
     Mode "all" labels a state whose evidence all matches and reports it
     mixed when only some does; mode "any" labels it when any evidence
-    matches.
+    matches.  Any other mode raises ValueError.
     """
-    if not matching:
-        return None
-    return "mixed" if mode == "all" and others else "labeled"
-
-
-def _record_labels(
-    mdp: Amdp, report: LabelReport, name: str, lifted: Mapping[int, str | None]
-) -> None:
-    labeled = {state_id for state_id, verdict in lifted.items() if verdict == "labeled"}
-    mdp.labels.setdefault(name, set()).update(labeled)
-    report.labeled[name] = labeled
-    report.mixed[name] = {state_id for state_id, verdict in lifted.items() if verdict == "mixed"}
+    if mode not in LABEL_MODES:
+        raise ValueError(f"unknown label mode {mode!r}")
+    labeled = report.labeled[name] = set()
+    mixed = report.mixed[name] = set()
+    for state_id, (matching, others) in tallies.items():
+        if matching:
+            (mixed if mode == "all" and others else labeled).add(state_id)
 
 
 def label_states(
-    mdp: Amdp,
+    states: Iterable[int],
     rules: Sequence[LabelRule],
     evidence: Mapping[int, Sequence[ConcreteState]],
 ) -> LabelReport:
@@ -174,17 +219,15 @@ def label_states(
     """
     report = LabelReport()
     for rule in rules:
-        lifted: dict[int, str | None] = {}
-        for state_id in sorted(mdp.states):
+        tallies: dict[int, tuple[int, int]] = {}
+        for state_id in sorted(states):
             outcomes = [rule.holds(s) for s in evidence.get(state_id, ())]
-            matching = sum(outcomes)
-            lifted[state_id] = _lift(rule.mode, matching, len(outcomes) - matching)
-        _record_labels(mdp, report, rule.name, lifted)
+            tallies[state_id] = (matching := sum(outcomes), len(outcomes) - matching)
+        _lift(report, rule.name, rule.mode, tallies)
     return report
 
 
 def label_by_terminal(
-    mdp: Amdp,
     log: TraceLog,
     runs: Sequence[AbstractPath],
     success_mode: str = "all",
@@ -207,73 +250,18 @@ def label_by_terminal(
         endings.setdefault(run.states[-1], Counter())[trace.terminal_status.value] += 1
 
     report = LabelReport()
-    for name, status, mode in (
-        (SUCCESS_LABEL, "success", success_mode),
-        (FAILURE_LABEL, "failure", failure_mode),
-    ):
-        lifted: dict[int, str | None] = {}
-        for state_id, counts in endings.items():
-            matching = counts.get(status, 0)
-            lifted[state_id] = _lift(mode, matching, sum(counts.values()) - matching)
-        _record_labels(mdp, report, name, lifted)
+    # The labels are named after the statuses: "success" and "failure".
+    for name, mode in ((SUCCESS_LABEL, success_mode), (FAILURE_LABEL, failure_mode)):
+        tallies = {s: (counts[name], sum(counts.values()) - counts[name]) for s, counts in endings.items()}
+        _lift(report, name, mode, tallies)
     return report
 
 
 # ---------------------------------------------------------------------------
-# Compiled model and its explicit-state export / import
+# Explicit-state export / import
 # ---------------------------------------------------------------------------
 
-Choice = tuple[str, tuple[int, ...], tuple[float, ...]]
-
-
-@dataclass(frozen=True, eq=False)
-class CompiledModel:
-    """Dense, read-only form of an MDP: what the checker and the export see.
-
-    ``states[i]`` is the stable id of state index ``i`` (ids ascending).
-    ``rows[i]`` holds state ``i``'s choices in action-name order, each
-    ``(action, destination indices ascending, their probabilities)``, the
-    last two tuples of ``int`` and ``float``; a terminal state has an empty
-    row.  ``labels`` maps every declared label, empty ones included, to its
-    state indices, and ``init`` holds the indices of the initial states.
-    """
-
-    states: tuple[int, ...]
-    rows: tuple[tuple[Choice, ...], ...]
-    labels: Mapping[str, frozenset[int]]
-    init: frozenset[int]
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-
-Grouped = dict[tuple[int, str], tuple[list[int], list[float]]]
-
-
-def _rows(n_states: int, grouped: Grouped) -> tuple[tuple[Choice, ...], ...]:
-    """Per-state choice rows from (src index, action) -> (dst indices, probabilities)."""
-    rows: list[list[Choice]] = [[] for _ in range(n_states)]
-    for (src, action), (dsts, probs) in sorted(grouped.items()):
-        rows[src].append((action, tuple(dsts), tuple(probs)))
-    return tuple(tuple(row) for row in rows)
-
-
-def compile_model(mdp: Amdp) -> CompiledModel:
-    """Compiles the counts once; every probability comes from ``Amdp.probability``."""
-    states = tuple(sorted(mdp.states))
-    index = {s: i for i, s in enumerate(states)}
-    grouped: Grouped = {}
-    for src, action, dst in sorted(key for key, n in mdp.counts3.items() if n > 0):
-        dsts, probs = grouped.setdefault((index[src], action), ([], []))
-        dsts.append(index[dst])
-        probs.append(mdp.probability(src, action, dst))
-    labels = {name: frozenset(index[s] for s in members) for name, members in mdp.labels.items()}
-    init = frozenset(index[s] for s, n in mdp.initial.items() if n > 0)
-    return CompiledModel(states, _rows(len(states), grouped), labels, init)
-
-
-def export_explicit(mdp: Amdp) -> tuple[str, str]:
+def export_explicit(model: CompiledModel) -> tuple[str, str]:
     """Renders (transitions text, labels text) in PRISM explicit style.
 
     Transitions: a ``states choices transitions`` header, then one line per
@@ -282,7 +270,6 @@ def export_explicit(mdp: Amdp) -> tuple[str, str]:
     #END`` header naming init plus every label, then ``state label...``
     lines.  Output is byte-deterministic for a given model.
     """
-    model = compile_model(mdp)
     lines: list[str] = []
     n_choices = 0
     for src, row in enumerate(model.rows):
@@ -304,25 +291,45 @@ def export_explicit(mdp: Amdp) -> tuple[str, str]:
 
 
 def parse_explicit(tra_text: str, lab_text: str) -> CompiledModel:
-    """Parses an ``export_explicit`` pair back into a model over ids 0..n-1.
+    """Parses an ``export_explicit`` pair back into a model over ids 0..n-1, without counts.
 
-    Raises ValueError on a bad header, a count that disagrees with it, or a
-    state index out of range.
+    Raises ValueError on what ``export_explicit`` never writes: a bad
+    header or a count that disagrees with it, a state index out of range, a
+    probability that is not a finite number in (0, 1], a repeated
+    ``(src, action, dst)`` line, a choice index that is not the action's
+    position in its state's row, or a choice whose probabilities do not sum
+    to 1 within 1e-9.
     """
     tra_lines = [ln for ln in tra_text.splitlines() if ln.strip()]
     if not tra_lines:
         raise ValueError("transitions file is missing its header")
     n_states, n_choices, n_transitions = (int(x) for x in tra_lines[0].split())
     grouped: Grouped = {}
+    claimed: dict[tuple[int, str], set[int]] = {}
     for line in tra_lines[1:]:
-        src, _choice, dst, prob, action = line.split(" ", 4)
-        dsts, probs = grouped.setdefault((_state_index(src, n_states), action), ([], []))
+        src, choice, dst, prob, action = line.split(" ", 4)
+        p = float(prob)
+        if not 0 < p <= 1:
+            raise ValueError(f"probability {prob} is not in (0, 1]: {line!r}")
+        key = (_state_index(src, n_states), action)
+        claimed.setdefault(key, set()).add(int(choice))
+        dsts, probs = grouped.setdefault(key, ([], []))
         dsts.append(_state_index(dst, n_states))
-        probs.append(float(prob))
+        probs.append(p)
     if len(tra_lines) - 1 != n_transitions:
         raise ValueError("transition count does not match header")
     if len(grouped) != n_choices:
         raise ValueError("choice count does not match header")
+    rows = _rows(n_states, grouped)
+    for src, row in enumerate(rows):
+        for position, (action, dsts, probs) in enumerate(row):
+            where = f"state {src} action {action!r}"
+            if claimed[src, action] != {position}:
+                raise ValueError(f"{where} is choice {position}, not {sorted(claimed[src, action])}")
+            if len(set(dsts)) < len(dsts):
+                raise ValueError(f"{where} repeats a destination")
+            if abs(math.fsum(probs) - 1.0) > 1e-9:
+                raise ValueError(f"{where}: probabilities sum to {math.fsum(probs)!r}")
 
     lab_lines = [ln for ln in lab_text.splitlines() if ln.strip()]
     if not lab_lines or not lab_lines[0].startswith("#DECLARATION"):
@@ -340,7 +347,7 @@ def parse_explicit(tra_text: str, lab_text: str) -> CompiledModel:
                 labels.setdefault(name, set()).add(idx)
     return CompiledModel(
         tuple(range(n_states)),
-        _rows(n_states, grouped),
+        rows,
         {name: frozenset(members) for name, members in labels.items()},
         frozenset(init),
     )

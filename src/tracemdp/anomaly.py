@@ -1,15 +1,16 @@
 """Run-likelihood anomaly detection, offline and prefix-conditioned online.
 
 A run's score is the natural-log likelihood of its abstract path under the
-induced model: sum of ln P(s_i, a_i, s_{i+1}).  A factor of zero or an
-unobserved (state, action) pair yields the -inf sentinel: such runs are
-anomalous by definition and are excluded from the statistics.
+induced model: sum of ln P(s_i, a_i, s_{i+1}).  A transition the model
+never observed yields the -inf sentinel: such runs are anomalous by
+definition and are excluded from the statistics.
 
-``RunMonitor`` is the one scorer: it alone looks up transition
-probabilities and sums their logs, left to right from 0.0.  Whole-run
-scores (``score_run``, ``run_loglik``, ``checkpoint_warnings``), the
-checkpoint statistics (``prefix_stats``, one pass per run) and the streaming
-monitor all feed one, so every path yields bit-identical sums.
+``RunMonitor`` is the one scorer: it alone reads the model's table of
+transition log-probabilities (``amdp.CompiledModel.logp``, the model that
+the checker and the export read) and sums it, left to right from 0.0.
+Whole-run scores (``score_run``, ``run_loglik``, ``checkpoint_warnings``),
+the checkpoint statistics (``prefix_stats``, one pass per run) and the
+streaming monitor all feed one, so every path yields bit-identical sums.
 
 Offline detection flags a run when its score falls below
 mu - z_{1-alpha} * sigma (one-sided, low side); when the training scores
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, InsufficientData, InvalidConfig, UnobservedStateAction
+from .errors import DomainError, InsufficientData, InvalidConfig
 from .trace_model import AbstractPath
 
 DEFAULT_CHECKPOINTS = tuple(range(10, 201, 10))
@@ -316,7 +317,7 @@ class RunMonitor:
         stats: Mapping[int, CheckpointStats] | None = None,
         cfg: DetectorConfig | None = None,
     ):
-        self.model = model
+        self.logp = model.logp
         self.stats = {k: cp for k, cp in (stats or {}).items() if cp.armed}
         self.cfg = cfg or DetectorConfig()
         self.loglik = 0.0
@@ -327,14 +328,11 @@ class RunMonitor:
         if self.dead:
             return []
         self.steps += 1
-        try:
-            p = self.model.probability(src, action, dst)
-        except UnobservedStateAction:
-            p = 0.0
-        if p <= 0.0:
+        logp = self.logp.get((src, action, dst))
+        if logp is None:
             self.dead = True
             return [{"kind": "unseen_transition", "step": self.steps - 1}]
-        self.loglik += math.log(p)
+        self.loglik += logp
         cp = self.stats.get(self.steps)
         if cp is None:
             return []

@@ -5,11 +5,10 @@ iteration over the empirically enabled actions, evaluates optional
 thresholds, and extracts a diagnostic witness path (the most probable
 target-reaching path under an optimizing memoryless scheduler).
 
-Value iteration, the scheduler and the witness read only the
-``amdp.CompiledModel``, the one structure the export also writes;
-``check`` compiles the count MDP once per query.  Terminal states have no
-stored transitions; the checker treats them as absorbing, which pins their
-value to 1 on the target and 0 off it.
+Everything here reads the ``amdp.CompiledModel`` that ``amdp.induce``
+returns, the one model the export writes and the scorer reads too.
+Terminal states have no stored transitions; the checker treats them as
+absorbing, which pins their value to 1 on the target and 0 off it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .amdp import Amdp, Choice, CompiledModel, compile_model
+from .amdp import Choice, CompiledModel
 from .errors import InvalidConfig, PropertySyntaxError, UnknownLabel
 from .trace_model import AbstractPath
 
@@ -313,19 +312,18 @@ class CheckResult:
         }
 
 
-def check(mdp: Amdp, query: ReachQuery, epsilon: float = 1e-8) -> CheckResult:
+def check(model: CompiledModel, query: ReachQuery, epsilon: float = 1e-8) -> CheckResult:
     """Evaluates the query at the modal initial state and extracts a witness.
 
     The verdict compares the modal-initial value against the threshold when
-    one is present.  Values for every observed initial state are reported
-    alongside, since traces may start in several abstract states.  The
-    modal state comes from the initial-state counts, which the compiled
-    model does not carry.
+    one is present.  Values for every initial state are reported alongside,
+    since traces may start in several abstract states.  The modal state
+    comes from the initial-state counts, so a model without them (a parsed
+    export) has no value, verdict or witness.
     """
-    model = compile_model(mdp)
     vi = reach_values(model, query, epsilon)
-    modal = mdp.modal_initial()
-    per_initial = {s: vi.values[s] for s in sorted(mdp.initial) if s in vi.values}
+    modal = model.modal_initial()
+    per_initial = {model.states[i]: vi.values[model.states[i]] for i in sorted(model.init)}
     value = vi.values.get(modal) if modal is not None else None
     verdict = None
     if query.threshold is not None and value is not None:

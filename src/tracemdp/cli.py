@@ -94,7 +94,7 @@ def _detector_setup(args) -> tuple:
     """(store, detector config, prefix statistics of the store's training runs)."""
     store = load_store(args.store)
     cfg = DetectorConfig(alpha=args.alpha, checkpoints=_checkpoints(args.checkpoints))
-    return store, cfg, prefix_stats(store.runs, store.amdp, cfg.checkpoints)
+    return store, cfg, prefix_stats(store.runs, store.model, cfg.checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +136,9 @@ def _cmd_build(args) -> int:
     _print_json(
         {
             "store": args.out,
-            "states": len(store.amdp.states),
-            "transitions": len(store.amdp.counts3),
-            "labels": {k: sorted(v) for k, v in sorted(store.amdp.labels.items())},
+            "states": store.model.n_states,
+            "transitions": len(store.model.counts3),
+            "labels": store.model.label_ids(),
             "mixed": {k: sorted(v) for k, v in sorted(store.label_report.mixed.items()) if v},
         }
     )
@@ -151,7 +151,7 @@ def _cmd_check(args) -> int:
         store = build(*load_store_inputs(args.store, args.log))
     else:
         store = load_store(args.store)
-    result = check(store.amdp, query, epsilon=args.epsilon)
+    result = check(store.model, query, epsilon=args.epsilon)
     _print_json(result.to_json_dict())
     return 1 if result.verdict is False else 0
 
@@ -159,7 +159,7 @@ def _cmd_check(args) -> int:
 def _cmd_score(args) -> int:
     store, cfg, stats = _detector_setup(args)
     detector = OfflineDetector(cfg).fit(
-        run_loglik(store.amdp, run, trace_id) for run, trace_id in zip(store.runs, store.trace_ids)
+        run_loglik(store.model, run, trace_id) for run, trace_id in zip(store.runs, store.trace_ids)
     )
 
     target_log = read_trace_log(args.log)
@@ -167,7 +167,7 @@ def _cmd_score(args) -> int:
     try:
         for trace in target_log:
             run = abstract_trace(store.tree, trace)
-            score, warnings = score_run(store.amdp, run, stats, cfg, trace.trace_id)
+            score, warnings = score_run(store.model, run, stats, cfg, trace.trace_id)
             verdict = detector.flag(score)
             _print_json(
                 {
@@ -259,7 +259,7 @@ def _cmd_monitor(args) -> int:
         last[event.trace_id] = (event.post, dst)
         monitor = monitors.get(event.trace_id)
         if monitor is None:
-            monitor = monitors[event.trace_id] = RunMonitor(store.amdp, stats, cfg)
+            monitor = monitors[event.trace_id] = RunMonitor(store.model, stats, cfg)
         for alert in monitor.feed(src, event.action, dst):
             _print_json({"trace_id": event.trace_id, **alert})
             sys.stdout.flush()
@@ -304,7 +304,7 @@ def _cmd_export(args) -> int:
         raise TraceMdpError(f"unsupported export format {args.format!r}")
     store = load_store(args.store)
     os.makedirs(args.out, exist_ok=True)
-    tra_path, lab_path = write_model(store.amdp, args.out)
+    tra_path, lab_path = write_model(store.model, args.out)
     _print_json({"transitions": tra_path, "labels": lab_path})
     return 0
 

@@ -33,10 +33,6 @@ class UnknownLeaf(TraceMdpError):
     """The referenced node is not a leaf of the current tree."""
 
 
-class UnobservedStateAction(TraceMdpError):
-    """probability() was asked about a (state, action) pair with no counts."""
-
-
 class UnknownVariable(TraceMdpError):
     """A label rule references a variable outside the goal/check partitions."""
 

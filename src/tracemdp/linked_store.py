@@ -3,7 +3,8 @@
 ``build`` routes every state of the log through the tree exactly once and
 keeps the abstract runs (``LinkedStore.runs``, one per trace, in log
 order).  The runs are the store's only record of where each concrete state
-routes: the count MDP, the terminal labels and (saved with the store) the
+routes: the labels, then the one count model (``amdp.induce``, read by the
+checker, the export and the scorer) and, saved with the store, the
 detectors of ``score`` and ``monitor`` are built from them, a refinement
 witness is realized against them (``refinement.concretize``), and the
 concrete states behind an abstract state are read straight off them
@@ -11,11 +12,7 @@ concrete states behind an abstract state are read straight off them
 
 * I2  there is one run per trace, and each run is its trace re-abstracted
       under the tree;
-* I4  the MDP's state set is exactly the tree's abstract-state ids.
-
-apply_split currently realizes the refined store by a full rebuild, which
-the equality-with-rebuild property keeps honest if an incremental path is
-added later.
+* I4  the model's state set is exactly the tree's abstract-state ids.
 
 A saved store is a directory of five files:
 
@@ -28,13 +25,14 @@ A saved store is a directory of five files:
 * ``manifest.json``, naming the training log, its SHA-256, the tree file
   and the labeling config.
 
-A store file that is not the JSON it should be, or lacks a key, raises
+A store file that is not the JSON it should be, lacks a key, or (the
+manifest) holds a labeling config ``LabelingConfig`` rejects, raises
 ``DamagedStore`` naming the file; a malformed tree file raises
 ``InvalidConfig`` (``PredicateTree.load``).
 
 ``load_store`` hashes the training log and refuses it if the hash no longer
 matches the manifest (``StaleLog``), but never parses it: it returns a
-``SavedStore`` (tree, MDP induced from the saved runs with the saved
+``SavedStore`` (tree, model induced from the saved runs with the saved
 labels, runs, trace ids, schema), which is all that ``check``, ``export``,
 ``score`` and ``monitor`` read.  ``load_store_inputs`` reads the manifest,
 tree and log back for the commands that rebuild the full store
@@ -50,7 +48,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from . import amdp as amdp_mod
-from .amdp import Amdp, LabelReport, LabelRule
+from .amdp import LABEL_MODES, CompiledModel, LabelReport, LabelRule
 from .errors import DamagedStore, StaleLog, StaleSplit, TraceMdpError
 from .predicate_tree import (
     LabeledBatch,
@@ -73,6 +71,13 @@ class LabelingConfig:
     failure_mode: str = "any"
     rules: tuple[LabelRule, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.terminal_labels, bool):
+            raise ValueError(f"terminal_labels must be a boolean, not {self.terminal_labels!r}")
+        for mode in (self.success_mode, self.failure_mode):
+            if mode not in LABEL_MODES:
+                raise ValueError(f"unknown label mode {mode!r}")
+
     def to_json_dict(self) -> dict:
         return {
             "terminal_labels": self.terminal_labels,
@@ -86,22 +91,21 @@ class LabelingConfig:
 
     @staticmethod
     def from_json_dict(raw: dict) -> "LabelingConfig":
-        rules = [
-            LabelRule(r["name"], tuple(predicate_from_json(a) for a in r["atoms"]), r["mode"])
-            for r in raw.get("rules", [])
-        ]
         return LabelingConfig(
-            terminal_labels=bool(raw.get("terminal_labels", True)),
+            terminal_labels=raw.get("terminal_labels", True),
             success_mode=raw.get("success_mode", "all"),
             failure_mode=raw.get("failure_mode", "any"),
-            rules=tuple(rules),
+            rules=tuple(
+                LabelRule(r["name"], tuple(predicate_from_json(a) for a in r["atoms"]), r["mode"])
+                for r in raw.get("rules", [])
+            ),
         )
 
 
 @dataclass
 class LinkedStore:
     tree: PredicateTree
-    amdp: Amdp
+    model: CompiledModel
     log: TraceLog
     runs: tuple[AbstractPath, ...]  # runs[i] is log[i] routed through tree
     labeling: LabelingConfig = field(default_factory=LabelingConfig)
@@ -113,32 +117,30 @@ def build(
     tree: PredicateTree,
     labeling: LabelingConfig | None = None,
 ) -> LinkedStore:
-    """Routes a log through a tree and assembles the MDP and labels."""
+    """Routes a log through a tree, labels the abstract states, then induces the model.
+
+    A rule label named like a terminal label adds its states to that
+    label's; ``label_report`` keeps the rule's own states and mixed states.
+    """
     labeling = labeling or LabelingConfig()
     runs = tuple(abstract_trace(tree, trace) for trace in log)
-    mdp = amdp_mod.induce(runs, tree.abstract_ids())
-
+    states = tree.abstract_ids()
     report = LabelReport()
     if labeling.terminal_labels:
-        report = amdp_mod.label_by_terminal(
-            mdp, log, runs, labeling.success_mode, labeling.failure_mode
-        )
+        report = amdp_mod.label_by_terminal(log, runs, labeling.success_mode, labeling.failure_mode)
+    labels = {name: set(members) for name, members in report.labeled.items()}
     if labeling.rules:
         evidence: dict[int, list[ConcreteState]] = {}
         for trace, run in zip(log, runs):
             for abstract_id, state in zip(run.states, trace.states):
                 evidence.setdefault(abstract_id, []).append(state)
-        rule_report = amdp_mod.label_states(mdp, labeling.rules, evidence)
+        rule_report = amdp_mod.label_states(states, labeling.rules, evidence)
+        for name, members in rule_report.labeled.items():
+            labels.setdefault(name, set()).update(members)
         report.labeled.update(rule_report.labeled)
         report.mixed.update(rule_report.mixed)
-    return LinkedStore(
-        tree=tree,
-        amdp=mdp,
-        log=log,
-        runs=runs,
-        labeling=labeling,
-        label_report=report,
-    )
+    model = amdp_mod.induce(runs, states, labels)
+    return LinkedStore(tree, model, log, runs, labeling, report)
 
 
 def batch_for_leaf(store: LinkedStore, abstract_id: int) -> LabeledBatch:
@@ -164,9 +166,9 @@ def check_invariants(store: LinkedStore) -> list[str]:
         if (run.states, run.actions) != (states, trace.actions):
             violations.append(f"I2: run {t} differs from trace {trace.trace_id!r} re-abstracted")
 
-    # I4: the MDP state set is exactly the tree's abstract-state ids.
-    if store.amdp.states != set(store.tree.abstract_ids()):
-        violations.append("I4: MDP state set differs from the tree's abstract-state ids")
+    # I4: the model's state set is exactly the tree's abstract-state ids.
+    if list(store.model.states) != store.tree.abstract_ids():
+        violations.append("I4: model state set differs from the tree's abstract-state ids")
 
     return violations
 
@@ -201,7 +203,7 @@ class SavedStore:
     """What the read-only commands need of a saved store."""
 
     tree: PredicateTree
-    amdp: Amdp
+    model: CompiledModel
     runs: tuple[AbstractPath, ...]  # in training log order
     trace_ids: tuple[str, ...]  # trace_ids[i] is the id of the trace behind runs[i]
     schema: dict[str, tuple[str, str]] | None  # the training log's frozen schema
@@ -215,10 +217,10 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_model(mdp: Amdp, directory: str) -> tuple[str, str]:
+def write_model(model: CompiledModel, directory: str) -> tuple[str, str]:
     """Writes the explicit-state export into a directory; returns (tra, lab) paths."""
     paths = (os.path.join(directory, TRA_FILE), os.path.join(directory, LAB_FILE))
-    for path, text in zip(paths, amdp_mod.export_explicit(mdp)):
+    for path, text in zip(paths, amdp_mod.export_explicit(model)):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return paths
@@ -228,7 +230,7 @@ def save_store(store: LinkedStore, directory: str, log_path: str) -> None:
     """Writes tree JSON, explicit-state export, the routed runs and a rebuild manifest."""
     os.makedirs(directory, exist_ok=True)
     store.tree.save(os.path.join(directory, TREE_FILE))
-    write_model(store.amdp, directory)
+    write_model(store.model, directory)
     manifest = {
         "log": os.path.abspath(log_path),
         "log_sha256": _sha256_file(log_path),
@@ -244,7 +246,7 @@ def save_store(store: LinkedStore, directory: str, log_path: str) -> None:
         "runs": [
             [trace.trace_id, run.states, run.actions] for trace, run in zip(store.log, store.runs)
         ],
-        "labels": {name: sorted(states) for name, states in store.amdp.labels.items()},
+        "labels": store.model.label_ids(),
     }
     with open(os.path.join(directory, RUNS_FILE), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(saved, sort_keys=True, separators=(",", ":")) + "\n")
@@ -294,18 +296,16 @@ def load_store_inputs(
 def load_store(directory: str) -> SavedStore:
     """Loads the tree and the saved runs; the training log is hashed, never parsed.
 
-    The MDP is induced from the runs exactly as ``build`` induces it, and
-    its labels are the saved ones.
+    The model is induced from the runs exactly as ``build`` induces it,
+    with the saved labels.
     """
     _manifest, tree, _log_path = _open_store(directory, None)
     path = os.path.join(directory, RUNS_FILE)
     with _reading(path), open(path, "r", encoding="utf-8") as fh:
         saved = json.load(fh)
         runs = tuple(AbstractPath(tuple(states), tuple(actions)) for _id, states, actions in saved["runs"])
-        labels = {name: set(states) for name, states in saved["labels"].items()}
+        model = amdp_mod.induce(runs, tree.abstract_ids(), saved["labels"])
         trace_ids = tuple(trace_id for trace_id, _states, _actions in saved["runs"])
         schema = saved["schema"]
         schema = None if schema is None else {name: (part, tag) for name, part, tag in schema}
-    mdp = amdp_mod.induce(runs, tree.abstract_ids())
-    mdp.labels = labels
-    return SavedStore(tree=tree, amdp=mdp, runs=runs, trace_ids=trace_ids, schema=schema)
+    return SavedStore(tree=tree, model=model, runs=runs, trace_ids=trace_ids, schema=schema)

@@ -161,7 +161,7 @@ def verify_refine_loop(
             on_iteration(store, entry)
 
     for iteration in range(cfg.max_iterations):
-        result = check(store.amdp, cfg.property)
+        result = check(store.model, cfg.property)
         entry: dict = {"iter": iteration, "leaves": store.tree.n_leaves, "bound": result.value}
 
         if cfg.property.threshold is None:

@@ -46,16 +46,30 @@ def mk_runs(log, tree) -> list:
     return [abstract_trace(tree, trace) for trace in log]
 
 
+def count_totals(m) -> dict:
+    """{(state, action): C(s,a)}, summed straight from ``m.counts3``."""
+    totals: dict = {}
+    for (s, a, _d), n in m.counts3.items():
+        totals[(s, a)] = totals.get((s, a), 0) + n
+    return totals
+
+
+def count_probability(m, src, action, dst) -> float:
+    """C(s,a,s') / C(s,a) straight from ``m.counts3``; 0.0 for a pair never counted."""
+    total = count_totals(m).get((src, action), 0)
+    return m.counts3.get((src, action, dst), 0) / total if total else 0.0
+
+
 def count_successors(m) -> dict:
     """{state: {action: [(dst, probability), ...]}} read straight from the counts.
 
     Actions and destinations are in ascending order.  Reference solvers use
-    this in place of ``amdp.compile_model``, so they stay independent of it.
+    this in place of the model's rows, so they stay independent of them.
     """
+    totals = count_totals(m)
     table: dict = {}
     for (s, a, d), n in sorted(m.counts3.items()):
-        if n > 0:
-            table.setdefault(s, {}).setdefault(a, []).append((d, n / m.counts2[(s, a)]))
+        table.setdefault(s, {}).setdefault(a, []).append((d, n / totals[(s, a)]))
     return table
 
 

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ import pytest
 from conftest import (
     assert_compiled_equal,
     compiled_transitions,
+    count_probability,
     count_successors,
+    count_totals,
     mk_log,
     mk_state,
     mk_trace,
 )
-from tracemdp.amdp import Amdp, compile_model, export_explicit, parse_explicit
+from tracemdp.amdp import export_explicit, from_counts, parse_explicit
 from tracemdp.anomaly import DetectorConfig, OfflineDetector, normal_quantile, run_loglik
 from tracemdp.checker import ReachQuery, check, parse_property, reach_values
 from tracemdp.generator import GeneratorConfig, generate_corpus
@@ -170,19 +173,18 @@ def _enumerate_schedulers(model, target, direction):
 
 
 def _random_mdp(rng):
+    """A model over ids 0..n-1, so ids are indices; its "goal" label is random."""
     n = int(rng.integers(2, 7))
-    m = Amdp()
+    counts = {}
     for s in range(n):
-        m.add_state(s)
         for a in range(int(rng.integers(1, 4))):
             if rng.uniform() < 0.15 and s > 0:
                 continue
             support = rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False)
             for dst in support:
-                m.ingest(s, f"a{a}", int(dst), weight=int(rng.integers(1, 10)))
-    m.record_initial(0)
-    m.labels["goal"] = {int(s) for s in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
-    return m
+                counts[(s, f"a{a}", int(dst))] = int(rng.integers(1, 10))
+    goal = {int(s) for s in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
+    return from_counts(range(n), counts, {0: 1}, {"goal": goal})
 
 
 @criterion(2, "value iteration matches scheduler enumeration to 1e-6 on 200 MDPs")
@@ -193,7 +195,7 @@ def test_criterion_2_reachability_oracle():
         m = _random_mdp(rng)
         target = m.labels["goal"]
         for direction in ("max", "min"):
-            got = reach_values(compile_model(m), ReachQuery(direction, "goal")).values
+            got = reach_values(m, ReachQuery(direction, "goal")).values
             want = _enumerate_schedulers(m, target, direction)
             for s in m.states:
                 assert got[s] == pytest.approx(want[s], abs=1e-6), (direction, s)
@@ -280,8 +282,7 @@ def _random_refinement_log(rng):
 def _stores_equal(a, b) -> bool:
     return (
         a.tree.structurally_equal(b.tree)
-        and a.amdp.equal_counts(b.amdp)
-        and a.amdp.labels == b.amdp.labels
+        and a.model == b.model
         and a.runs == b.runs
     )
 
@@ -345,9 +346,14 @@ def _quantile_by_bisection(p: float) -> float:
 @criterion(5, "likelihood math: additivity, prefix truncation (1e-9), quantile oracle (1e-5)")
 def test_criterion_5_likelihood_math():
     rng = np.random.default_rng(505)
-    m = Amdp()
-    for _ in range(800):
-        m.ingest(int(rng.integers(0, 4)), f"a{rng.integers(0, 2)}", int(rng.integers(0, 4)))
+    m = from_counts(
+        (),
+        Counter(
+            (int(rng.integers(0, 4)), f"a{rng.integers(0, 2)}", int(rng.integers(0, 4)))
+            for _ in range(800)
+        ),
+        {},
+    )
 
     # Additivity over chain-consistent concatenations.
     for _ in range(40):
@@ -373,7 +379,7 @@ def test_criterion_5_likelihood_math():
             manual = 0.0
             dead = False
             for i in range(k):
-                p = m.probability(states[i], actions[i], states[i + 1])
+                p = count_probability(m, states[i], actions[i], states[i + 1])
                 if p == 0.0:
                     dead = True
                     break
@@ -409,7 +415,7 @@ def desk_pipeline(tmp_path_factory):
     train_log = read_trace_log(train_paths.baseline)
     tree = build_initial_tree(train_log, TreeConfig())
     store = build(train_log, tree)
-    model = store.amdp
+    model = store.model
 
     detector = OfflineDetector(DetectorConfig(alpha=0.05)).fit(
         run_loglik(model, abstract_trace(tree, trace), trace.trace_id)
@@ -465,16 +471,27 @@ def test_criterion_6_desk_scale_detection(desk_pipeline):
     )
 
 
+def test_run_loglik_is_the_left_to_right_count_sum(desk_pipeline):
+    """Exactly, not approximately: each run's score is sum(log(C(s,a,s') / C(s,a))) from 0.0."""
+    model = desk_pipeline["store"].model
+    totals = count_totals(model)
+    for run in desk_pipeline["store"].runs:
+        expected = 0.0
+        for step in run.steps():
+            expected += math.log(model.counts3[step] / totals[step[:2]])
+        assert run_loglik(model, run).loglik == expected
+
+
 @criterion(7, "empirical success fraction inside [Pmin - 0.02, Pmax + 0.02]")
 def test_criterion_7_sandwich(desk_pipeline):
     store = desk_pipeline["store"]
     tree = desk_pipeline["tree"]
     log = desk_pipeline["log"]
-    modal = store.amdp.modal_initial()
+    modal = store.model.modal_initial()
     from_modal = [t for t in log if t.n_states and tree.abstract(t.states[0]) == modal]
     empirical = sum(t.terminal_status.value == "success" for t in from_modal) / len(from_modal)
-    vmax = check(store.amdp, parse_property('Pmax=? [F "success"]')).value
-    vmin = check(store.amdp, parse_property('Pmin=? [F "success"]')).value
+    vmax = check(store.model, parse_property('Pmax=? [F "success"]')).value
+    vmin = check(store.model, parse_property('Pmin=? [F "success"]')).value
     assert vmin - 0.02 <= empirical <= vmax + 0.02, (vmin, empirical, vmax)
     return f"Pmin={vmin:.4f} <= empirical={empirical:.4f} <= Pmax={vmax:.4f}"
 
@@ -557,7 +574,7 @@ def test_criterion_8_refinement_loop():
 @criterion(9, "PRISM explicit export is byte-deterministic and round-trips probabilities")
 def test_criterion_9_export_round_trip(desk_pipeline):
     rng = np.random.default_rng(909)
-    models = [desk_pipeline["store"].amdp]
+    models = [desk_pipeline["store"].model]
     for _ in range(20):
         models.append(_random_mdp(rng))
     for m in models:
@@ -565,18 +582,17 @@ def test_criterion_9_export_round_trip(desk_pipeline):
         tra2, lab2 = export_explicit(m)
         assert tra1 == tra2 and lab1 == lab2, "export must be byte-deterministic"
         parsed = parse_explicit(tra1, lab1)
-        assert_compiled_equal(parsed, compile_model(m))
+        assert_compiled_equal(parsed, m)
         index = {s: i for i, s in enumerate(sorted(m.states))}
         assert parsed.n_states == len(m.states)
         transitions = compiled_transitions(parsed)
+        totals = count_totals(m)
         count = 0
         for (s, a, d), n in m.counts3.items():
             if n > 0:
-                assert transitions[(index[s], a, index[d])] == m.probability(s, a, d)
+                assert transitions[(index[s], a, index[d])] == n / totals[(s, a)]
                 count += 1
         assert count == len(transitions)
         assert set(parsed.labels) == set(m.labels)
-        for name, states in m.labels.items():
-            assert parsed.labels[name] == {index[s] for s in states}
         assert parsed.init == {index[s] for s, n in m.initial.items() if n > 0}
     return f"{len(models)} models, exact probability equality"

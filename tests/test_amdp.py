@@ -1,80 +1,93 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_compiled_equal, compiled_transitions, mk_log, mk_runs, mk_state, mk_trace
+from conftest import (
+    assert_compiled_equal,
+    compiled_transitions,
+    count_probability,
+    count_totals,
+    mk_log,
+    mk_runs,
+    mk_state,
+    mk_trace,
+)
 from tracemdp.amdp import (
-    Amdp,
     LabelRule,
-    compile_model,
     export_explicit,
+    from_counts,
     induce,
     label_by_terminal,
     label_states,
     parse_explicit,
 )
-from tracemdp.errors import UnknownVariable, UnobservedStateAction
+from tracemdp.errors import UnknownVariable
 from tracemdp.predicate_tree import BooleanEq, ScalarThreshold, TreeConfig, build_initial_tree
+from tracemdp.trace_model import AbstractPath
+
+
+def random_counts(rng, n_draws, n_states=5, n_actions=3):
+    """{(s, a, s'): count} of ``n_draws`` uniform transitions."""
+    return Counter(
+        (int(rng.integers(0, n_states)), f"a{rng.integers(0, n_actions)}", int(rng.integers(0, n_states)))
+        for _ in range(n_draws)
+    )
+
+
+def step(src, action, dst):
+    return AbstractPath((src, dst), (action,))
 
 
 class TestIngestAndProbability:
+    """Counts, and the probabilities C(s,a,s') / C(s,a) the model derives from them."""
+
     def test_single_ingest(self):
-        m = Amdp()
-        m.ingest(0, "a", 1)
-        assert m.counts3[(0, "a", 1)] == 1
-        assert m.counts2[(0, "a")] == 1
-        assert m.states == {0, 1}
-        assert m.actions == {"a"}
+        m = induce([step(0, "a", 1)], ())
+        assert m.counts3 == {(0, "a", 1): 1}
+        assert m.initial == {0: 1}
+        assert m.states == (0, 1)
+        assert m.rows == ((("a", (1,), (1.0,)),), ())
 
     def test_half_probability(self):
-        m = Amdp()
-        m.ingest(0, "a", 1)
-        m.ingest(0, "a", 2)
-        assert m.probability(0, "a", 1) == 0.5
+        m = induce([step(0, "a", 1), step(0, "a", 2)], ())
+        assert compiled_transitions(m)[(0, "a", 1)] == 0.5
 
     def test_ratio_examples(self):
-        m = Amdp()
-        for _ in range(3):
-            m.ingest(0, "a", 1)
-        m.ingest(0, "a", 2)
-        assert m.probability(0, "a", 1) == 0.75
-        m2 = Amdp()
-        for _ in range(4):
-            m2.ingest(0, "a", 1)
-        assert m2.probability(0, "a", 1) == 1.0
+        m = from_counts((), {(0, "a", 1): 3, (0, "a", 2): 1}, {})
+        assert compiled_transitions(m)[(0, "a", 1)] == 0.75
+        m2 = from_counts((), {(0, "a", 1): 4}, {})
+        assert compiled_transitions(m2)[(0, "a", 1)] == 1.0
 
     def test_unobserved_pair(self):
-        m = Amdp()
-        m.ingest(0, "a", 1)
-        with pytest.raises(UnobservedStateAction):
-            m.probability(0, "b", 1)
-        with pytest.raises(UnobservedStateAction):
-            m.probability(5, "a", 1)
-        # Unobserved destination under an observed pair is probability zero.
-        assert m.probability(0, "a", 99) == 0.0
+        m = from_counts((), {(0, "a", 1): 1}, {})
+        # The scorer's table has no key for an unobserved pair, state or destination.
+        assert m.logp == {(0, "a", 1): 0.0}
+        for unseen in ((0, "b", 1), (5, "a", 1), (0, "a", 99)):
+            assert unseen not in m.logp
 
     def test_row_stochastic_within_tolerance(self):
-        rng = np.random.default_rng(13)
-        m = Amdp()
-        for _ in range(500):
-            m.ingest(int(rng.integers(0, 5)), f"a{rng.integers(0, 3)}", int(rng.integers(0, 5)))
-        for row in compile_model(m).rows:
+        m = from_counts((), random_counts(np.random.default_rng(13), 500), {})
+        for row in m.rows:
             for _action, _dsts, probs in row:
                 assert abs(sum(probs) - 1.0) <= 1e-12
 
     def test_terminal_states(self):
-        m = Amdp()
-        m.ingest(0, "a", 1)
-        m.add_state(7)
-        model = compile_model(m)
-        assert {s for s, row in zip(model.states, model.rows) if not row} == {1, 7}
+        m = from_counts([7], {(0, "a", 1): 1}, {})
+        assert {s for s, row in zip(m.states, m.rows) if not row} == {1, 7}
 
     def test_counts2_marginalizes_counts3(self):
-        rng = np.random.default_rng(3)
-        m = Amdp()
-        for _ in range(300):
-            m.ingest(int(rng.integers(0, 4)), f"a{rng.integers(0, 2)}", int(rng.integers(0, 4)))
-        for (s, a), n in m.counts2.items():
-            assert n == sum(c for (s2, a2, _d), c in m.counts3.items() if (s2, a2) == (s, a))
+        m = from_counts((), random_counts(np.random.default_rng(3), 300, n_states=4, n_actions=2), {})
+        totals = count_totals(m)
+        for (s, a, d), p in compiled_transitions(m).items():  # ids are indices here
+            assert p == m.counts3[(s, a, d)] / totals[(s, a)]
+
+    def test_zero_counts_dropped(self):
+        m = from_counts((), {(0, "a", 1): 2, (0, "a", 2): 0}, {3: 0, 0: 1})
+        assert m.counts3 == {(0, "a", 1): 2} and m.initial == {0: 1}
+        assert m.states == (0, 1)
 
 
 class TestInduce:
@@ -97,12 +110,12 @@ class TestInduce:
             for i, action in enumerate(trace.actions):
                 key = (tree.abstract(trace.states[i]), action)
                 recount[key] = recount.get(key, 0) + 1
-        assert recount == {k: v for k, v in m.counts2.items() if v}
+        assert recount == count_totals(m)
 
     def test_determinism(self):
         log, tree = self.make()
         runs = mk_runs(log, tree)
-        assert induce(runs, tree.abstract_ids()).equal_counts(induce(runs, tree.abstract_ids()))
+        assert induce(runs, tree.abstract_ids()) == induce(runs, tree.abstract_ids())
 
     def test_initial_multiset(self):
         log, tree = self.make()
@@ -113,7 +126,27 @@ class TestInduce:
     def test_all_leaves_become_states(self):
         log, tree = self.make()
         m = induce(mk_runs(log, tree), tree.abstract_ids())
-        assert set(tree.abstract_ids()) <= m.states
+        assert set(tree.abstract_ids()) <= set(m.states)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.tuples(st.integers(0, 3), st.sampled_from("ab")), max_size=6), max_size=8),
+        st.lists(st.lists(st.tuples(st.integers(0, 3), st.sampled_from("ab")), max_size=6), max_size=8),
+    )
+    def test_concatenation_sums_counts(self, a_steps, b_steps):
+        """Inducing a + b counts what inducing a and b count, summed."""
+
+        def runs(steps_per_run):
+            # Each run visits its listed states; empty runs have no states.
+            return [
+                AbstractPath(tuple(s for s, _ in steps), tuple(a for _, a in steps[1:]))
+                for steps in steps_per_run
+            ]
+
+        a, b = runs(a_steps), runs(b_steps)
+        whole, part_a, part_b = induce(a + b, ()), induce(a, ()), induce(b, ())
+        assert whole.counts3 == Counter(part_a.counts3) + Counter(part_b.counts3)
+        assert whole.initial == Counter(part_a.initial) + Counter(part_b.initial)
 
 
 class TestLabeling:
@@ -130,49 +163,38 @@ class TestLabeling:
         )
 
     def test_all_mode_labels_uniform_leaf(self):
-        m = Amdp()
-        m.add_state(0)
         ev = self.evidence(
             **{"0": [{"testsPassed": True, "committed": True}] * 3}
         )
-        report = label_states(m, [self.rule()], {0: ev["0"]})
-        assert m.labels["success"] == {0}
+        report = label_states([0], [self.rule()], {0: ev["0"]})
+        assert report.labeled["success"] == {0}
         assert report.mixed["success"] == set()
 
     def test_all_mode_mixed_leaf_reported(self):
-        m = Amdp()
-        m.add_state(0)
         ev = [
             mk_state(check={"testsPassed": True, "committed": True}),
             mk_state(check={"testsPassed": False, "committed": True}),
         ]
-        report = label_states(m, [self.rule()], {0: ev})
-        assert m.labels["success"] == set()
+        report = label_states([0], [self.rule()], {0: ev})
+        assert report.labeled["success"] == set()
         assert report.mixed["success"] == {0}
 
     def test_any_mode(self):
-        m = Amdp()
-        m.add_state(0)
         ev = [
             mk_state(check={"testsPassed": True, "committed": True}),
             mk_state(check={"testsPassed": False, "committed": True}),
         ]
-        label_states(m, [self.rule(mode="any")], {0: ev})
-        assert m.labels["success"] == {0}
+        assert label_states([0], [self.rule(mode="any")], {0: ev}).labeled["success"] == {0}
 
     def test_unknown_variable(self):
-        m = Amdp()
-        m.add_state(0)
         rule = LabelRule("x", (BooleanEq("nonexistent", True),), "all")
         with pytest.raises(UnknownVariable):
-            label_states(m, [rule], {0: [mk_state(check={"testsPassed": True})]})
+            label_states([0], [rule], {0: [mk_state(check={"testsPassed": True})]})
 
     def test_state_partition_variable_rejected(self):
-        m = Amdp()
-        m.add_state(0)
         rule = LabelRule("x", (ScalarThreshold("iteration", 3.0),), "all")
         with pytest.raises(UnknownVariable):
-            label_states(m, [rule], {0: [mk_state(state={"iteration": 5})]})
+            label_states([0], [rule], {0: [mk_state(state={"iteration": 5})]})
 
     def test_terminal_labeling_matches_recount(self):
         traces = [
@@ -182,49 +204,48 @@ class TestLabeling:
         ]
         log = mk_log(traces)
         tree = build_initial_tree(log, TreeConfig(min_leaf_size=1, min_gain=0.0))
-        runs = mk_runs(log, tree)
-        m = induce(runs, tree.abstract_ids())
-        label_by_terminal(m, log, runs)
+        labels = label_by_terminal(log, mk_runs(log, tree)).labeled
         success_ends = {tree.abstract(t.states[-1]) for t in traces[:3]}
         fail_end = tree.abstract(traces[3].states[1])
-        assert m.labels["failure"] == {fail_end}
+        assert labels["failure"] == {fail_end}
         # Success states under mode=all exclude any leaf with a failure ender.
-        assert all(s not in m.labels["success"] for s in {fail_end} - success_ends or set())
-        assert success_ends - {fail_end} <= m.labels["success"]
+        assert all(s not in labels["success"] for s in {fail_end} - success_ends or set())
+        assert success_ends - {fail_end} <= labels["success"]
+
+    @pytest.mark.parametrize("modes", [("most", "any"), ("all", "")])
+    def test_unknown_terminal_mode_rejected(self, modes):
+        log = mk_log([mk_trace("s", [{"x": 0}, {"x": 1}], ["go"], status="success")])
+        runs = mk_runs(log, build_initial_tree(log, TreeConfig(min_leaf_size=1)))
+        with pytest.raises(ValueError, match="unknown label mode"):
+            label_by_terminal(log, runs, *modes)
 
 
 class TestExport:
     def test_two_state_deterministic_edge(self):
-        m = Amdp()
-        m.ingest(0, "a", 1)
-        m.record_initial(0)
-        tra, lab = export_explicit(m)
+        tra, lab = export_explicit(induce([step(0, "a", 1)], ()))
         assert tra.splitlines()[0] == "2 1 1"
         assert tra.splitlines()[1] == "0 0 1 1.0 a"
         assert lab.splitlines()[0] == "#DECLARATION init #END"
         assert lab.splitlines()[1] == "0 init"
 
     def test_empty_model(self):
-        tra, lab = export_explicit(Amdp())
+        tra, lab = export_explicit(from_counts((), {}, {}))
         assert tra == "0 0 0\n"
         assert lab == "#DECLARATION init #END\n"
 
     def test_round_trip_probabilities(self):
-        rng = np.random.default_rng(17)
-        m = Amdp()
-        for _ in range(200):
-            m.ingest(int(rng.integers(0, 5)), f"a{rng.integers(0, 3)}", int(rng.integers(0, 5)))
-        m.record_initial(0)
-        m.labels["success"] = {2, 3}
+        counts = random_counts(np.random.default_rng(17), 200)
+        m = from_counts((), counts, {0: 1}, {"success": {2, 3}})
         parsed = parse_explicit(*export_explicit(m))
-        assert_compiled_equal(parsed, compile_model(m))
+        assert_compiled_equal(parsed, m)
         index = {s: i for i, s in enumerate(sorted(m.states))}
         transitions = compiled_transitions(parsed)
         assert len(transitions) == len(m.counts3)
-        for (s, a, d), _n in m.counts3.items():
-            assert transitions[(index[s], a, index[d])] == m.probability(s, a, d)
-        assert parsed.labels["success"] == {index[s] for s in m.labels["success"]}
+        for s, a, d in m.counts3:
+            assert transitions[(index[s], a, index[d])] == count_probability(m, s, a, d)
+        assert parsed.labels["success"] == {index[2], index[3]}
         assert parsed.init == {index[0]}
+        assert parsed.logp == {(index[s], a, index[d]): lp for (s, a, d), lp in m.logp.items()}
 
     @pytest.mark.parametrize(
         "tra, lab",
@@ -254,21 +275,43 @@ class TestExport:
         with pytest.raises(ValueError):
             parse_explicit(tra, lab)
 
+    @pytest.mark.parametrize(
+        "tra",
+        [
+            "1 1 1\n0 0 0 nan a\n",
+            "1 1 1\n0 0 0 inf a\n",
+            "1 1 1\n0 0 0 0.0 a\n",
+            "1 1 1\n0 0 0 1.5 a\n",
+            "2 1 2\n0 0 0 -0.5 a\n0 0 1 1.5 a\n",
+            "2 1 1\n0 0 1 0.3 a\n",
+            "2 1 2\n0 0 0 0.5 a\n0 0 1 0.4999 a\n",
+            "2 1 2\n0 0 1 0.5 a\n0 0 1 0.5 a\n",
+            "2 1 1\n0 1 1 1.0 a\n",
+            "2 2 2\n0 1 1 1.0 a\n0 0 1 1.0 b\n",
+            "2 1 2\n0 0 0 0.5 a\n0 1 1 0.5 a\n",
+        ],
+        ids=[
+            "nan", "infinite", "zero", "above_one", "negative", "lone_fraction", "sum_short",
+            "repeated_line", "wrong_choice", "swapped_choices", "split_choice",
+        ],
+    )
+    def test_unwritten_input_rejected(self, tra):
+        """What ``export_explicit`` never writes is rejected, not parsed."""
+        with pytest.raises(ValueError):
+            parse_explicit(tra, "#DECLARATION init #END\n")
+
+    def test_sum_within_tolerance_accepted(self):
+        third = repr(1 / 3)
+        tra = f"3 1 3\n0 0 0 {third} a\n0 0 1 {third} a\n0 0 2 {third} a\n"
+        ((action, dsts, probs),), _, _ = parse_explicit(tra, "#DECLARATION init #END\n").rows
+        assert (action, dsts, probs) == ("a", (0, 1, 2), (1 / 3,) * 3)
+
     def test_byte_deterministic(self):
-        m = Amdp()
-        m.ingest(3, "b", 1)
-        m.ingest(3, "a", 3)
-        m.ingest(1, "a", 3)
-        m.record_initial(3)
-        m.labels["failure"] = {1}
+        m = induce([step(3, "b", 1), step(3, "a", 3), step(1, "a", 3)], (), {"failure": {1}})
         assert export_explicit(m) == export_explicit(m)
 
     def test_choice_indices_per_state(self):
-        m = Amdp()
-        m.ingest(0, "b", 1)
-        m.ingest(0, "a", 1)
-        m.ingest(1, "c", 0)
-        tra, _ = export_explicit(m)
+        tra, _ = export_explicit(from_counts((), {(0, "b", 1): 1, (0, "a", 1): 1, (1, "c", 0): 1}, {}))
         lines = tra.splitlines()[1:]
         # Actions sorted by name within each state: a=choice 0, b=choice 1.
         assert lines[0] == "0 0 1 1.0 a"

@@ -1,11 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracemdp.amdp import Amdp
+from conftest import count_probability, count_totals
+from tracemdp.amdp import from_counts
 from tracemdp.anomaly import (
     CheckpointStats,
     DetectorConfig,
@@ -30,10 +32,15 @@ def chain_model(probs):
 
     ``probs`` maps (src, dst) to a weight out of 100.
     """
-    m = Amdp()
-    for (s, d), weight in probs.items():
-        m.ingest(s, "go", d, weight=weight)
-    return m
+    return from_counts((), {(s, "go", d): weight for (s, d), weight in probs.items()}, {})
+
+
+def random_chain(rng, n_draws, n_states):
+    """The model of ``n_draws`` uniform "go" transitions among ``n_states`` states."""
+    draws = Counter(
+        (int(rng.integers(0, n_states)), "go", int(rng.integers(0, n_states))) for _ in range(n_draws)
+    )
+    return from_counts((), draws, {})
 
 
 def path(*parts):
@@ -84,7 +91,7 @@ class TestRunLoglik:
         assert score.finite
 
     def test_empty_run(self):
-        score = run_loglik(Amdp(), AbstractPath((), ()))
+        score = run_loglik(from_counts((), {}, {}), AbstractPath((), ()))
         assert score.loglik == 0.0
         assert score.length == 0
 
@@ -102,9 +109,7 @@ class TestRunLoglik:
 
     def test_additive_over_concatenation(self):
         rng = np.random.default_rng(8)
-        m = Amdp()
-        for _ in range(400):
-            m.ingest(int(rng.integers(0, 4)), "go", int(rng.integers(0, 4)))
+        m = random_chain(rng, 400, 4)
         for _ in range(20):
             states = [int(rng.integers(0, 4)) for _ in range(7)]
             p = AbstractPath(tuple(states), tuple("go" for _ in range(6)))
@@ -236,24 +241,27 @@ class TestPrefixStats:
         m = self.model()
         run = self.runs([15])[0]
         stats = prefix_stats([run, run], m, checkpoints=(10,))
-        manual = sum(math.log(m.probability(0, "go", 0)) for _ in range(10))
+        manual = sum(math.log(count_probability(m, 0, "go", 0)) for _ in range(10))
         assert stats[10].mu == pytest.approx(manual, abs=1e-9)
 
     def test_one_probability_lookup_per_transition(self):
-        class CountingModel:
-            def __init__(self, model):
-                self.model = model
-                self.calls = 0
+        class CountingTable(dict):
+            calls = 0
 
-            def probability(self, src, action, dst):
-                self.calls += 1
-                return self.model.probability(src, action, dst)
+            def get(self, key, default=None):
+                CountingTable.calls += 1
+                return super().get(key, default)
+
+        class CountingModel:
+            """Exposes only the table the scorer reads, counting its lookups."""
+
+            def __init__(self, model):
+                self.logp = CountingTable(model.logp)
 
         runs = self.runs([25, 35, 31])  # reach 4, 5 and 5 checkpoints
         checkpoints = (5, 10, 15, 20, 30)
-        counting = CountingModel(self.model())
-        stats = prefix_stats(runs, counting, checkpoints)
-        assert counting.calls <= sum(run.n_transitions for run in runs)
+        stats = prefix_stats(runs, CountingModel(self.model()), checkpoints)
+        assert 0 < CountingTable.calls <= sum(run.n_transitions for run in runs)
         assert stats == prefix_stats(runs, self.model(), checkpoints)
 
     def test_all_short_runs_unarmed(self):
@@ -262,9 +270,7 @@ class TestPrefixStats:
 
     def test_manual_recomputation_random(self):
         rng = np.random.default_rng(6)
-        m = Amdp()
-        for _ in range(600):
-            m.ingest(int(rng.integers(0, 3)), "go", int(rng.integers(0, 3)))
+        m = random_chain(rng, 600, 3)
         runs = []
         for _ in range(20):
             n = int(rng.integers(1, 25))
@@ -279,7 +285,7 @@ class TestPrefixStats:
                 total = 0.0
                 dead = False
                 for i in range(k):
-                    p = m.probability(run.states[i], "go", run.states[i + 1])
+                    p = count_probability(m, run.states[i], "go", run.states[i + 1])
                     if p == 0:
                         dead = True
                         break
@@ -335,9 +341,7 @@ class TestOnlineCheck:
 class TestMonitorAgainstBatch:
     def test_monitor_equals_checkpoint_warnings(self):
         rng = np.random.default_rng(23)
-        m = Amdp()
-        for _ in range(400):
-            m.ingest(int(rng.integers(0, 3)), "go", int(rng.integers(0, 3)))
+        m = random_chain(rng, 400, 3)
         runs = []
         for _ in range(30):
             n = int(rng.integers(1, 30))
@@ -374,7 +378,7 @@ def reference_prefix(m, run, k):
         count = m.counts3.get((src, action, dst), 0)
         if count == 0:
             return None, i
-        total += math.log(count / m.counts2[(src, action)])
+        total += math.log(count / count_totals(m)[(src, action)])
     return total, None
 
 
@@ -383,9 +387,7 @@ def models_and_runs(draw):
     """A small count MDP (zero-weight entries included) and runs that mostly follow it."""
     key = st.tuples(st.integers(0, 3), st.sampled_from("ab"), st.integers(0, 3))
     counts = draw(st.dictionaries(key, st.integers(0, 3), min_size=4, max_size=24))
-    m = Amdp()
-    for (src, action, dst), weight in sorted(counts.items()):
-        m.ingest(src, action, dst, weight=weight)
+    m = from_counts((), counts, {})
     support = sorted(k for k, weight in counts.items() if weight > 0)
     runs = []
     for _ in range(draw(st.integers(0, 8))):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from collections import Counter
+
 from conftest import count_successors
-from tracemdp.amdp import Amdp, compile_model
+from tracemdp.amdp import from_counts, induce
 from tracemdp.checker import (
     ReachQuery,
     check,
@@ -20,16 +22,9 @@ from tracemdp.errors import PropertySyntaxError, UnknownLabel
 from tracemdp.trace_model import AbstractPath
 
 
-def model_from_counts(counts, labels=None, initial=(0,)):
-    """Amdp from {(s, a, s'): count}."""
-    m = Amdp()
-    for (s, a, d), n in counts.items():
-        m.ingest(s, a, d, weight=n)
-    for s in initial:
-        m.record_initial(s)
-    for name, states in (labels or {}).items():
-        m.labels[name] = set(states)
-    return m
+def model_from_counts(counts, labels=None, initial=(0,), states=()):
+    """The model of {(s, a, s'): count}, with one run starting at each of ``initial``."""
+    return from_counts(states, counts, Counter(initial), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -76,20 +71,18 @@ def enumerate_scheduler_values(model, target, direction):
 
 
 def random_model(rng, max_states=6, max_actions=3):
+    """A model over ids 0..n-1, so ids are indices; its "goal" label is random."""
     n = int(rng.integers(2, max_states + 1))
-    m = Amdp()
+    counts = {}
     for s in range(n):
-        m.add_state(s)
         for a in range(int(rng.integers(1, max_actions + 1))):
             if rng.uniform() < 0.15 and s > 0:
                 continue  # occasional terminal rows
             support = rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False)
             for dst in support:
-                m.ingest(s, f"a{a}", int(dst), weight=int(rng.integers(1, 10)))
-    m.record_initial(0)
+                counts[(s, f"a{a}", int(dst))] = int(rng.integers(1, 10))
     targets = {int(s) for s in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
-    m.labels["goal"] = targets
-    return m
+    return from_counts(range(n), counts, {0: 1}, {"goal": targets})
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +147,7 @@ class TestParseProperty:
 class TestReachValues:
     def test_target_state_is_one(self):
         m = model_from_counts({(0, "a", 1): 1}, labels={"goal": {1}})
-        vi = reach_values(compile_model(m), ReachQuery("max", "goal"))
+        vi = reach_values(m, ReachQuery("max", "goal"))
         assert vi.values[1] == 1.0
         assert vi.values[0] == pytest.approx(1.0)
 
@@ -162,17 +155,17 @@ class TestReachValues:
         m = model_from_counts(
             {(0, "a", 1): 1, (0, "a", 2): 1}, labels={"goal": {1}}
         )
-        vi = reach_values(compile_model(m), ReachQuery("max", "goal"))
+        vi = reach_values(m, ReachQuery("max", "goal"))
         assert vi.values[0] == pytest.approx(0.5)
 
     def test_empty_target(self):
         m = model_from_counts({(0, "a", 1): 1}, labels={"goal": set()})
-        vi = reach_values(compile_model(m), ReachQuery("max", "goal"))
+        vi = reach_values(m, ReachQuery("max", "goal"))
         assert vi.values[0] == 0.0
 
     def test_all_states_target(self):
         m = model_from_counts({(0, "a", 1): 1}, labels={"goal": {0, 1}})
-        assert reach_values(compile_model(m), ReachQuery("max", "goal")).values[0] == 1.0
+        assert reach_values(m, ReachQuery("max", "goal")).values[0] == 1.0
 
     def test_zero_cycle_pinned(self):
         # 0 -> {1 (cycle with 2), 3 (goal)}; the 1-2 cycle cannot reach goal.
@@ -185,7 +178,7 @@ class TestReachValues:
             },
             labels={"goal": {3}},
         )
-        vi = reach_values(compile_model(m), ReachQuery("max", "goal"))
+        vi = reach_values(m, ReachQuery("max", "goal"))
         assert vi.values[1] == 0.0
         assert vi.values[2] == 0.0
         assert vi.values[0] == pytest.approx(0.5)
@@ -195,7 +188,7 @@ class TestReachValues:
         rng = np.random.default_rng(5)
         for direction in ("max", "min"):
             for _ in range(10):
-                model = compile_model(random_model(rng))
+                model = random_model(rng)
                 prev = {s: 0.0 for s in model.states}
                 for k in range(1, 51):
                     values = reach_values(model, ReachQuery(direction, "goal"), max_iters=k).values
@@ -208,8 +201,8 @@ class TestReachValues:
         rng = np.random.default_rng(9)
         for _ in range(20):
             m = random_model(rng)
-            vmax = reach_values(compile_model(m), ReachQuery("max", "goal")).values
-            vmin = reach_values(compile_model(m), ReachQuery("min", "goal")).values
+            vmax = reach_values(m, ReachQuery("max", "goal")).values
+            vmin = reach_values(m, ReachQuery("min", "goal")).values
             for s in m.states:
                 assert vmin[s] <= vmax[s] + 1e-9
 
@@ -219,7 +212,7 @@ class TestReachValues:
             m = random_model(rng)
             target = m.labels["goal"]
             for direction in ("max", "min"):
-                vi = reach_values(compile_model(m), ReachQuery(direction, "goal"))
+                vi = reach_values(m, ReachQuery(direction, "goal"))
                 oracle = enumerate_scheduler_values(m, target, direction)
                 for s in m.states:
                     assert vi.values[s] == pytest.approx(oracle[s], abs=1e-6)
@@ -228,7 +221,7 @@ class TestReachValues:
         m = model_from_counts(
             {(0, "a", 0): 99, (0, "a", 1): 1}, labels={"goal": {1}}
         )
-        vi = reach_values(compile_model(m), ReachQuery("max", "goal"), epsilon=1e-12, max_iters=3)
+        vi = reach_values(m, ReachQuery("max", "goal"), epsilon=1e-12, max_iters=3)
         assert not vi.converged
         assert vi.iterations == 3
 
@@ -265,8 +258,7 @@ class TestCheck:
         assert result.witness.probability == pytest.approx(1.0)
 
     def test_witness_unreachable_none(self):
-        m = model_from_counts({(0, "a", 1): 1}, labels={"goal": {5}})
-        m.add_state(5)
+        m = model_from_counts({(0, "a", 1): 1}, labels={"goal": {5}}, states=(5,))
         result = check(m, ReachQuery("max", "goal"))
         assert result.witness is None
 
@@ -310,11 +302,10 @@ class TestCheck:
                 assert result.witness.probability == pytest.approx(best, rel=1e-9)
 
     def test_scheduler_tie_break_lexicographic(self):
-        m = model_from_counts(
+        model = model_from_counts(
             {(0, "zz", 1): 1, (0, "aa", 1): 1},
             labels={"goal": {1}},
         )
-        model = compile_model(m)
         values = reach_values(model, ReachQuery("max", "goal")).values
         sched = optimizing_scheduler(model, values, ReachQuery("max", "goal"))
         assert sched[0] == "aa"
@@ -325,9 +316,7 @@ class TestCheck:
             check(m, ReachQuery("max", "nolabel"))
 
     def test_no_initial_state(self):
-        m = Amdp()
-        m.ingest(0, "a", 1)
-        m.labels["goal"] = {1}
+        m = model_from_counts({(0, "a", 1): 1}, labels={"goal": {1}}, initial=())
         result = check(m, ReachQuery("max", "goal"))
         assert result.value is None
         assert result.witness is None
@@ -336,22 +325,20 @@ class TestCheck:
 def test_sandwich_on_synthetic_labels():
     # Empirical success frequency must lie inside [Pmin - 0.02, Pmax + 0.02].
     rng = np.random.default_rng(4)
-    m = Amdp()
+    runs = []
     n_success = 0
     n_runs = 200
     for _ in range(n_runs):
-        m.record_initial(0)
-        state = 0
+        states = [0]
         for _step in range(30):
-            nxt = 1 if rng.uniform() < 0.3 else (2 if rng.uniform() < 0.5 else 0)
-            m.ingest(state, "go", nxt)
-            state = nxt
-            if state == 1:
+            states.append(1 if rng.uniform() < 0.3 else (2 if rng.uniform() < 0.5 else 0))
+            if states[-1] == 1:
                 n_success += 1
                 break
-            if state == 2:
+            if states[-1] == 2:
                 break
-    m.labels["success"] = {1}
+        runs.append(AbstractPath(tuple(states), ("go",) * (len(states) - 1)))
+    m = induce(runs, (), {"success": {1}})
     empirical = n_success / n_runs
     vmax = check(m, ReachQuery("max", "success")).value
     vmin = check(m, ReachQuery("min", "success")).value

@@ -327,11 +327,11 @@ class TestMonitorRouting:
         target = pipeline["corpus"] / "anomalous.jsonl"
         store = load_store(str(pipeline["store"]))
         cfg = DetectorConfig()
-        stats = prefix_stats(store.runs, store.amdp, cfg.checkpoints)
+        stats = prefix_stats(store.runs, store.model, cfg.checkpoints)
         expected = []
         target_log = read_trace_log(str(target))
         for trace in target_log:  # the generator writes each trace's events together
-            monitor = RunMonitor(store.amdp, stats, cfg)
+            monitor = RunMonitor(store.model, stats, cfg)
             for step in abstract_trace(store.tree, trace).steps():
                 for alert in monitor.feed(*step):
                     record = {"trace_id": trace.trace_id, **alert}
@@ -496,7 +496,7 @@ class TestLoadIdentity:
         from tracemdp.linked_store import load_store
 
         store, _log, labels = stores[name]
-        loaded = load_store(str(store)).amdp.labels
+        loaded = load_store(str(store)).model.labels
         assert sorted(loaded) == sorted(labels)
         assert loaded["failure"] == set()  # declared in model.lab, though no state carries it
         assert all(loaded[label] for label in labels if label != "failure")
@@ -518,8 +518,7 @@ class TestLoadIdentity:
         store, _log, _labels = stores[name]
         loaded = load_store(str(store))
         rebuilt = build(*load_store_inputs(str(store)))
-        assert loaded.amdp.equal_counts(rebuilt.amdp)
-        assert loaded.amdp.labels == rebuilt.amdp.labels
+        assert loaded.model == rebuilt.model
         assert loaded.runs == rebuilt.runs
         assert loaded.trace_ids == tuple(trace.trace_id for trace in rebuilt.log)
         assert list(loaded.schema.items()) == list(rebuilt.log.schema.items())
@@ -766,8 +765,12 @@ class TestErrors:
             ("runs.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "labels"})),
             ("manifest.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "tree_file"})),
             ("manifest.json", lambda text: text[: len(text) // 2]),
+            ("runs.json", lambda text: json.dumps({**json.loads(text), "labels": {"success": [999]}})),
         ],
-        ids=["truncated_runs", "runs_without_labels", "manifest_without_tree_file", "truncated_manifest"],
+        ids=[
+            "truncated_runs", "runs_without_labels", "manifest_without_tree_file", "truncated_manifest",
+            "label_outside_model",
+        ],
     )
     def test_damaged_store_exit_3(self, pipeline, capsys, tmp_path, name, damage):
         store = tmp_path / "store"
@@ -783,6 +786,35 @@ class TestErrors:
             error = json.loads(err)
             assert error["error"] == "DamagedStore"
             assert name in error["message"]
+
+    @pytest.mark.parametrize(
+        "labeling",
+        [
+            {"success_mode": "most"},
+            {"failure_mode": "none"},
+            {"terminal_labels": "false"},
+            {"terminal_labels": 1},
+            {"success_mode": "most", "terminal_labels": "false"},
+        ],
+        ids=["success_mode", "failure_mode", "text_terminal_labels", "number_terminal_labels", "both"],
+    )
+    def test_bad_manifest_labeling_exit_3(self, pipeline, capsys, tmp_path, labeling):
+        """A manifest's labeling config is validated, not lifted permissively."""
+        store = tmp_path / "store"
+        shutil.copytree(pipeline["store"], store)
+        manifest = json.loads((store / "manifest.json").read_text())
+        manifest["labeling"].update(labeling)
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        log = str(pipeline["corpus"] / "baseline.jsonl")
+        for argv in (
+            ["refine", "--store", str(store), "--prop", 'Pmax<=0.5 [F "failure"]'],
+            ["check", "--store", str(store), "--prop", 'Pmax=? [F "success"]', "--log", log],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "", argv[0]
+            error = json.loads(err)
+            assert error["error"] == "DamagedStore"
+            assert "manifest.json" in error["message"]
 
     def test_undeclared_label_exit_3(self, pipeline, capsys):
         code, out, err = run_cli(

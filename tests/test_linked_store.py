@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk_log, mk_trace
-from tracemdp.amdp import LabelRule, compile_model
+from tracemdp.amdp import LabelRule, induce
 from tracemdp.errors import StaleSplit
 from tracemdp.linked_store import (
     LabelingConfig,
@@ -66,8 +66,7 @@ def random_log(rng, n_traces=30, max_len=10):
 def stores_equal(a, b) -> bool:
     return (
         a.tree.structurally_equal(b.tree)
-        and a.amdp.equal_counts(b.amdp)
-        and a.amdp.labels == b.amdp.labels
+        and a.model == b.model
         and a.runs == b.runs
     )
 
@@ -77,17 +76,15 @@ class TestBuild:
         log = mk_log([mk_trace("t", [{"x": 0}, {"x": 1}], ["go"])])
         store = build(log, PredicateTree.single_leaf())
         assert store.runs == (AbstractPath((0, 0), ("go",)),)
-        assert store.amdp.states == {0}
+        assert store.model.states == (0,)
         assert check_invariants(store) == []
 
     def test_empty_log_isolated_states(self):
         log = mk_log([])
         tree = PredicateTree.single_leaf()
         store = build(log, tree)
-        assert store.amdp.states == {0}
         assert store.runs == ()
-        model = compile_model(store.amdp)
-        assert model.states == (0,) and model.rows == ((),)
+        assert store.model.states == (0,) and store.model.rows == ((),)
         assert check_invariants(store) == []
 
     def test_fresh_store_invariants(self):
@@ -118,7 +115,25 @@ class TestBuild:
         tree = build_initial_tree(log, TreeConfig(min_leaf_size=1))
         store = build(log, tree)
         fail_end = tree.abstract(log[4].states[1])
-        assert fail_end in store.amdp.labels["failure"]
+        assert fail_end in store.model.label_ids()["failure"]
+
+    def test_rule_label_adds_to_terminal_label(self):
+        """A rule named like a terminal label adds its states; the report keeps the rule's own."""
+        traces = [
+            mk_trace("s", [{"x": 0, "ok": False}, {"x": 1, "ok": False}], ["go"], check_key="ok"),
+            mk_trace("f", [{"x": 0, "ok": False}, {"x": 2, "ok": True}], ["go"], "failure", "ok"),
+        ]
+        log = mk_log(traces)
+        tree, _, _ = PredicateTree.single_leaf().split(
+            PredicateTree.single_leaf().leaf_node_of(0), ScalarThreshold("x", 1.5)
+        )
+        succeeded, ok = (tree.abstract(trace.states[-1]) for trace in traces)
+        assert succeeded != ok
+        rules = (LabelRule("success", (BooleanEq("ok", True),), "all"),)
+        store = build(log, tree, LabelingConfig(success_mode="any", rules=rules))
+        assert store.model.label_ids()["success"] == sorted({succeeded, ok})
+        assert store.label_report.labeled["success"] == {ok}
+        assert store.label_report.mixed["success"] == set()
 
 
 class TestCheckInvariants:
@@ -143,7 +158,7 @@ class TestCheckInvariants:
     def test_missing_state_is_i4_violation(self):
         log = small_log()
         store = build(log, PredicateTree.single_leaf())
-        store.amdp.states.add(999)
+        store.model = induce(store.runs, [*store.tree.abstract_ids(), 999])
         violations = check_invariants(store)
         assert any(v.startswith("I4") for v in violations)
 
@@ -202,7 +217,7 @@ class TestApplySplit:
         assert refined.runs == (AbstractPath((a0, a0), ("go",)),)
         assert len(batch_for_leaf(refined, a0)) == 2
         assert len(batch_for_leaf(refined, a1)) == 0
-        assert refined.amdp.states == {a0, a1}
+        assert set(refined.model.states) == {a0, a1}
         assert check_invariants(refined) == []
 
     def test_stale_split_rejected(self):
@@ -228,7 +243,7 @@ class TestApplySplit:
         store = build(log, PredicateTree.single_leaf())
         seen: set[int] = set()
         for _ in range(6):
-            live = set(store.amdp.states)
+            live = set(store.model.states)
             assert not live & seen, "a retired abstract-state id came back"
             splittable = False
             for leaf in store.tree.abstract_ids():
@@ -326,11 +341,11 @@ class TestRuleLabels:
             LabelRule("ok_any", (BooleanEq("ok", True),), "any"),
         )
         store = build(log, tree, LabelingConfig(terminal_labels=False, rules=rules))
-        assert store.amdp.labels["ok_all"] == set()
+        assert store.model.label_ids()["ok_all"] == []
         assert store.label_report.mixed["ok_all"] == {low, high}
-        assert store.amdp.labels["ok_any"] == {low, high}
+        assert set(store.model.label_ids()["ok_any"]) == {low, high}
         uniform = build(mk_log(traces[:2]), tree, LabelingConfig(terminal_labels=False, rules=rules))
-        assert uniform.amdp.labels["ok_all"] == {low, high}
+        assert set(uniform.model.label_ids()["ok_all"]) == {low, high}
         assert uniform.label_report.mixed["ok_all"] == set()
 
 
@@ -375,8 +390,7 @@ class TestPersistence:
         reloaded = load_store(str(store_dir))
         assert isinstance(reloaded, SavedStore)
         assert reloaded.tree.structurally_equal(store.tree)
-        assert reloaded.amdp.equal_counts(store.amdp)
-        assert reloaded.amdp.labels == store.amdp.labels
+        assert reloaded.model == store.model
         assert reloaded.runs == store.runs
         assert reloaded.trace_ids == tuple(trace.trace_id for trace in log)
         assert list(reloaded.schema.items()) == list(log.schema.items())
@@ -385,7 +399,7 @@ class TestPersistence:
         resaved = tmp_path / "resaved"
         resaved.mkdir()
         reloaded.tree.save(str(resaved / "tree.json"))
-        write_model(reloaded.amdp, str(resaved))
+        write_model(reloaded.model, str(resaved))
         save_store(build(*load_store_inputs(str(store_dir))), str(tmp_path / "store2"), str(log_path))
         for name in ("tree.json", "model.tra", "model.lab", "manifest.json", "runs.json"):
             a = (store_dir / name).read_bytes()

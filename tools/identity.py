@@ -12,12 +12,17 @@ compares the corpus files (``baseline.jsonl``, ``anomalous.jsonl``,
 prints them and exits 1.  It then runs the command sequence of
 ``perfbench/run.commands`` under each source tree, followed by one more
 refine (``EXTRA_REFINE``) that ends with a realized witness on the deep
-store, so its refs are compared too; one process per command, with
-``--iteration-log`` added to each refine.  Every command's standard
-output, standard error and exit code are kept next to the files the
-commands write (the store, ``scores.jsonl``, each refine's iteration log,
-the export).  ``diff -r`` then compares the two trees' outputs; the script
-prints the differences and exits 1 if there are any, else 0.
+store, so its refs are compared too, and a labeled flow
+(``labeled_flow``): a second ``build`` with a rule file (``RULES``, a
+``bool_eq`` rule on ``opsCompleted`` named ``success``, so it adds to the
+terminal ``success`` label) and non-default ``--success-mode any
+--failure-mode all``, a ``check`` of the rule's label and an ``export``.
+One process per command, with ``--iteration-log`` added to each refine.
+Every command's standard output, standard error and exit code are kept
+next to the files the commands write (the stores, ``scores.jsonl``, each
+refine's iteration log, the exports).  ``diff -r`` then compares the two
+trees' outputs; the script prints the differences and exits 1 if there are
+any, else 0.
 
 Both trees' flows read PARENT_SRC's corpus files, so the training-log
 path a store's manifest records is the same on both sides.  Nothing is
@@ -42,6 +47,8 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 WORKLOADS = ("desk", "deep", "x10")
 SEEDS = (0, 1)
 EXTRA_REFINE = ("refine", ["refine", "--store", "store", "--prop", 'Pmax<=0.5 [F "failure"]', "--max-iters", "3"])
+RULES = [{"name": "success", "mode": "all",
+          "atoms": [{"type": "bool_eq", "var": "opsCompleted", "expected": True}]}]
 MAKE_CORPUS = "import json, sys; from corpus import make_corpus; print(json.dumps(make_corpus(*json.loads(sys.argv[1]))))"
 
 
@@ -66,9 +73,21 @@ def differing_files(a_dir: str, b_dir: str) -> list[str]:
     return mismatch + errors
 
 
+def labeled_flow(train: str) -> list[tuple[str, list[str]]]:
+    """Builds a second store with ``RULES`` and non-default modes, checks the rule's label, exports it."""
+    return [
+        ("build", ["build", "--log", train, "--tree", "tree.json", "--out", "labeled", "--labels", "rules.json",
+                   "--success-mode", "any", "--failure-mode", "all"]),
+        ("check", ["check", "--store", "labeled", "--prop", f'Pmax=? [F "{RULES[0]["name"]}"]']),
+        ("export", ["export", "--store", "labeled", "--out", "labeled-exported"]),
+    ]
+
+
 def run_flow(commands: list[tuple[str, list[str]]], src: str, out_dir: str) -> None:
     """Runs the command sequence under ``src`` in ``out_dir``, keeping every output."""
     os.makedirs(out_dir)
+    with open(os.path.join(out_dir, "rules.json"), "w", encoding="utf-8") as fh:
+        json.dump(RULES, fh)
     for i, (name, args) in enumerate(commands):
         stem = os.path.join(out_dir, f"{i:02d}-{name}")
         if name == "refine":
@@ -110,7 +129,7 @@ def main(argv: list[str]) -> int:
                 if different:
                     print(f"DIFFERENT corpus files for {case}: {', '.join(different)}")
                     return 1
-                flow = [*commands(workload, paths["parent"]), EXTRA_REFINE]
+                flow = [*commands(workload, paths["parent"]), EXTRA_REFINE, *labeled_flow(paths["parent"]["train"])]
                 for side, src in sides.items():
                     run_flow(flow, src, os.path.join(work, side, case))
                 print(f"{case}: ran {len(flow)} commands under each tree", flush=True)
