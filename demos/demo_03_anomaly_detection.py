@@ -12,9 +12,10 @@ import tempfile
 from tracemdp.anomaly import (
     DetectorConfig,
     OfflineDetector,
-    checkpoint_warnings,
+    checkpoint_thresholds,
     prefix_stats,
     run_loglik,
+    score_run,
 )
 from tracemdp.generator import GeneratorConfig, generate_corpus
 from tracemdp.linked_store import build
@@ -34,34 +35,31 @@ tree = build_initial_tree(log, TreeConfig())
 store = build(log, tree)
 model = store.model
 
-detector = OfflineDetector(DetectorConfig(alpha=0.05)).fit(
-    run_loglik(model, run, t.trace_id) for run, t in zip(store.runs, log)
-)
-print(f"detector: mode={detector.effective_mode}  threshold={detector.threshold:.4f}")
-print(f"training scores: mu={detector.stats.mu:.4f} sigma={detector.stats.sigma:.4f}")
+detector = OfflineDetector(DetectorConfig(alpha=0.05)).fit(run_loglik(model, run) for run in store.runs)
+print(f"detector: mode={detector.mode}  threshold={detector.threshold:.4f}")
+print(f"training scores: mu={detector.mu:.4f} sigma={detector.sigma:.4f}")
 
 flagged: dict[str, list[bool]] = {}
 for trace in anomalous_log:
-    score = run_loglik(model, abstract_trace(tree, trace), trace.trace_id)
-    verdict = detector.flag(score)
-    flagged.setdefault(truth[trace.trace_id], []).append(verdict["verdict"] == "anomalous")
+    score = run_loglik(model, abstract_trace(tree, trace))
+    flagged.setdefault(truth[trace.trace_id], []).append(detector.flag(score))
 
 print(f"\n{'class':<16}{'n':>6}{'recall':>9}")
 for kind, hits in sorted(flagged.items()):
     print(f"{kind:<16}{len(hits):>6}{sum(hits) / len(hits):>9.3f}")
 
-false_positives = sum(
-    detector.flag(run_loglik(model, abstract_trace(tree, t)))["verdict"] == "anomalous"
-    for t in held_log
-)
+false_positives = sum(detector.flag(run_loglik(model, abstract_trace(tree, t))) for t in held_log)
 print(f"{'held-out FPR':<16}{len(held_log):>6}{false_positives / len(held_log):>9.3f}")
 
-# Prefix-conditioned warnings for one long anomalous run.
+# Prefix-conditioned warnings for one long anomalous run, against the
+# thresholds of the armed checkpoints.
 stats = prefix_stats(store.runs, model, checkpoints=range(5, 101, 5))
+thresholds = checkpoint_thresholds(stats, detector.cfg.alpha)
+print(f"\narmed checkpoints: {len(thresholds)} of {len(stats)}")
 long_run = max(
     (abstract_trace(tree, t) for t in anomalous_log),
     key=lambda run: run.n_transitions,
 )
-warnings, unseen_at = checkpoint_warnings(model, long_run, stats)
-print(f"\nlongest anomalous run ({long_run.n_transitions} steps): "
+_score, warnings = score_run(model, long_run, thresholds)
+print(f"longest anomalous run ({long_run.n_transitions} steps): "
       f"{len(warnings)} checkpoint warnings, first at k={warnings[0]['k'] if warnings else None}")

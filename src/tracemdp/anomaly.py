@@ -8,18 +8,20 @@ definition and are excluded from the statistics.
 ``RunMonitor`` is the one scorer: it alone reads the model's table of
 transition log-probabilities (``amdp.CompiledModel.logp``, the model that
 the checker and the export read) and sums it, left to right from 0.0.
-Whole-run scores (``score_run``, ``run_loglik``, ``checkpoint_warnings``),
-the checkpoint statistics (``prefix_stats``, one pass per run) and the
-streaming monitor all feed one, so every path yields bit-identical sums.
+Whole-run scores (``score_run``, ``run_loglik``), the checkpoint statistics
+(``prefix_stats``, one pass per run) and the streaming monitor all feed
+one, so every path yields bit-identical sums.
 
-Offline detection flags a run when its score falls below
-mu - z_{1-alpha} * sigma (one-sided, low side); when the training scores
-are strongly skewed it uses their empirical alpha-quantile instead.  Online
-detection applies the normal rule, without that fallback, to prefix scores
-at fixed checkpoints, where the statistics for checkpoint k use only
-historical runs of length >= k truncated to their first k transitions.
+Each threshold is computed once.  ``OfflineDetector.fit`` sets the
+run-level one: mu - z_{1-alpha} * sigma (one-sided, low side), or, when the
+training scores are strongly skewed, their empirical alpha-quantile; its
+``flag`` compares a run's score with it.  ``checkpoint_thresholds`` applies
+the normal rule, without that fallback, to the prefix statistics of each
+armed checkpoint k, which use only historical runs of length >= k truncated
+to their first k transitions; ``RunMonitor`` and ``score_run`` compare a
+prefix score with the table.
 
-The statistics (means, deviations, quantiles, skewness) are numpy's, which
+The statistics (means, deviations, quantiles, skew) are numpy's, which
 fixes their last digits; only the functions that compute them import it.
 """
 
@@ -33,7 +35,7 @@ from .errors import DomainError, InsufficientData, InvalidConfig
 from .trace_model import AbstractPath
 
 DEFAULT_CHECKPOINTS = tuple(range(10, 201, 10))
-# |skewness| of the training scores above this switches the offline rule to
+# |skew| of the training scores above this switches the offline rule to
 # the empirical alpha-quantile.
 SKEW_LIMIT = 2.0
 
@@ -54,7 +56,6 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class RunScore:
-    trace_id: str
     loglik: float  # -inf when the run leaves the model's support
     length: int
     unseen_transition_at: int | None = None
@@ -65,160 +66,79 @@ class RunScore:
 
 
 def score_run(
-    model,
-    run: AbstractPath,
-    stats: Mapping[int, CheckpointStats] | None = None,
-    cfg: DetectorConfig | None = None,
-    trace_id: str = "",
+    model, run: AbstractPath, thresholds: Mapping[int, float] | None = None
 ) -> tuple[RunScore, list[dict]]:
     """Scores a whole run in one pass: its RunScore and checkpoint warnings.
 
-    The warnings are the ones a monitor would emit, as {"k", "loglik_k",
-    "threshold"}; feeding stops at the first unseen transition.
+    The warnings are the ones a monitor given ``thresholds`` would emit, as
+    {"k", "loglik_k", "threshold"}; feeding stops at the first unseen
+    transition.
     """
-    monitor = RunMonitor(model, stats, cfg)
+    monitor = RunMonitor(model, thresholds)
     warnings: list[dict] = []
     for step in run.steps():
         for alert in monitor.feed(*step):
             if alert["kind"] == "checkpoint":
                 warnings.append({key: value for key, value in alert.items() if key != "kind"})
         if monitor.dead:
-            return RunScore(trace_id, -math.inf, run.n_transitions, monitor.steps - 1), warnings
-    return RunScore(trace_id, monitor.loglik, run.n_transitions), warnings
+            return RunScore(-math.inf, run.n_transitions, monitor.steps - 1), warnings
+    return RunScore(monitor.loglik, run.n_transitions), warnings
 
 
-def run_loglik(model, run: AbstractPath, trace_id: str = "") -> RunScore:
+def run_loglik(model, run: AbstractPath) -> RunScore:
     """Natural-log likelihood of a run; empty runs score 0.
 
     An unseen transition is data, not an error: the score becomes -inf and
     the first offending step index is recorded.
     """
-    return score_run(model, run, trace_id=trace_id)[0]
+    return score_run(model, run)[0]
+
+
+def _normal_threshold(mu: float, sigma: float, alpha: float) -> float:
+    """The one-sided low-side rule mu - z_{1-alpha} * sigma."""
+    return mu - normal_quantile(1.0 - alpha) * sigma
 
 
 # ---------------------------------------------------------------------------
 # Offline (run-level) detection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OfflineStats:
-    mu: float
-    sigma: float
-    n_finite: int
-    n_unseen: int
-
-
-def offline_stats(scores: Iterable[RunScore]) -> OfflineStats:
-    """Sample mean and unbiased (n-1) standard deviation of finite scores."""
-    finite = []
-    unseen = 0
-    for score in scores:
-        if score.finite:
-            finite.append(score.loglik)
-        else:
-            unseen += 1
-    if len(finite) < 2:
-        raise InsufficientData(f"need at least 2 finite scores, got {len(finite)}")
-    import numpy as np
-
-    arr = np.asarray(finite)
-    return OfflineStats(float(arr.mean()), float(arr.std(ddof=1)), len(finite), unseen)
-
-
-def offline_threshold(
-    mu: float,
-    sigma: float,
-    alpha: float,
-    mode: str = "normal",
-    history: Sequence[float] | None = None,
-) -> float:
-    if mode == "empirical":
-        if history is None or len(history) == 0:
-            raise InsufficientData("empirical mode needs the historical scores")
-        import numpy as np
-
-        return float(np.quantile(np.asarray(history), alpha))
-    return mu - normal_quantile(1.0 - alpha) * sigma
-
-
-def offline_flag(
-    loglik: float,
-    mu: float,
-    sigma: float,
-    alpha: float,
-    mode: str = "normal",
-    history: Sequence[float] | None = None,
-) -> bool:
-    """One-sided low-likelihood rule; -inf scores are always anomalous."""
-    if not math.isfinite(loglik):
-        return True
-    return loglik < offline_threshold(mu, sigma, alpha, mode, history)
-
-
-def skewness(values: Sequence[float]) -> float:
-    import numpy as np
-
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 2:
-        return 0.0
-    centered = arr - arr.mean()
-    m2 = float((centered**2).mean())
-    if m2 == 0.0:
-        return 0.0
-    m3 = float((centered**3).mean())
-    return m3 / m2**1.5
-
-
 class OfflineDetector:
-    """Fitted run-level detector with automatic empirical fallback.
+    """Run-level detector: ``fit`` computes the threshold once, ``flag`` compares with it.
 
-    The threshold is mu - z_{1-alpha} sigma; when the training scores are
-    strongly skewed (|skewness| > SKEW_LIMIT) the empirical alpha-quantile
-    of the training scores replaces it.
+    ``mu`` and ``sigma`` are the sample mean and unbiased (n-1) standard
+    deviation of the finite training scores, in training order.  The
+    threshold is mu - z_{1-alpha} sigma (``mode`` "normal"); when the sorted
+    finite scores are strongly skewed (|skew| > SKEW_LIMIT) their
+    empirical alpha-quantile replaces it (``mode`` "empirical").
     """
 
     def __init__(self, cfg: DetectorConfig | None = None):
         self.cfg = cfg or DetectorConfig()
-        self.stats: OfflineStats | None = None
-        self.history: list[float] = []
-        self.effective_mode = "normal"
+        self.mu = self.sigma = self.threshold = math.nan
+        self.mode = "normal"
 
     def fit(self, scores: Iterable[RunScore]) -> "OfflineDetector":
-        scores = list(scores)
-        self.stats = offline_stats(scores)
-        self.history = sorted(s.loglik for s in scores if s.finite)
-        self.effective_mode = "empirical" if abs(skewness(self.history)) > SKEW_LIMIT else "normal"
+        finite = [score.loglik for score in scores if score.finite]
+        if len(finite) < 2:
+            raise InsufficientData(f"need at least 2 finite scores, got {len(finite)}")
+        import numpy as np
+
+        arr = np.asarray(finite)
+        self.mu, self.sigma = float(arr.mean()), float(arr.std(ddof=1))
+        ordered = np.asarray(sorted(finite))
+        centered = ordered - ordered.mean()
+        m2 = float((centered**2).mean())
+        skew = float((centered**3).mean()) / m2**1.5 if m2 else 0.0
+        if abs(skew) > SKEW_LIMIT:
+            self.mode, self.threshold = "empirical", float(np.quantile(ordered, self.cfg.alpha))
+        else:
+            self.mode, self.threshold = "normal", _normal_threshold(self.mu, self.sigma, self.cfg.alpha)
         return self
 
-    @property
-    def threshold(self) -> float:
-        assert self.stats is not None, "fit() first"
-        return offline_threshold(
-            self.stats.mu, self.stats.sigma, self.cfg.alpha, self.effective_mode, self.history
-        )
-
-    def flag(self, score: RunScore) -> dict:
-        """Verdict record for one run."""
-        anomalous = offline_flag(
-            score.loglik,
-            self.stats.mu,  # type: ignore[union-attr]
-            self.stats.sigma,  # type: ignore[union-attr]
-            self.cfg.alpha,
-            self.effective_mode,
-            self.history,
-        )
-        reason = "normal"
-        if anomalous:
-            reason = "unseen_transition" if not score.finite else "low_likelihood"
-        return {
-            "trace_id": score.trace_id,
-            "loglik": score.loglik if score.finite else None,
-            "length": score.length,
-            "verdict": "anomalous" if anomalous else "normal",
-            "reason": reason,
-            "threshold": self.threshold,
-            "unseen_transition_at": score.unseen_transition_at,
-        }
+    def flag(self, score: RunScore) -> bool:
+        """One-sided low-likelihood rule; -inf scores are always anomalous."""
+        return not score.finite or score.loglik < self.threshold
 
 
 # ---------------------------------------------------------------------------
@@ -288,38 +208,23 @@ def prefix_stats(
     return out
 
 
-def checkpoint_warnings(
-    model,
-    run: AbstractPath,
-    stats: Mapping[int, CheckpointStats],
-    cfg: DetectorConfig | None = None,
-) -> tuple[list[dict], int | None]:
-    """All checkpoint warnings a monitor would emit along one run.
-
-    Returns (warnings, unseen_transition_at).  After the run leaves the
-    model's support the unseen-transition alert supersedes later checkpoints.
-    """
-    score, warnings = score_run(model, run, stats, cfg)
-    return warnings, score.unseen_transition_at
+def checkpoint_thresholds(stats: Mapping[int, CheckpointStats], alpha: float) -> dict[int, float]:
+    """The normal rule's threshold at each armed checkpoint; unarmed ones are left out."""
+    return {k: _normal_threshold(cp.mu, cp.sigma, alpha) for k, cp in stats.items() if cp.armed}
 
 
 class RunMonitor:
     """Incremental per-run scorer for streaming transition feeds.
 
     feed() returns the alert records triggered by that transition: at most
-    one unseen-transition alert per run, plus checkpoint warnings.  Without
-    checkpoint statistics it only reports the unseen transition.
+    one unseen-transition alert per run, plus a checkpoint warning when the
+    prefix score falls below ``thresholds[k]`` at a checkpoint k.  Without
+    thresholds it only reports the unseen transition.
     """
 
-    def __init__(
-        self,
-        model,
-        stats: Mapping[int, CheckpointStats] | None = None,
-        cfg: DetectorConfig | None = None,
-    ):
+    def __init__(self, model, thresholds: Mapping[int, float] | None = None):
         self.logp = model.logp
-        self.stats = {k: cp for k, cp in (stats or {}).items() if cp.armed}
-        self.cfg = cfg or DetectorConfig()
+        self.thresholds = thresholds or {}
         self.loglik = 0.0
         self.steps = 0
         self.dead = False
@@ -333,11 +238,8 @@ class RunMonitor:
             self.dead = True
             return [{"kind": "unseen_transition", "step": self.steps - 1}]
         self.loglik += logp
-        cp = self.stats.get(self.steps)
-        if cp is None:
-            return []
-        threshold = offline_threshold(cp.mu, cp.sigma, self.cfg.alpha)
-        if self.loglik < threshold:
+        threshold = self.thresholds.get(self.steps)
+        if threshold is not None and self.loglik < threshold:
             return [
                 {
                     "kind": "checkpoint",

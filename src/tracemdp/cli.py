@@ -27,12 +27,13 @@ from .anomaly import (
     DetectorConfig,
     OfflineDetector,
     RunMonitor,
+    checkpoint_thresholds,
     prefix_stats,
     run_loglik,
     score_run,
 )
 from .checker import check, parse_property
-from .errors import InvalidConfig, MalformedRecord, PropertySyntaxError, TraceMdpError
+from .errors import InvalidConfig, MalformedRecord, PropertySyntaxError, SchemaViolation, TraceMdpError
 from .linked_store import (
     LabelingConfig,
     build,
@@ -91,10 +92,11 @@ def _checkpoints(text: str) -> tuple[int, ...]:
 
 
 def _detector_setup(args) -> tuple:
-    """(store, detector config, prefix statistics of the store's training runs)."""
+    """(store, detector config, checkpoint thresholds of the store's training runs)."""
     store = load_store(args.store)
     cfg = DetectorConfig(alpha=args.alpha, checkpoints=_checkpoints(args.checkpoints))
-    return store, cfg, prefix_stats(store.runs, store.model, cfg.checkpoints)
+    stats = prefix_stats(store.runs, store.model, cfg.checkpoints)
+    return store, cfg, checkpoint_thresholds(stats, cfg.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +159,23 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    store, cfg, stats = _detector_setup(args)
-    detector = OfflineDetector(cfg).fit(
-        run_loglik(store.model, run, trace_id) for run, trace_id in zip(store.runs, store.trace_ids)
-    )
+    store, cfg, thresholds = _detector_setup(args)
+    detector = OfflineDetector(cfg).fit(run_loglik(store.model, run) for run in store.runs)
 
     target_log = read_trace_log(args.log)
+    if target_log.schema not in (None, store.schema):
+        raise SchemaViolation(f"log {args.log!r} does not match the store's training schema")
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for trace in target_log:
             run = abstract_trace(store.tree, trace)
-            score, warnings = score_run(store.model, run, stats, cfg, trace.trace_id)
-            verdict = detector.flag(score)
+            score, warnings = score_run(store.model, run, thresholds)
             _print_json(
                 {
                     "trace_id": trace.trace_id,
                     "loglik": score.loglik if score.finite else None,
                     "length": score.length,
-                    "verdict": verdict["verdict"],
+                    "verdict": "anomalous" if detector.flag(score) else "normal",
                     "checkpoint_warnings": warnings,
                     "unseen_transition_at": score.unseen_transition_at,
                 },
@@ -224,7 +225,7 @@ MONITOR_SNAPSHOTS = 1024
 
 
 def _cmd_monitor(args) -> int:
-    store, cfg, stats = _detector_setup(args)
+    store, _cfg, thresholds = _detector_setup(args)
     schema = store.schema
     table: SnapshotTable = {}
 
@@ -259,7 +260,7 @@ def _cmd_monitor(args) -> int:
         last[event.trace_id] = (event.post, dst)
         monitor = monitors.get(event.trace_id)
         if monitor is None:
-            monitor = monitors[event.trace_id] = RunMonitor(store.model, stats, cfg)
+            monitor = monitors[event.trace_id] = RunMonitor(store.model, thresholds)
         for alert in monitor.feed(src, event.action, dst):
             _print_json({"trace_id": event.trace_id, **alert})
             sys.stdout.flush()

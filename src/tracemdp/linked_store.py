@@ -25,7 +25,8 @@ A saved store is a directory of five files:
 * ``manifest.json``, naming the training log, its SHA-256, the tree file
   and the labeling config.
 
-A store file that is not the JSON it should be, lacks a key, or (the
+A store file that is not the JSON it should be, lacks a key, holds a
+value of the wrong shape (a list where an object belongs), or (the
 manifest) holds a labeling config ``LabelingConfig`` rejects, raises
 ``DamagedStore`` naming the file; a malformed tree file raises
 ``InvalidConfig`` (``PredicateTree.load``).
@@ -33,7 +34,7 @@ manifest) holds a labeling config ``LabelingConfig`` rejects, raises
 ``load_store`` hashes the training log and refuses it if the hash no longer
 matches the manifest (``StaleLog``), but never parses it: it returns a
 ``SavedStore`` (tree, model induced from the saved runs with the saved
-labels, runs, trace ids, schema), which is all that ``check``, ``export``,
+labels, runs, schema), which is all that ``check``, ``export``,
 ``score`` and ``monitor`` read.  ``load_store_inputs`` reads the manifest,
 tree and log back for the commands that rebuild the full store
 (``refine``, ``check --log``); an explicitly named log skips the hash
@@ -205,7 +206,6 @@ class SavedStore:
     tree: PredicateTree
     model: CompiledModel
     runs: tuple[AbstractPath, ...]  # in training log order
-    trace_ids: tuple[str, ...]  # trace_ids[i] is the id of the trace behind runs[i]
     schema: dict[str, tuple[str, str]] | None  # the training log's frozen schema
 
 
@@ -254,12 +254,12 @@ def save_store(store: LinkedStore, directory: str, log_path: str) -> None:
 
 @contextmanager
 def _reading(path: str):
-    """Reports a store file that is not JSON, or lacks a key, as DamagedStore naming the file."""
+    """Reports a store file that is not JSON, lacks a key or holds a wrongly shaped value as DamagedStore."""
     try:
         yield
     except TraceMdpError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DamagedStore(f"store file {path!r} is damaged: {type(exc).__name__}: {exc}") from None
 
 
@@ -305,7 +305,6 @@ def load_store(directory: str) -> SavedStore:
         saved = json.load(fh)
         runs = tuple(AbstractPath(tuple(states), tuple(actions)) for _id, states, actions in saved["runs"])
         model = amdp_mod.induce(runs, tree.abstract_ids(), saved["labels"])
-        trace_ids = tuple(trace_id for trace_id, _states, _actions in saved["runs"])
         schema = saved["schema"]
         schema = None if schema is None else {name: (part, tag) for name, part, tag in schema}
-    return SavedStore(tree=tree, model=model, runs=runs, trace_ids=trace_ids, schema=schema)
+    return SavedStore(tree=tree, model=model, runs=runs, schema=schema)

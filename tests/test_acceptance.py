@@ -418,15 +418,13 @@ def desk_pipeline(tmp_path_factory):
     model = store.model
 
     detector = OfflineDetector(DetectorConfig(alpha=0.05)).fit(
-        run_loglik(model, abstract_trace(tree, trace), trace.trace_id)
-        for trace in train_log
+        run_loglik(model, abstract_trace(tree, trace)) for trace in train_log
     )
 
     def verdicts(log_path):
         out = {}
         for trace in read_trace_log(log_path):
-            score = run_loglik(model, abstract_trace(tree, trace), trace.trace_id)
-            out[trace.trace_id] = detector.flag(score)["verdict"] == "anomalous"
+            out[trace.trace_id] = detector.flag(run_loglik(model, abstract_trace(tree, trace)))
         return out
 
     anomalous_verdicts = verdicts(train_paths.anomalous)

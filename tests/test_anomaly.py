@@ -14,14 +14,11 @@ from tracemdp.anomaly import (
     OfflineDetector,
     RunMonitor,
     RunScore,
-    checkpoint_warnings,
+    checkpoint_thresholds,
     normal_quantile,
-    offline_flag,
-    offline_stats,
-    offline_threshold,
     prefix_stats,
     run_loglik,
-    skewness,
+    score_run,
 )
 from tracemdp.errors import DomainError, InsufficientData
 from tracemdp.trace_model import AbstractPath
@@ -135,84 +132,166 @@ class TestRunLoglik:
 # Offline statistics and flagging
 # ---------------------------------------------------------------------------
 
+def scores_of(*logliks):
+    return [RunScore(value, 5) for value in logliks]
+
+
+def fitted(logliks, alpha=0.05):
+    return OfflineDetector(DetectorConfig(alpha=alpha)).fit(scores_of(*logliks))
+
+
+def reference_skewness(values):
+    """Population skewness, summed in pure Python."""
+    mean = math.fsum(values) / len(values)
+    m2 = math.fsum((v - mean) ** 2 for v in values) / len(values)
+    m3 = math.fsum((v - mean) ** 3 for v in values) / len(values)
+    return m3 / m2**1.5
+
+
+def reference_quantile(values, alpha):
+    """numpy's default (linear) alpha-quantile, interpolated by hand."""
+    ordered = sorted(values)
+    position = alpha * (len(ordered) - 1)
+    low = math.floor(position)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (position - low) * (ordered[high] - ordered[low])
+
+
 class TestOfflineStats:
+    """``fit``'s mu and sigma: mean and unbiased deviation of the finite scores."""
+
     def test_equal_scores(self):
-        stats = offline_stats([RunScore("a", -10.0, 5), RunScore("b", -10.0, 5)])
-        assert stats.mu == -10.0 and stats.sigma == 0.0
+        detector = fitted([-10.0, -10.0])
+        assert detector.mu == -10.0 and detector.sigma == 0.0
 
     def test_two_scores_unbiased(self):
-        stats = offline_stats([RunScore("a", -8.0, 5), RunScore("b", -12.0, 5)])
-        assert stats.mu == -10.0
-        assert stats.sigma == pytest.approx(2 * math.sqrt(2), abs=1e-6)
+        detector = fitted([-8.0, -12.0])
+        assert detector.mu == -10.0
+        assert detector.sigma == pytest.approx(2 * math.sqrt(2), abs=1e-6)
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientData):
-            offline_stats([RunScore("a", -8.0, 5)])
-        with pytest.raises(InsufficientData):
-            offline_stats([RunScore("a", -8.0, 5), RunScore("b", -math.inf, 5)])
+        with pytest.raises(InsufficientData, match="need at least 2 finite scores, got 1"):
+            fitted([-8.0])
+        with pytest.raises(InsufficientData, match="need at least 2 finite scores, got 1"):
+            fitted([-8.0, -math.inf])
 
     def test_sentinels_counted_separately(self):
-        stats = offline_stats(
-            [RunScore("a", -8.0, 5), RunScore("b", -12.0, 5), RunScore("c", -math.inf, 5)]
-        )
-        assert stats.n_finite == 2 and stats.n_unseen == 1
-        assert stats.mu == -10.0
+        detector = fitted([-8.0, -12.0, -math.inf])
+        assert detector.mu == -10.0 and detector.sigma == fitted([-8.0, -12.0]).sigma
+        assert detector.flag(RunScore(-math.inf, 5, 2))
 
 
 class TestOfflineFlag:
     def test_threshold_example(self):
-        threshold = offline_threshold(-10.0, 2.0, 0.05)
+        stats = {5: CheckpointStats(5, 10, 10, 0, mu=-10.0, sigma=2.0)}
+        (threshold,) = checkpoint_thresholds(stats, 0.05).values()
         assert threshold == pytest.approx(-13.289707, abs=1e-5)
-        assert offline_flag(-14.0, -10.0, 2.0, 0.05)
-        assert not offline_flag(-13.0, -10.0, 2.0, 0.05)
+        assert threshold == -10.0 - normal_quantile(0.95) * 2.0
+
+        class Fixed:
+            logp = {(0, "go", 1): -14.0, (0, "go", 2): -13.0}
+
+        low = RunMonitor(Fixed, {1: threshold}).feed(0, "go", 1)
+        assert low == [{"kind": "checkpoint", "k": 1, "loglik_k": -14.0, "threshold": threshold}]
+        assert RunMonitor(Fixed, {1: threshold}).feed(0, "go", 2) == []
 
     def test_score_at_mean_is_normal(self):
-        assert not offline_flag(-10.0, -10.0, 2.0, 0.05)
+        detector = fitted([-8.0, -12.0])
+        assert not detector.flag(RunScore(detector.mu, 5))
 
     def test_sigma_zero_degenerate(self):
-        assert offline_flag(-10.0001, -10.0, 0.0, 0.05)
-        assert not offline_flag(-10.0, -10.0, 0.0, 0.05)
+        detector = fitted([-10.0, -10.0, -10.0])
+        assert detector.mode == "normal" and detector.threshold == -10.0
+        assert detector.flag(RunScore(-10.0001, 5))
+        assert not detector.flag(RunScore(-10.0, 5))
 
     def test_sentinel_always_anomalous(self):
-        assert offline_flag(-math.inf, -10.0, 2.0, 0.05)
+        assert fitted([-8.0, -12.0]).flag(RunScore(-math.inf, 5, 0))
 
     def test_monotone_in_score(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            mu, sigma = float(rng.normal()), float(rng.uniform(0, 3))
             alpha = float(rng.uniform(0.01, 0.49))
-            l2 = float(rng.normal(mu, 2))
+            detector = fitted([float(v) for v in rng.normal(rng.normal(), 3, size=20)], alpha)
+            l2 = float(rng.normal(detector.mu, 2))
             l1 = l2 - float(rng.uniform(0, 5))
-            if offline_flag(l2, mu, sigma, alpha):
-                assert offline_flag(l1, mu, sigma, alpha)
+            if detector.flag(RunScore(l2, 5)):
+                assert detector.flag(RunScore(l1, 5))
 
     def test_empirical_mode_uses_quantile(self):
-        history = [-20.0, -15.0, -12.0, -11.0, -10.0, -9.0, -8.0, -7.0, -6.0, -5.0]
-        threshold = offline_threshold(0, 0, 0.1, mode="empirical", history=history)
-        assert threshold == pytest.approx(np.quantile(history, 0.1))
-        assert offline_flag(-19.0, 0, 0, 0.1, mode="empirical", history=history)
-        assert not offline_flag(-10.0, 0, 0, 0.1, mode="empirical", history=history)
+        history = [-200.0, -15.0, -12.0, -11.0, -10.0, -9.0, -8.0, -7.0, -6.0, -5.0]
+        detector = fitted(history, alpha=0.1)
+        assert detector.mode == "empirical"
+        assert detector.threshold == pytest.approx(reference_quantile(history, 0.1))
+        assert detector.flag(RunScore(-199.0, 5))
+        assert not detector.flag(RunScore(-10.0, 5))
+
+
+class TestFittedThreshold:
+    """``fit``'s threshold equals an independently computed one, in both modes."""
+
+    def test_normal_mode_threshold(self):
+        rng = np.random.default_rng(3)
+        train = [float(v) for v in rng.normal(-10, 2, size=200)]
+        detector = fitted(train + [-math.inf], alpha=0.05)
+        mu = float(np.mean(train))
+        sigma = float(np.std(train, ddof=1))
+        assert detector.mode == "normal"
+        assert (detector.mu, detector.sigma) == (mu, sigma)
+        assert detector.threshold == mu - normal_quantile(0.95) * sigma
+
+    def test_empirical_mode_threshold(self):
+        rng = np.random.default_rng(5)
+        train = [float(v) for v in rng.normal(-10, 1, size=99)] + [-400.0]
+        assert abs(reference_skewness(train)) > 2
+        detector = fitted(train, alpha=0.2)
+        assert detector.mode == "empirical"
+        assert detector.threshold == float(np.quantile(sorted(train), 0.2))
+        assert detector.threshold == pytest.approx(reference_quantile(train, 0.2), abs=1e-12)
+        assert detector.mu == float(np.mean(train))
+
+
+class TestCheckpointThresholds:
+    def test_unarmed_checkpoints_left_out(self):
+        stats = {
+            5: CheckpointStats(5, 10, 10, 0, mu=-2.0, sigma=0.5),
+            7: CheckpointStats(7, 1, 1, 0, mu=None, sigma=None),
+            9: CheckpointStats(9, 3, 0, 3, mu=None, sigma=None),
+            11: CheckpointStats(11, 2, 2, 0, mu=-4.0, sigma=0.0),
+        }
+        thresholds = checkpoint_thresholds(stats, 0.2)
+        assert thresholds == {5: -2.0 - normal_quantile(0.8) * 0.5, 11: -4.0}
+
+    def test_from_prefix_stats(self):
+        m = chain_model({(0, 0): 80, (0, 1): 20, (1, 1): 100})
+        runs = [AbstractPath((0,) * (n + 1), ("go",) * n) for n in (3, 12, 14)]
+        stats = prefix_stats(runs, m, checkpoints=(2, 10, 13))
+        assert checkpoint_thresholds(stats, 0.05) == {
+            2: stats[2].mu - normal_quantile(0.95) * stats[2].sigma,
+            10: stats[10].mu - normal_quantile(0.95) * stats[10].sigma,
+        }
 
 
 class TestOfflineDetector:
     def test_skew_fallback(self):
-        scores = [RunScore(str(i), v, 5) for i, v in enumerate([-1.0] * 30 + [-200.0])]
-        assert abs(skewness([s.loglik for s in scores])) > 2
-        detector = OfflineDetector(DetectorConfig(alpha=0.1)).fit(scores)
-        assert detector.effective_mode == "empirical"
+        values = [-1.0] * 30 + [-200.0]
+        assert abs(reference_skewness(values)) > 2
+        detector = fitted(values, alpha=0.1)
+        assert detector.mode == "empirical"
+        assert detector.threshold == pytest.approx(reference_quantile(values, 0.1))
 
     def test_normal_mode_kept_for_symmetric_scores(self):
         rng = np.random.default_rng(3)
-        scores = [RunScore(str(i), float(rng.normal(-10, 2)), 5) for i in range(200)]
+        scores = [RunScore(float(rng.normal(-10, 2)), 5) for i in range(200)]
         detector = OfflineDetector().fit(scores)
-        assert detector.effective_mode == "normal"
+        assert detector.mode == "normal"
 
     def test_calibration_on_held_out(self):
         rng = np.random.default_rng(14)
-        train = [RunScore(str(i), float(rng.normal(-10, 2)), 5) for i in range(500)]
-        held = [RunScore(str(i), float(rng.normal(-10, 2)), 5) for i in range(500)]
+        train = [RunScore(float(rng.normal(-10, 2)), 5) for i in range(500)]
+        held = [RunScore(float(rng.normal(-10, 2)), 5) for i in range(500)]
         detector = OfflineDetector(DetectorConfig(alpha=0.05)).fit(train)
-        rate = sum(detector.flag(s)["verdict"] == "anomalous" for s in held) / len(held)
+        rate = sum(detector.flag(s) for s in held) / len(held)
         assert rate <= 0.05 + 0.05
 
 
@@ -313,7 +392,7 @@ class TestOnlineCheck:
         return AbstractPath(tuple(states), tuple("go" for _ in range(len(states) - 1)))
 
     def alerts(self, run, stats):
-        monitor = RunMonitor(self.model, stats)
+        monitor = RunMonitor(self.model, checkpoint_thresholds(stats, 0.05))
         return [alert for step in run.steps() for alert in monitor.feed(*step)]
 
     def test_score_at_mean_is_normal(self):
@@ -348,10 +427,11 @@ class TestMonitorAgainstBatch:
             states = tuple(int(rng.integers(0, 3)) for _ in range(n + 1))
             runs.append(AbstractPath(states, tuple("go" for _ in range(n))))
         stats = prefix_stats(runs, m, checkpoints=(5, 10, 15))
-        cfg = DetectorConfig(alpha=0.2, checkpoints=(5, 10, 15))
+        thresholds = checkpoint_thresholds(stats, 0.2)
         for run in runs:
-            batch_warnings, batch_unseen = checkpoint_warnings(m, run, stats, cfg)
-            monitor = RunMonitor(m, stats, cfg)
+            score, batch_warnings = score_run(m, run, thresholds)
+            batch_unseen = score.unseen_transition_at
+            monitor = RunMonitor(m, thresholds)
             streamed = []
             unseen = None
             for src, action, dst in run.steps():
@@ -417,6 +497,7 @@ class TestScorersAgainstReference:
         m, runs, cfg = case
         stats = prefix_stats(runs, m, cfg.checkpoints)
         assert sorted(stats) == list(cfg.checkpoints)
+        cp_scores = {}
         for k in cfg.checkpoints:
             eligible = [run for run in runs if run.n_transitions >= k]
             finite = sorted(
@@ -424,6 +505,7 @@ class TestScorersAgainstReference:
                 for value, _ in (reference_prefix(m, run, k) for run in eligible)
                 if value is not None
             )
+            cp_scores[k] = finite
             cp = stats[k]
             assert (cp.n_runs, cp.n_finite, cp.n_unseen) == (
                 len(eligible),
@@ -436,10 +518,8 @@ class TestScorersAgainstReference:
 
         for run in runs:
             total, unseen_at = reference_prefix(m, run, run.n_transitions)
-            score = run_loglik(m, run, "t")
-            assert score == RunScore(
-                "t", -math.inf if total is None else total, run.n_transitions, unseen_at
-            )
+            score = run_loglik(m, run)
+            assert score == RunScore(-math.inf if total is None else total, run.n_transitions, unseen_at)
 
             expected = []
             for k in cfg.checkpoints:
@@ -449,12 +529,15 @@ class TestScorersAgainstReference:
                 value, _ = reference_prefix(m, run, k)
                 if value is None:
                     continue
-                threshold = offline_threshold(cp.mu, cp.sigma, cfg.alpha)
+                threshold = float(np.mean(cp_scores[k])) - normal_quantile(1.0 - cfg.alpha) * float(
+                    np.std(cp_scores[k], ddof=1)
+                )
                 if value < threshold:
                     expected.append({"k": k, "loglik_k": value, "threshold": threshold})
-            assert checkpoint_warnings(m, run, stats, cfg) == (expected, unseen_at)
+            thresholds = checkpoint_thresholds(stats, cfg.alpha)
+            assert score_run(m, run, thresholds) == (score, expected)
 
-            monitor = RunMonitor(m, stats, cfg)
+            monitor = RunMonitor(m, thresholds)
             alerts = [alert for step in run.steps() for alert in monitor.feed(*step)]
             unseen = [] if unseen_at is None else [{"kind": "unseen_transition", "step": unseen_at}]
             assert alerts == [{"kind": "checkpoint", **w} for w in expected] + unseen

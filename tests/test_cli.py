@@ -318,7 +318,7 @@ class TestSavedStore:
 class TestMonitorRouting:
     def test_routes_each_followed_snapshot_once(self, pipeline, capsys, monkeypatch):
         """One ``abstract`` call per snapshot, and the alerts of a per-trace reference."""
-        from tracemdp.anomaly import DetectorConfig, RunMonitor, prefix_stats
+        from tracemdp.anomaly import DetectorConfig, RunMonitor, checkpoint_thresholds, prefix_stats
         from tracemdp.linked_store import load_store
         from tracemdp.predicate_tree import PredicateTree
         from tracemdp.trace_model import read_trace_log
@@ -327,11 +327,11 @@ class TestMonitorRouting:
         target = pipeline["corpus"] / "anomalous.jsonl"
         store = load_store(str(pipeline["store"]))
         cfg = DetectorConfig()
-        stats = prefix_stats(store.runs, store.model, cfg.checkpoints)
+        thresholds = checkpoint_thresholds(prefix_stats(store.runs, store.model, cfg.checkpoints), cfg.alpha)
         expected = []
         target_log = read_trace_log(str(target))
         for trace in target_log:  # the generator writes each trace's events together
-            monitor = RunMonitor(store.model, stats, cfg)
+            monitor = RunMonitor(store.model, thresholds)
             for step in abstract_trace(store.tree, trace).steps():
                 for alert in monitor.feed(*step):
                     record = {"trace_id": trace.trace_id, **alert}
@@ -520,7 +520,8 @@ class TestLoadIdentity:
         rebuilt = build(*load_store_inputs(str(store)))
         assert loaded.model == rebuilt.model
         assert loaded.runs == rebuilt.runs
-        assert loaded.trace_ids == tuple(trace.trace_id for trace in rebuilt.log)
+        saved = json.loads((store / "runs.json").read_text())
+        assert [trace_id for trace_id, _states, _actions in saved["runs"]] == [t.trace_id for t in rebuilt.log]
         assert list(loaded.schema.items()) == list(rebuilt.log.schema.items())
 
     @pytest.mark.parametrize("name", ["labeled", "no_failure"])
@@ -766,10 +767,11 @@ class TestErrors:
             ("manifest.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "tree_file"})),
             ("manifest.json", lambda text: text[: len(text) // 2]),
             ("runs.json", lambda text: json.dumps({**json.loads(text), "labels": {"success": [999]}})),
+            ("runs.json", lambda text: json.dumps({**json.loads(text), "labels": ["success"]})),
         ],
         ids=[
             "truncated_runs", "runs_without_labels", "manifest_without_tree_file", "truncated_manifest",
-            "label_outside_model",
+            "label_outside_model", "labels_as_list",
         ],
     )
     def test_damaged_store_exit_3(self, pipeline, capsys, tmp_path, name, damage):
@@ -815,6 +817,25 @@ class TestErrors:
             error = json.loads(err)
             assert error["error"] == "DamagedStore"
             assert "manifest.json" in error["message"]
+
+    def test_extra_variable_exit_3(self, pipeline, capsys, tmp_path):
+        """`score` and `monitor` both refuse a log with a variable the training schema lacks."""
+        records = [json.loads(line) for line in (pipeline["corpus"] / "anomalous.jsonl").open()]
+        for record in records:
+            for key in ("pre", "post", "state"):
+                if key in record:
+                    record[key]["state"]["bogus"] = 1
+        log = tmp_path / "bogus.jsonl"
+        log.write_text("".join(json.dumps(record) + "\n" for record in records))
+        store = str(pipeline["store"])
+        for argv in (
+            ["score", "--store", store, "--log", str(log)],
+            ["monitor", "--store", store, "--follow", str(log), "--once"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "", argv[0]
+            error = json.loads(err)
+            assert error["error"] == "SchemaViolation"
 
     def test_undeclared_label_exit_3(self, pipeline, capsys):
         code, out, err = run_cli(

@@ -16,7 +16,10 @@ store, so its refs are compared too, and a labeled flow
 (``labeled_flow``): a second ``build`` with a rule file (``RULES``, a
 ``bool_eq`` rule on ``opsCompleted`` named ``success``, so it adds to the
 terminal ``success`` label) and non-default ``--success-mode any
---failure-mode all``, a ``check`` of the rule's label and an ``export``.
+--failure-mode all``, a ``check`` of the rule's label and an ``export``,
+then a detector flow (``detector_flow``): ``score`` and ``monitor --once``
+on the anomalous log with non-default ``DETECTOR_FLAGS``, so that both the
+run-level and the checkpoint thresholds are compared at another alpha.
 One process per command, with ``--iteration-log`` added to each refine.
 Every command's standard output, standard error and exit code are kept
 next to the files the commands write (the stores, ``scores.jsonl``, each
@@ -49,6 +52,7 @@ SEEDS = (0, 1)
 EXTRA_REFINE = ("refine", ["refine", "--store", "store", "--prop", 'Pmax<=0.5 [F "failure"]', "--max-iters", "3"])
 RULES = [{"name": "success", "mode": "all",
           "atoms": [{"type": "bool_eq", "var": "opsCompleted", "expected": True}]}]
+DETECTOR_FLAGS = ["--alpha", "0.2", "--checkpoints", "5,15,40"]
 MAKE_CORPUS = "import json, sys; from corpus import make_corpus; print(json.dumps(make_corpus(*json.loads(sys.argv[1]))))"
 
 
@@ -80,6 +84,15 @@ def labeled_flow(train: str) -> list[tuple[str, list[str]]]:
                    "--success-mode", "any", "--failure-mode", "all"]),
         ("check", ["check", "--store", "labeled", "--prop", f'Pmax=? [F "{RULES[0]["name"]}"]']),
         ("export", ["export", "--store", "labeled", "--out", "labeled-exported"]),
+    ]
+
+
+def detector_flow(anomalous: str) -> list[tuple[str, list[str]]]:
+    """Scores and monitors the anomalous log against the first store with ``DETECTOR_FLAGS``."""
+    return [
+        ("score", ["score", "--store", "store", "--log", anomalous, "--out", "detector-scores.jsonl",
+                   *DETECTOR_FLAGS]),
+        ("monitor", ["monitor", "--store", "store", "--follow", anomalous, "--once", *DETECTOR_FLAGS]),
     ]
 
 
@@ -129,7 +142,9 @@ def main(argv: list[str]) -> int:
                 if different:
                     print(f"DIFFERENT corpus files for {case}: {', '.join(different)}")
                     return 1
-                flow = [*commands(workload, paths["parent"]), EXTRA_REFINE, *labeled_flow(paths["parent"]["train"])]
+                corpus = paths["parent"]
+                flow = [*commands(workload, corpus), EXTRA_REFINE, *labeled_flow(corpus["train"]),
+                        *detector_flow(corpus["anomalous"])]
                 for side, src in sides.items():
                     run_flow(flow, src, os.path.join(work, side, case))
                 print(f"{case}: ran {len(flow)} commands under each tree", flush=True)
