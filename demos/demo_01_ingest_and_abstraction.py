@@ -11,7 +11,7 @@ from collections import Counter
 
 from tracemdp.generator import GeneratorConfig, generate_corpus
 from tracemdp.predicate_tree import TreeConfig, abstract_trace, build_initial_tree
-from tracemdp.trace_model import read_trace_log
+from tracemdp.trace_model import PARTITIONS, read_trace_log
 
 with tempfile.TemporaryDirectory(prefix="tracemdp-demo1-") as workdir:
     paths = generate_corpus(GeneratorConfig(seed=42, n_baseline=200, n_anomalous=0), workdir)
@@ -19,7 +19,10 @@ with tempfile.TemporaryDirectory(prefix="tracemdp-demo1-") as workdir:
     log = read_trace_log(paths.baseline)
 print(f"\ningested {len(log)} traces, {log.n_transitions} transitions")
 print("schema:")
-for name, (partition, kind) in sorted(log.schema.items()):
+variables = (
+    (name, partition, kind) for partition, names in zip(PARTITIONS, log.schema) for name, kind in names.items()
+)
+for name, partition, kind in sorted(variables):
     print(f"  {name:<18} {partition:<6} {kind}")
 
 tree = build_initial_tree(log, TreeConfig())

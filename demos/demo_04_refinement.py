@@ -13,11 +13,11 @@ from tracemdp.checker import parse_property
 from tracemdp.linked_store import check_invariants
 from tracemdp.predicate_tree import TreeConfig, build_initial_tree
 from tracemdp.refinement import RefinementConfig, verify_refine_loop
-from tracemdp.trace_model import ConcreteState, TerminalStatus, Trace, TraceLog, Value
+from tracemdp.trace_model import ConcreteState, TerminalStatus, Trace, TraceLog
 
 
 def snapshot(stage: int, mode: int) -> ConcreteState:
-    return ConcreteState({}, {}, {"stage": Value.integer(stage), "mode": Value.integer(mode)})
+    return ConcreteState({}, {}, {"stage": stage, "mode": mode})
 
 
 def run(trace_id: str, mode: int, actions: list[str], status: str) -> Trace:

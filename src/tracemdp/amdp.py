@@ -160,6 +160,10 @@ class LabelRule:
     mode: str = "all"
 
     def __post_init__(self) -> None:
+        # The export writes names space-separated and declares "init" itself.
+        name = self.name
+        if not isinstance(name, str) or name.split() != [name] or name == "init":
+            raise ValueError(f"label name must be a non-empty string without whitespace, not 'init', got {name!r}")
         if self.mode not in LABEL_MODES:
             raise ValueError(f"unknown label mode {self.mode!r}")
         for atom in self.atoms:

@@ -18,10 +18,12 @@ A saved store is a directory of five files:
 
 * ``tree.json``, the predicate tree;
 * ``model.tra`` and ``model.lab``, the explicit-state export (``write_model``);
-* ``runs.json``, the log's frozen schema as [name, partition, tag] triples,
-  one [trace id, states, actions] entry per run in log order, and every
-  label's sorted state ids (empty labels included: rule labels cannot be
-  recomputed from runs);
+* ``runs.json``, the log's frozen schema (a snapshot layout, see
+  ``trace_model``) as [name, partition, tag] triples, partition by
+  partition in goal/check/state order with names sorted, one [trace id,
+  states, actions] entry per run in log order, and every label's sorted
+  state ids (empty labels included: rule labels cannot be recomputed from
+  runs);
 * ``manifest.json``, naming the training log, its SHA-256, the tree file
   and the labeling config.
 
@@ -34,11 +36,12 @@ manifest) holds a labeling config ``LabelingConfig`` rejects, raises
 ``load_store`` hashes the training log and refuses it if the hash no longer
 matches the manifest (``StaleLog``), but never parses it: it returns a
 ``SavedStore`` (tree, model induced from the saved runs with the saved
-labels, runs, schema), which is all that ``check``, ``export``,
-``score`` and ``monitor`` read.  ``load_store_inputs`` reads the manifest,
-tree and log back for the commands that rebuild the full store
-(``refine``, ``check --log``); an explicitly named log skips the hash
-comparison.
+labels, runs, and the schema rebuilt as a layout from the triples), which
+is all that ``check``, ``export``, ``score`` and ``monitor`` read; ``score``
+and ``monitor`` compare a log's snapshot layouts with that schema.
+``load_store_inputs`` reads the manifest, tree and log back for the
+commands that rebuild the full store (``refine``, ``check --log``); an
+explicitly named log skips the hash comparison.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .predicate_tree import (
     predicate_from_json,
     predicate_to_json,
 )
-from .trace_model import AbstractPath, ConcreteState, TraceLog, read_trace_log
+from .trace_model import PARTITIONS, AbstractPath, ConcreteState, Layout, TraceLog, read_trace_log
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,7 @@ class SavedStore:
     tree: PredicateTree
     model: CompiledModel
     runs: tuple[AbstractPath, ...]  # in training log order
-    schema: dict[str, tuple[str, str]] | None  # the training log's frozen schema
+    schema: Layout | None  # the training log's frozen schema
 
 
 def _sha256_file(path: str) -> str:
@@ -242,7 +245,9 @@ def save_store(store: LinkedStore, directory: str, log_path: str) -> None:
         fh.write("\n")
     schema = store.log.schema
     saved = {
-        "schema": None if schema is None else [[name, *entry] for name, entry in schema.items()],
+        "schema": None if schema is None else [
+            [name, part, tag] for part, names in zip(PARTITIONS, schema) for name, tag in sorted(names.items())
+        ],
         "runs": [
             [trace.trace_id, run.states, run.actions] for trace, run in zip(store.log, store.runs)
         ],
@@ -305,6 +310,10 @@ def load_store(directory: str) -> SavedStore:
         saved = json.load(fh)
         runs = tuple(AbstractPath(tuple(states), tuple(actions)) for _id, states, actions in saved["runs"])
         model = amdp_mod.induce(runs, tree.abstract_ids(), saved["labels"])
-        schema = saved["schema"]
-        schema = None if schema is None else {name: (part, tag) for name, part, tag in schema}
+        schema = None
+        if saved["schema"] is not None:
+            layout: dict[str, dict[str, str]] = {part: {} for part in PARTITIONS}
+            for name, part, tag in saved["schema"]:
+                layout[part][name] = tag
+            schema = tuple(layout.values())
     return SavedStore(tree=tree, model=model, runs=runs, schema=schema)

@@ -28,9 +28,10 @@ from .trace_model import (
     TEXT,
     AbstractPath,
     ConcreteState,
+    Layout,
     Trace,
     TraceLog,
-    Value,
+    kind_of,
 )
 
 if TYPE_CHECKING:
@@ -52,7 +53,7 @@ class Predicate:
 
     kind = "abstract"
 
-    def test(self, value: Value) -> bool:
+    def test(self, value: object) -> bool:
         raise NotImplementedError
 
     def evaluate(self, state: ConcreteState) -> bool:
@@ -79,8 +80,8 @@ class ScalarThreshold(Predicate):
     threshold: float = 0.0
     kind = "num_gt"
 
-    def test(self, value: Value) -> bool:
-        return value.numeric > self.threshold
+    def test(self, value: object) -> bool:
+        return _numeric(value) > self.threshold
 
     def mask(self, column: np.ndarray) -> np.ndarray:
         return column > self.threshold
@@ -99,10 +100,10 @@ class BooleanEq(Predicate):
     expected: bool = True
     kind = "bool_eq"
 
-    def test(self, value: Value) -> bool:
-        if value.kind != BOOLEAN:
+    def test(self, value: object) -> bool:
+        if kind_of(value) != BOOLEAN:
             raise SchemaViolation(f"{self.var!r} is not boolean")
-        return bool(value.data) == self.expected
+        return value == self.expected
 
     def mask(self, column: np.ndarray) -> np.ndarray:
         return column == self.expected
@@ -121,10 +122,10 @@ class TextEq(Predicate):
     expected: str = ""
     kind = "text_eq"
 
-    def test(self, value: Value) -> bool:
-        if value.kind != TEXT:
+    def test(self, value: object) -> bool:
+        if kind_of(value) != TEXT:
             raise SchemaViolation(f"{self.var!r} is not text")
-        return value.data == self.expected
+        return value == self.expected
 
     def mask(self, column: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -144,8 +145,8 @@ class StructEmpty(Predicate):
 
     kind = "coll_empty"
 
-    def test(self, value: Value) -> bool:
-        return value.cardinality == 0
+    def test(self, value: object) -> bool:
+        return _cardinality(value) == 0
 
     def mask(self, column: np.ndarray) -> np.ndarray:
         return column == 0
@@ -164,8 +165,8 @@ class StructCardThreshold(Predicate):
     threshold: int = 0
     kind = "coll_card_gt"
 
-    def test(self, value: Value) -> bool:
-        return value.cardinality > self.threshold
+    def test(self, value: object) -> bool:
+        return _cardinality(value) > self.threshold
 
     def mask(self, column: np.ndarray) -> np.ndarray:
         return column > self.threshold
@@ -177,15 +178,20 @@ class StructCardThreshold(Predicate):
         return f"card({self.var}) > {self.threshold}"
 
 
-def _column_value(value: Value) -> object:
-    """Feature projection of a Value for column storage."""
-    if value.kind in (NUMBER, INTEGER):
-        return value.numeric
-    if value.kind == BOOLEAN:
-        return bool(value.data)
-    if value.kind == TEXT:
-        return value.data
-    return value.cardinality
+def _numeric(value: object) -> float:
+    """A number or integer value as a float; SchemaViolation for any other kind."""
+    kind = kind_of(value)
+    if kind not in (NUMBER, INTEGER):
+        raise SchemaViolation(f"value of kind {kind!r} is not numeric")
+    return float(value)  # type: ignore[arg-type]
+
+
+def _cardinality(value: object) -> int:
+    """A collection value's length; SchemaViolation for any other kind."""
+    kind = kind_of(value)
+    if kind != COLLECTION:
+        raise SchemaViolation(f"value of kind {kind!r} has no cardinality")
+    return len(value)  # type: ignore[arg-type]
 
 
 def predicate_to_json(pred: Predicate) -> dict:
@@ -199,19 +205,35 @@ def predicate_to_json(pred: Predicate) -> dict:
     return out
 
 
+def _parameter(raw: Mapping, key: str, *types: type) -> object:
+    """``raw[key]``; ValueError unless its exact type is one of ``types``."""
+    value = raw[key]
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{raw['type']} {key} must be {names}, not {value!r}")
+    return value
+
+
 def predicate_from_json(raw: Mapping) -> Predicate:
+    """The predicate ``predicate_to_json`` wrote; ValueError if its type is
+    unknown or a parameter has the wrong JSON type."""
     kind = raw["type"]
     var = raw["var"]
+    if not isinstance(var, str) or not var:
+        raise ValueError(f"predicate var must be a non-empty string, not {var!r}")
     if kind == "num_gt":
-        return ScalarThreshold(var, float(raw["threshold"]))
+        try:
+            return ScalarThreshold(var, float(_parameter(raw, "threshold", int, float)))
+        except OverflowError:
+            raise ValueError("num_gt threshold is too large for a float") from None
     if kind == "bool_eq":
-        return BooleanEq(var, bool(raw["expected"]))
+        return BooleanEq(var, _parameter(raw, "expected", bool))
     if kind == "text_eq":
-        return TextEq(var, str(raw["expected"]))
+        return TextEq(var, _parameter(raw, "expected", str))
     if kind == "coll_empty":
         return StructEmpty(var)
     if kind == "coll_card_gt":
-        return StructCardThreshold(var, int(raw["threshold"]))
+        return StructCardThreshold(var, _parameter(raw, "threshold", int))
     raise ValueError(f"unknown predicate type {kind!r}")
 
 
@@ -239,24 +261,25 @@ class LabeledBatch:
         return len(self.states)
 
     @property
-    def var_catalog(self) -> dict[str, tuple[str, str]]:
-        if not self.states:
-            return {}
-        return self.states[0].schema()
+    def var_catalog(self) -> Layout:
+        """The batch's schema: its first state's layout (empty partitions if none)."""
+        return self.states[0].layout if self.states else ({}, {}, {})
 
     def column(self, var: str) -> np.ndarray:
+        """Feature array of a variable: numbers as float64, booleans as bool,
+        collections as int64 cardinalities, text as objects."""
         col = self._columns.get(var)
         if col is None:
             import numpy as np
 
-            kind = self.var_catalog[var][1]
-            values = [_column_value(s.value(var)) for s in self.states]
+            values = [s.value(var) for s in self.states]
+            kind = kind_of(values[0])
             if kind in (NUMBER, INTEGER):
-                col = np.asarray(values, dtype=np.float64)
+                col = np.asarray([_numeric(v) for v in values], dtype=np.float64)
             elif kind == BOOLEAN:
                 col = np.asarray(values, dtype=bool)
             elif kind == COLLECTION:
-                col = np.asarray(values, dtype=np.int64)
+                col = np.asarray([_cardinality(v) for v in values], dtype=np.int64)
             else:
                 col = np.asarray(values, dtype=object)
             self._columns[var] = col
@@ -404,7 +427,7 @@ def candidate_predicates(batch: LabeledBatch, excluded: Iterable = ()) -> list[P
         raise EmptyBatch("cannot derive candidates from an empty batch")
     excluded = set(excluded)
     out: list[Predicate] = []
-    for var, (_partition, kind) in sorted(batch.var_catalog.items()):
+    for var, kind in sorted(item for part in batch.var_catalog for item in part.items()):
         if kind in (NUMBER, INTEGER):
             distinct = np.unique(batch.column(var))
             for a, b in zip(distinct[:-1], distinct[1:]):

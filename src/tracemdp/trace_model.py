@@ -1,4 +1,4 @@
-"""Typed representation of agent execution traces and JSONL event ingestion.
+"""Agent execution traces as JSON values, and JSONL event ingestion.
 
 A trace is a sequence of concrete states joined by tool calls.  Each
 concrete state is a snapshot of three variable partitions:
@@ -18,21 +18,24 @@ The wire format is JSONL, one event per line:
 * initial (optional): ``{"trace_id", "seq", "kind": "initial", "state":
   {"goal": ..., "check": ..., "state": ...}}``.
 
-Unknown top-level keys are ignored.  The variable schema (names and type
-tags) is frozen on first sight; any later event that disagrees is rejected
-with :class:`~tracemdp.errors.SchemaViolation`, never coerced.
+A partition maps each variable name to its JSON value as ``json.loads``
+gives it: a ``str``, ``int``, ``bool`` or ``float``, or, for a JSON array,
+a tuple of ``(tag, value)`` pairs, so that ``[1]``, ``[1.0]`` and ``[true]``
+stay unequal.  ``kind_of`` gives a value's type tag.
+
+A snapshot's layout is its schema: one dict per partition, in
+goal/check/state order, from variable name to type tag, computed once when
+the snapshot is built.  Snapshots are equal when their values and their
+layouts are, so ``1``, ``1.0`` and ``true`` stay apart.  Unknown top-level
+keys are ignored.  The schema is frozen on first sight; any later event
+whose layout differs is rejected with
+:class:`~tracemdp.errors.SchemaViolation`, never coerced, and only then are
+``(partition, tag)`` pairs built, to name the difference.
 
 Parsing costs little more than ``json.loads``:
 
-* ``Value.from_json`` dispatches on the exact type of each JSON value and
-  falls back to ``isinstance`` tests only for subclasses;
-* ``str``, ``int`` and ``bool`` Values are interned (one shared instance
-  per value, through a bounded cache, so an endless stream cannot grow it);
-  floats never are, as ``-0.0 == 0.0`` would let a shared instance print
-  the wrong sign;
-* action names, and the variable names of each snapshot converted, are
-  interned strings, so a log keeps one copy of each name rather than one
-  per line;
+* string values, action names and variable names are interned, so a log
+  keeps one copy of each rather than one per line;
 * snapshots are interned too, through a table that the reader owns:
   ``read_events`` keeps one per read and ``monitor`` one that it empties
   at a fixed size.  A snapshot's key is each partition's names and values
@@ -40,15 +43,10 @@ Parsing costs little more than ``json.loads``:
   ``true`` stay apart.  Only a snapshot whose ``goal``, ``check`` and
   ``state`` partitions are all present as objects, and whose values are all
   ``str``, ``int`` or ``bool``, gets a key; any other is converted afresh,
-  so a float is never shared (the sign of ``-0.0`` again).  A snapshot
-  whose key is in the table is that table's object, converted and checked
-  against the schema once; a table serves only the schema it was filled
-  under;
-* each snapshot computes its layout once, when it is built: one dict per
-  partition, in goal/check/state order, from variable name to type tag.
-  The schema check compares it with the schema's layout, computed once per
-  schema object; only a mismatch builds the full schema, to name the
-  difference.  A trace compares every snapshot's layout with its first's;
+  so a float is never shared (``-0.0 == 0.0`` would let a shared snapshot
+  print the wrong sign).  A snapshot whose key is in the table is that
+  table's object, converted and checked against the schema once; a table
+  serves only the schema it was filled under;
 * a ``Trace`` is the concrete twin of the abstract run it routes to: its
   ``states`` (one more than its ``actions``, or none at all), its action
   names and one ``args_digest`` or None per action.  ``segment_stream``
@@ -58,12 +56,11 @@ Parsing costs little more than ``json.loads``:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import sys
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -86,116 +83,65 @@ CHECK = "check"
 STATE = "state"
 PARTITIONS = (GOAL, CHECK, STATE)
 
+# A snapshot's schema: per partition, variable name -> type tag.
+Layout = tuple[dict[str, str], dict[str, str], dict[str, str]]
 
-@dataclass(frozen=True)
-class Value:
-    """Immutable tagged value.
+_KINDS = {str: TEXT, int: INTEGER, bool: BOOLEAN, float: NUMBER, tuple: COLLECTION}
 
-    ``kind`` is one of number/integer/boolean/text/collection and never
-    changes after construction.  Collections hold a tuple of nested Values.
+
+def kind_of(value: object) -> str:
+    """The type tag of a snapshot value; MalformedRecord if it has none.
+
+    Exact types are looked up first; subclasses fall back to ``isinstance``
+    tests, bool before int, as bool is a subclass of int.
     """
+    kind = _KINDS.get(type(value))
+    if kind is not None:
+        return kind
+    for base in (bool, int, float, str, tuple):
+        if isinstance(value, base):
+            return _KINDS[base]
+    raise MalformedRecord(f"unsupported JSON value: {value!r}")
 
-    kind: str
-    data: float | int | bool | str | tuple["Value", ...]
 
-    @staticmethod
-    def number(x: float) -> "Value":
-        return Value(NUMBER, float(x))
-
-    @staticmethod
-    def integer(n: int) -> "Value":
-        return Value(INTEGER, int(n))
-
-    @staticmethod
-    def boolean(b: bool) -> "Value":
-        return Value(BOOLEAN, bool(b))
-
-    @staticmethod
-    def text(s: str) -> "Value":
-        return Value(TEXT, str(s))
-
-    @staticmethod
-    def collection(items: Iterable["Value"]) -> "Value":
-        return Value(COLLECTION, tuple(items))
-
-    @staticmethod
-    def from_json(raw: object) -> "Value":
-        make = _FROM_JSON.get(type(raw))
-        if make is not None:
-            return make(raw)
-        # Subclasses of the JSON types, and anything else.  bool must be
-        # tested before int: bool is a subclass of int.
-        if isinstance(raw, bool):
-            return Value(BOOLEAN, raw)
-        if isinstance(raw, int):
-            return Value(INTEGER, raw)
-        if isinstance(raw, float):
-            return Value(NUMBER, raw)
-        if isinstance(raw, str):
-            return Value(TEXT, raw)
-        if isinstance(raw, list):
-            return Value(COLLECTION, tuple(Value.from_json(x) for x in raw))
+def _from_json(raw: object) -> object:
+    """A JSON value as a snapshot holds it: a string interned, an array as
+    ``(tag, value)`` pairs, any other value as it is."""
+    if type(raw) is str:
+        return sys.intern(raw)
+    if isinstance(raw, list):
+        return tuple([(kind_of(item), item) for item in map(_from_json, raw)])
+    if kind_of(raw) == COLLECTION:  # a tuple is no JSON value
         raise MalformedRecord(f"unsupported JSON value: {raw!r}")
-
-    def to_json(self) -> object:
-        if self.kind == COLLECTION:
-            return [v.to_json() for v in self.data]  # type: ignore[union-attr]
-        return self.data
-
-    @property
-    def numeric(self) -> float:
-        """Numeric payload of a number/integer value."""
-        if self.kind not in (NUMBER, INTEGER):
-            raise SchemaViolation(f"value of kind {self.kind!r} is not numeric")
-        return float(self.data)  # type: ignore[arg-type]
-
-    @property
-    def cardinality(self) -> int:
-        if self.kind != COLLECTION:
-            raise SchemaViolation(f"value of kind {self.kind!r} has no cardinality")
-        return len(self.data)  # type: ignore[arg-type]
+    return raw
 
 
-@functools.lru_cache(maxsize=4096)
-def _interned(kind: str, data: int | str) -> Value:
-    """Shared Value of an exact ``int`` or ``str``; bounded, so a stream that
-    never ends cannot grow it.  Floats are never interned: ``-0.0 == 0.0``,
-    so a shared instance could carry the wrong sign."""
-    return Value(kind, data)
+def _to_json(value: object) -> object:
+    if isinstance(value, tuple):
+        return [_to_json(item) for _kind, item in value]
+    return value
 
 
-_TRUE = Value(BOOLEAN, True)
-_FALSE = Value(BOOLEAN, False)
-
-# Parsers for the exact types json.loads produces, keyed by type(raw).
-_FROM_JSON = {
-    bool: lambda raw: _TRUE if raw else _FALSE,
-    int: lambda raw: _interned(INTEGER, raw),
-    str: lambda raw: _interned(TEXT, raw),
-    float: lambda raw: Value(NUMBER, raw),
-    list: lambda raw: Value(COLLECTION, tuple([Value.from_json(x) for x in raw])),
-}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcreteState:
     """Snapshot of goal/check/state variables at one point of a run.
 
-    ``layout`` is the snapshot's schema split by partition: one dict per
-    partition, in goal/check/state order, from variable name to type tag.
+    Each partition maps a variable name to its value (see ``kind_of``);
+    ``layout`` is the snapshot's schema, derived from the values, and takes
+    part in equality.  Slots keep each of a log's snapshots small.
     """
 
-    goal_vars: dict[str, Value]
-    check_vars: dict[str, Value]
-    state_vars: dict[str, Value]
+    goal_vars: dict[str, object]
+    check_vars: dict[str, object]
+    state_vars: dict[str, object]
+    layout: Layout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         names = list(self.goal_vars) + list(self.check_vars) + list(self.state_vars)
         if len(names) != len(set(names)):
             raise SchemaViolation("variable names must be unique across partitions")
-        # Kept outside the fields, so equality and repr ignore it.
         object.__setattr__(self, "layout", tuple(
-            {name: value.kind for name, value in part.items()}
+            {name: kind_of(value) for name, value in part.items()}
             for part in (self.goal_vars, self.check_vars, self.state_vars)
         ))
 
@@ -208,27 +154,16 @@ class ConcreteState:
             return STATE
         raise SchemaViolation(f"unknown variable {name!r}")
 
-    def value(self, name: str) -> Value:
+    def value(self, name: str) -> object:
         for part in (self.goal_vars, self.check_vars, self.state_vars):
             if name in part:
                 return part[name]
         raise SchemaViolation(f"unknown variable {name!r}")
 
-    def variables(self) -> Iterator[tuple[str, str, Value]]:
-        """Yields (name, partition, value) in a deterministic order."""
-        for part_name, part in ((GOAL, self.goal_vars), (CHECK, self.check_vars), (STATE, self.state_vars)):
-            for name in sorted(part):
-                yield name, part_name, part[name]
-
-    def schema(self) -> dict[str, tuple[str, str]]:
-        """Maps variable name to (partition, type tag)."""
-        return {name: (part, val.kind) for name, part, val in self.variables()}
-
     def to_json(self) -> dict[str, dict[str, object]]:
         return {
-            "goal": {k: v.to_json() for k, v in sorted(self.goal_vars.items())},
-            "check": {k: v.to_json() for k, v in sorted(self.check_vars.items())},
-            "state": {k: v.to_json() for k, v in sorted(self.state_vars.items())},
+            key: {name: _to_json(value) for name, value in sorted(part.items())}
+            for key, part in zip(PARTITIONS, (self.goal_vars, self.check_vars, self.state_vars))
         }
 
     @staticmethod
@@ -238,18 +173,17 @@ class ConcreteState:
         return ConcreteState(_partition(raw, GOAL), _partition(raw, CHECK), _partition(raw, STATE))
 
 
-def _partition(raw: Mapping[str, object], key: str) -> dict[str, Value]:
+def _partition(raw: Mapping[str, object], key: str) -> dict[str, object]:
     sub = raw.get(key, {})
     if type(sub) is not dict and not isinstance(sub, Mapping):
         raise MalformedRecord(f"snapshot partition {key!r} must be an object")
-    return {sys.intern(str(k)): Value.from_json(v) for k, v in sub.items()}
+    return {sys.intern(str(k)): _from_json(v) for k, v in sub.items()}
 
 
 class TerminalStatus(Enum):
     SUCCESS = "success"
     FAILURE = "failure"
     TRUNCATED = "truncated"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -291,9 +225,6 @@ class Trace:
     def n_states(self) -> int:
         """Number of concrete snapshots (0 for an empty trace)."""
         return len(self.states)
-
-    def schema(self) -> dict[str, tuple[str, str]] | None:
-        return self.states[0].schema() if self.states else None
 
 
 @dataclass(frozen=True)
@@ -342,13 +273,13 @@ class AbstractPath:
 
 
 class TraceLog:
-    """Append-only collection of traces sharing one schema.
+    """Append-only collection of traces sharing one schema, a snapshot layout.
 
     Stored (trace index, state index) pairs are stable identifiers: appends
     never change the meaning of earlier indices.
     """
 
-    def __init__(self, schema: dict[str, tuple[str, str]] | None = None):
+    def __init__(self, schema: Layout | None = None):
         self._traces: list[Trace] = []
         self.schema = schema
 
@@ -367,11 +298,10 @@ class TraceLog:
 
     def append(self, trace: Trace) -> int:
         """Adds a trace, freezing the schema on first use.  Returns its index."""
-        ts = trace.schema()
-        if ts is not None:
+        if trace.states:
             if self.schema is None:
-                self.schema = ts
-            elif ts != self.schema:
+                self.schema = trace.states[0].layout
+            elif trace.states[0].layout != self.schema:
                 raise SchemaViolation(
                     f"trace {trace.trace_id!r} does not match the frozen schema"
                 )
@@ -406,48 +336,25 @@ def _digest_args(raw: object) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-# The last schema object seen by _check_schema and its per-partition layout.
-_layout_cache: tuple[object, tuple[dict[str, str], ...] | None] = (None, None)
+def _pairs(layout: Layout) -> dict[str, tuple[str, str]]:
+    """Maps each variable of a layout to its (partition, type tag)."""
+    return {name: (part, tag) for part, names in zip(PARTITIONS, layout) for name, tag in names.items()}
 
 
-def _schema_layout(schema: dict[str, tuple[str, str]]) -> tuple[dict[str, str], ...] | None:
-    """The layout of ``schema``; None if its entries are not (partition, tag) pairs.
-
-    Computed once per schema object: a schema is frozen, so callers never
-    mutate one they have passed in.
-    """
-    global _layout_cache
-    cached_schema, layout = _layout_cache
-    if cached_schema is schema:
-        return layout
-    parts: dict[str, dict[str, str]] = {GOAL: {}, CHECK: {}, STATE: {}}
-    for name, entry in schema.items():
-        if not (isinstance(entry, tuple) and len(entry) == 2 and entry[0] in parts):
-            layout = None
-            break
-        parts[entry[0]][name] = entry[1]
-    else:
-        layout = (parts[GOAL], parts[CHECK], parts[STATE])
-    _layout_cache = (schema, layout)
-    return layout
-
-
-def _check_schema(state: ConcreteState, schema: dict[str, tuple[str, str]], where: str) -> None:
-    if state.layout == _schema_layout(schema):
+def _check_schema(state: ConcreteState, schema: Layout, where: str) -> None:
+    if state.layout == schema:
         return
-    actual = state.schema()
-    if actual == schema:
-        return
-    extra = sorted(set(actual) - set(schema))
-    missing = sorted(set(schema) - set(actual))
+    actual, expected = _pairs(state.layout), _pairs(schema)
+    extra = sorted(set(actual) - set(expected))
+    missing = sorted(set(expected) - set(actual))
     if extra:
         raise SchemaViolation(f"{where}: unknown variable {extra[0]!r} after schema freeze")
     if missing:
         raise SchemaViolation(f"{where}: missing variable {missing[0]!r}")
-    for name in sorted(schema):
-        if actual[name] != schema[name]:
+    for name in sorted(expected):
+        if actual[name] != expected[name]:
             raise SchemaViolation(
-                f"{where}: variable {name!r} has {actual[name]}, schema requires {schema[name]}"
+                f"{where}: variable {name!r} has {actual[name]}, schema requires {expected[name]}"
             )
     raise SchemaViolation(f"{where}: snapshot does not conform to schema")
 
@@ -502,7 +409,7 @@ def _snapshot(
 
 def parse_event_line(
     line: str,
-    schema: dict[str, tuple[str, str]] | None = None,
+    schema: Layout | None = None,
     table: SnapshotTable | None = None,
 ) -> Event:
     """Parses one JSONL record into a typed event.
@@ -649,7 +556,7 @@ def read_events(lines: Iterable[str]) -> TraceLog:
     Snapshots are interned through one table, dropped with the read.
     """
     by_trace: dict[str, list[Event]] = {}
-    schema: dict[str, tuple[str, str]] | None = None
+    schema: Layout | None = None
     table: SnapshotTable = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -662,7 +569,7 @@ def read_events(lines: Iterable[str]) -> TraceLog:
         if schema is None:
             snap = event.post or event.pre or event.state
             if snap is not None:
-                schema = snap.schema()
+                schema = snap.layout
                 # Re-validate the freezing record itself against its own schema
                 # (catches pre/post disagreement inside one event); its
                 # snapshots start the table.

@@ -5,16 +5,12 @@ from __future__ import annotations
 import pytest
 
 from tracemdp.predicate_tree import abstract_trace
-from tracemdp.trace_model import ConcreteState, TerminalStatus, Trace, TraceLog, Value
+from tracemdp.trace_model import ConcreteState, TerminalStatus, Trace, TraceLog
 
 
 def mk_state(state=None, check=None, goal=None) -> ConcreteState:
-    """ConcreteState from plain-python variable dicts."""
-
-    def conv(d):
-        return {k: Value.from_json(v) for k, v in (d or {}).items()}
-
-    return ConcreteState(conv(goal), conv(check), conv(state))
+    """ConcreteState from JSON-like variable dicts (lists become collections)."""
+    return ConcreteState.from_json({"goal": goal or {}, "check": check or {}, "state": state or {}})
 
 
 def mk_trace(trace_id, snapshots, actions, status="success", check_key=None):

@@ -522,7 +522,7 @@ class TestLoadIdentity:
         assert loaded.runs == rebuilt.runs
         saved = json.loads((store / "runs.json").read_text())
         assert [trace_id for trace_id, _states, _actions in saved["runs"]] == [t.trace_id for t in rebuilt.log]
-        assert list(loaded.schema.items()) == list(rebuilt.log.schema.items())
+        assert loaded.schema == rebuilt.log.schema
 
     @pytest.mark.parametrize("name", ["labeled", "no_failure"])
     def test_export_equals_built_model(self, stores, name, capsys, tmp_path):
@@ -582,16 +582,42 @@ class TestErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "text",
+        "text, reason",
         [
-            '[{"name":"x","mode":"all","atoms":[{"type":"text_eq","var":"lastFileRead","expected":"b"}]}]',
-            '[{"name":"x","mode":"most","atoms":[{"type":"bool_eq","var":"opsCompleted","expected":true}]}]',
-            '[{"name":"x","mode":"all","atoms":[{"type":"num_gt","var":"iteration"}]}]',
-            "not json",
+            ('[{"name":"x","mode":"all","atoms":[{"type":"text_eq","var":"lastFileRead","expected":"b"}]}]',
+             "BooleanEq / ScalarThreshold atoms only"),
+            ('[{"name":"x","mode":"most","atoms":[{"type":"bool_eq","var":"opsCompleted","expected":true}]}]',
+             "unknown label mode"),
+            ('[{"name":"x","mode":"all","atoms":[{"type":"num_gt","var":"iteration"}]}]', "KeyError"),
+            ("not json", "JSONDecodeError"),
+            ('[{"name":"x","mode":"all","atoms":[{"type":"bool_eq","var":"opsCompleted","expected":"false"}]}]',
+             "bool_eq expected must be bool, not 'false'"),
+            ('[{"name":"x","mode":"all","atoms":[{"type":"text_eq","var":"lastFileRead","expected":5}]}]',
+             "text_eq expected must be str, not 5"),
+            ('[{"name":"x","mode":"all","atoms":[{"type":"num_gt","var":"iteration","threshold":"3"}]}]',
+             "num_gt threshold must be int or float, not '3'"),
+            ('[{"name":"x","mode":"all","atoms":[{"type":"num_gt","var":"iteration","threshold":true}]}]',
+             "num_gt threshold must be int or float, not True"),
+            ('[{"name":"x","mode":"all","atoms":[{"type":"num_gt","var":"iteration","threshold":1%s}]}]' % ("0" * 400),
+             "num_gt threshold is too large for a float"),
+            ('[{"name":"x","mode":"all","atoms":[{"type":"coll_card_gt","var":"iteration","threshold":2.7}]}]',
+             "coll_card_gt threshold must be int, not 2.7"),
+            ('[{"name":"x","mode":"all","atoms":[{"type":"bool_eq","var":5,"expected":true}]}]',
+             "predicate var must be a non-empty string, not 5"),
+            ('[{"name":"x","mode":"all","atoms":[{"type":"bool_eq","var":"","expected":true}]}]',
+             "predicate var must be a non-empty string, not ''"),
+            ('[{"name":5,"mode":"all","atoms":[{"type":"bool_eq","var":"opsCompleted","expected":true}]}]',
+             "label name must be"),
+            ('[{"name":"with space","mode":"all","atoms":[{"type":"bool_eq","var":"opsCompleted","expected":true}]}]',
+             "label name must be"),
+            ('[{"name":"init","mode":"all","atoms":[{"type":"bool_eq","var":"opsCompleted","expected":true}]}]',
+             "label name must be"),
         ],
-        ids=["text_atom", "unknown_mode", "missing_threshold", "not_json"],
+        ids=["text_atom", "unknown_mode", "missing_threshold", "not_json", "bool_as_string", "text_as_number",
+             "threshold_as_string", "threshold_as_bool", "threshold_too_large", "fractional_card", "var_not_string", "var_empty",
+             "name_not_string", "name_with_space", "name_init"],
     )
-    def test_malformed_labels_exit_3(self, pipeline, capsys, tmp_path, text):
+    def test_malformed_labels_exit_3(self, pipeline, capsys, tmp_path, text, reason):
         labels = tmp_path / "labels.json"
         labels.write_text(text)
         code, out, err = run_cli(
@@ -609,7 +635,8 @@ class TestErrors:
         assert code == 3 and out == ""
         error = json.loads(err)
         assert error["error"] == "InvalidConfig"
-        assert str(labels) in error["message"]
+        assert str(labels) in error["message"] and reason in error["message"]
+        assert not (tmp_path / "store").exists()
 
     @pytest.mark.parametrize(
         "bad, line",

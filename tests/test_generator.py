@@ -41,13 +41,11 @@ class TestGenerateCorpus:
         cfg = GeneratorConfig(seed=3, n_baseline=10, n_anomalous=0)
         paths = generate_corpus(cfg, str(tmp_path))
         log = read_trace_log(paths.baseline)
-        assert log.schema == {
-            "task": ("goal", "text"),
-            "opsCompleted": ("check", "boolean"),
-            "filesWrittenCount": ("state", "integer"),
-            "iteration": ("state", "integer"),
-            "lastFileRead": ("state", "text"),
-        }
+        assert log.schema == (
+            {"task": "text"},
+            {"opsCompleted": "boolean"},
+            {"filesWrittenCount": "integer", "iteration": "integer", "lastFileRead": "text"},
+        )
         max_writes = max(2, round(cfg.write_ratio_max * cfg.length_max))
         for trace in log:
             assert 2 <= len(trace) <= cfg.read_cap + max_writes
@@ -59,7 +57,7 @@ class TestGenerateCorpus:
             assert ops.count("writeFile") >= 2
             # Completion flag set exactly on the final snapshot.
             for i, state in enumerate(trace.states):
-                done = state.value("opsCompleted").data
+                done = state.value("opsCompleted")
                 assert done == (i == trace.n_states - 1)
 
     def test_too_long_exceeds_baseline_max(self, tmp_path):
@@ -86,7 +84,7 @@ class TestGenerateCorpus:
         log = read_trace_log(generate_corpus(cfg, str(tmp_path)).anomalous)
         for trace in log:
             assert 1 <= len(trace) <= 2
-            assert trace.states[-1].value("opsCompleted").data is True
+            assert trace.states[-1].value("opsCompleted") is True
             assert trace.actions[-1] == "writeFile"
 
     def test_malformed_path_injects_unseen_value(self, tmp_path):
@@ -98,7 +96,7 @@ class TestGenerateCorpus:
         )
         log = read_trace_log(generate_corpus(cfg, str(tmp_path)).anomalous)
         for trace in log:
-            values = {state.value("lastFileRead").data for state in trace.states}
+            values = {state.value("lastFileRead") for state in trace.states}
             assert cfg.malformed_value in values
 
     def test_sidecar_covers_each_anomalous_trace_once(self, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import mk_state
 from tracemdp.errors import ChainBreak, MalformedRecord, SchemaViolation
-from tracemdp.trace_model import Trace, Value, parse_event_line, read_events
+from tracemdp.trace_model import Trace, kind_of, parse_event_line, read_events
 
 
 def snap(**state_vars):
@@ -48,7 +48,7 @@ INGEST_ERRORS = {
         "line 2: t2#0 post: variable 'x' has ('state', 'text'), schema requires ('state', 'integer')",
     ),
     "variable_in_other_partition": (
-        lambda: parse_event_line(line("t1", 3, None, {"check": {"x": 1}}), {"x": ("state", "integer")}),
+        lambda: parse_event_line(line("t1", 3, None, {"check": {"x": 1}}), ({}, {}, {"x": "integer"})),
         SchemaViolation,
         "t1#3 post: variable 'x' has ('check', 'integer'), schema requires ('state', 'integer')",
     ),
@@ -88,17 +88,22 @@ INGEST_ERRORS = {
         "pre and post snapshots of a transition must share one schema",
     ),
     "unsupported_json_value": (
-        lambda: Value.from_json(None),
+        lambda: kind_of(None),
         MalformedRecord,
         "unsupported JSON value: None",
     ),
     "unsupported_json_object": (
-        lambda: Value.from_json({"a": 1}),
+        lambda: kind_of({"a": 1}),
         MalformedRecord,
         "unsupported JSON value: {'a': 1}",
     ),
     "unsupported_value_in_log": (
         lambda: read_events([line("t1", 0, snap(x=0), snap(x=None))]),
+        MalformedRecord,
+        "line 1: unsupported JSON value: None",
+    ),
+    "unsupported_value_in_array": (
+        lambda: read_events([line("t1", 0, snap(x=[0]), snap(x=[[None]]))]),
         MalformedRecord,
         "line 1: unsupported JSON value: None",
     ),

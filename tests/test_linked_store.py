@@ -394,7 +394,7 @@ class TestPersistence:
         assert reloaded.runs == store.runs
         saved = json.loads((store_dir / "runs.json").read_text())
         assert [trace_id for trace_id, _states, _actions in saved["runs"]] == [t.trace_id for t in log]
-        assert list(reloaded.schema.items()) == list(log.schema.items())
+        assert reloaded.schema == log.schema
         # Byte-identical artifacts: the loaded tree and model re-save to the
         # same bytes, and so does every file of the store rebuilt from its inputs.
         resaved = tmp_path / "resaved"

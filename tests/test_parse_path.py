@@ -3,6 +3,7 @@
 import collections
 import json
 import math
+import sys
 from unittest import mock
 
 import pytest
@@ -15,8 +16,7 @@ from tracemdp.trace_model import (
     ConcreteState,
     TerminalStatus,
     Trace,
-    Value,
-    _interned,
+    kind_of,
     parse_event_line,
     read_events,
     trace_to_lines,
@@ -49,8 +49,8 @@ def traces(draw):
     for _ in range(draw(st.integers(min_value=2, max_value=5))):
         parts = {"goal": {}, "check": {}, "state": {}}
         for name, (part, kind) in layout.items():
-            parts[part][name] = Value.from_json(draw(values_of(kind)))
-        states.append(ConcreteState(parts["goal"], parts["check"], parts["state"]))
+            parts[part][name] = draw(values_of(kind))
+        states.append(ConcreteState.from_json(parts))
     actions = tuple(draw(NAMES) for _ in range(len(states) - 1))
     digest = st.none() | st.text(alphabet="0123456789abcdef", min_size=1, max_size=16)
     digests = tuple(draw(digest) for _ in actions)
@@ -76,25 +76,29 @@ def test_round_trip_is_byte_identical(trace):
     assert trace_to_lines(log[0]) == lines
 
 
-def test_intern_cache_stays_bounded():
-    size = _interned.cache_info().maxsize
-    for i in range(size + 500):
-        assert Value.from_json(f"distinct-{i}") == Value.text(f"distinct-{i}")
-        assert Value.from_json(10**12 + i) == Value.integer(10**12 + i)
-    assert _interned.cache_info().currsize == size
+def test_text_values_are_interned():
+    """Equal strings read from different lines, even inside arrays, are one object."""
+    name = "".join(["distinct-", "text"])  # built at run time, so not interned already
+    line = tool_call(snap(s=name, r=0.5, c=[name]), snap(s=name, r=1.5, c=[name]))
+    first, second = read_events([line, line.replace('"t"', '"u"')])
+    texts = [state.value("s") for trace in (first, second) for state in trace.states]
+    texts += [state.value("c")[0][1] for trace in (first, second) for state in trace.states]
+    assert texts[0] == name and texts[0] is not name
+    assert texts[0] is sys.intern(name)
+    assert all(text is texts[0] for text in texts)
 
 
 def test_interned_values_keep_their_kind():
-    assert Value.from_json(1) is Value.from_json(1)
-    assert Value.from_json(1).kind == "integer"
-    assert Value.from_json(True).kind == "boolean"
-    assert Value.from_json("1").kind == "text"
+    event = parse_event_line(tool_call(snap(i=1, b=True, s="1", f=1.0), snap(i=1, b=True, s="1", f=1.0)))
+    assert event.pre.layout == ({}, {}, {"i": "integer", "b": "boolean", "s": "text", "f": "number"})
+    assert [kind_of(event.pre.value(name)) for name in "ibsf"] == ["integer", "boolean", "text", "number"]
+    assert [type(event.pre.value(name)) for name in "ibsf"] == [int, bool, str, float]
 
 
 def test_zero_keeps_its_sign():
-    assert math.copysign(1.0, Value.from_json(0.0).data) == 1.0
-    assert math.copysign(1.0, Value.from_json(-0.0).data) == -1.0
     event = parse_event_line(tool_call(snap(x=0.0), snap(x=-0.0)))
+    assert math.copysign(1.0, event.pre.value("x")) == 1.0
+    assert math.copysign(1.0, event.post.value("x")) == -1.0
     assert json.dumps(event.pre.to_json()["state"]) == '{"x": 0.0}'
     assert json.dumps(event.post.to_json()["state"]) == '{"x": -0.0}'
 
@@ -106,12 +110,17 @@ def test_subclasses_take_the_fallback():
     class Count(int):
         pass
 
-    assert Value.from_json(Text("a")) == Value.text("a")
-    assert Value.from_json(Count(3)) == Value.integer(3)
-    state = ConcreteState.from_json(collections.OrderedDict(state=collections.OrderedDict(x=1)))
-    assert state.value("x") == Value.integer(1)
-    with pytest.raises(MalformedRecord):
-        Value.from_json((1, 2))
+    class Ratio(float):
+        pass
+
+    assert kind_of(Text("a")) == "text"
+    assert kind_of(Count(3)) == "integer"
+    assert kind_of(Ratio(0.5)) == "number"
+    state = ConcreteState.from_json(collections.OrderedDict(state=collections.OrderedDict(x=Count(1), t=Text("a"))))
+    assert state.value("x") == 1 and state.value("t") == "a"
+    assert state.layout == ({}, {}, {"x": "integer", "t": "text"})
+    with pytest.raises(MalformedRecord, match=r"^unsupported JSON value: \(1, 2\)$"):
+        ConcreteState.from_json({"state": {"x": (1, 2)}})
 
 
 # Raw values per type tag, and look-alikes that differ only in JSON type or sign.

@@ -3,14 +3,15 @@ import json
 
 import pytest
 
-from conftest import mk_log, mk_trace
+from conftest import mk_log, mk_state, mk_trace
 from tracemdp.amdp import induce
 from tracemdp.errors import ChainBreak, DuplicateSeq, MalformedRecord, SchemaViolation
 from tracemdp.predicate_tree import abstract_trace, build_initial_tree
 from tracemdp.trace_model import (
     AbstractPath,
+    ConcreteState,
     TerminalStatus,
-    Value,
+    kind_of,
     parse_event_line,
     read_events,
     segment_stream,
@@ -38,20 +39,28 @@ def snap(**state_vars):
 
 class TestValue:
     def test_json_typing(self):
-        assert Value.from_json(3).kind == "integer"
-        assert Value.from_json(3.0).kind == "number"
-        assert Value.from_json(True).kind == "boolean"
-        assert Value.from_json("x").kind == "text"
-        assert Value.from_json([1]).kind == "collection"
+        assert kind_of(3) == "integer"
+        assert kind_of(3.0) == "number"
+        assert kind_of(True) == "boolean"
+        assert kind_of("x") == "text"
+        ev = parse_event_line(tool_call("t1", 0, "a", snap(x=[1]), snap(x=[])))
+        assert kind_of(ev.pre.value("x")) == "collection"
+        assert ev.pre.layout == ({}, {}, {"x": "collection"})
 
     def test_tag_immutable(self):
-        v = Value.integer(5)
+        state = mk_state(state={"x": 5})
+        assert state.layout == ({}, {}, {"x": "integer"})
         with pytest.raises(dataclasses.FrozenInstanceError):
-            v.kind = "number"
+            state.layout = ({}, {}, {"x": "number"})
 
     def test_json_round_trip(self):
         raw = [1, 2.5, False, "a", [3, "b"]]
-        assert Value.from_json(raw).to_json() == raw
+        state = ConcreteState.from_json(snap(x=raw))
+        assert state.value("x") == (
+            ("integer", 1), ("number", 2.5), ("boolean", False), ("text", "a"),
+            ("collection", (("integer", 3), ("text", "b"))),
+        )
+        assert state.to_json()["state"]["x"] == raw
 
 
 class TestParseEventLine:
@@ -60,20 +69,20 @@ class TestParseEventLine:
         ev = parse_event_line(line)
         assert ev.kind == "tool_call"
         assert ev.action == "readFile"
-        assert ev.post.value("iteration").data == 1
+        assert ev.post.value("iteration") == 1
 
     def test_terminal(self):
         ev = parse_event_line('{"trace_id":"t1","seq":7,"kind":"terminal","status":"success"}')
         assert ev.kind == "terminal" and ev.status == "success"
 
     def test_schema_type_mismatch(self):
-        schema = {"iteration": ("state", "integer")}
+        schema = ({}, {}, {"iteration": "integer"})
         line = tool_call("t1", 0, "a", snap(iteration=0), snap(iteration="three"))
         with pytest.raises(SchemaViolation):
             parse_event_line(line, schema)
 
     def test_unknown_variable_after_freeze(self):
-        schema = {"iteration": ("state", "integer")}
+        schema = ({}, {}, {"iteration": "integer"})
         line = tool_call("t1", 0, "a", snap(iteration=0), snap(iteration=1, extra=2))
         with pytest.raises(SchemaViolation):
             parse_event_line(line, schema)
@@ -145,13 +154,32 @@ class TestSegmentStream:
         with pytest.raises(DuplicateSeq):
             segment_stream(self.events(lines))
 
-    def test_chain_break(self):
+    @pytest.mark.parametrize(
+        "post, pre, breaks",
+        [
+            (1, 5, True),
+            (1, 1.0, True),
+            (1, True, True),
+            ([1], [1.0], True),
+            ([1], [True], True),
+            ([[1]], [[1.0]], True),
+            (0.0, -0.0, False),
+            ([0.0], [-0.0], False),
+        ],
+        ids=["changed_value", "int_to_float", "int_to_bool", "array_int_to_float", "array_int_to_bool",
+             "nested_int_to_float", "zero_sign", "array_zero_sign"],
+    )
+    def test_chain_break(self, post, pre, breaks):
+        """A pre chains to the previous post only if it is equal and typed alike."""
         lines = [
-            tool_call("t1", 0, "a", snap(x=0), snap(x=1)),
-            tool_call("t1", 1, "a", snap(x=5), snap(x=6)),
+            tool_call("t1", 0, "a", snap(x=post), snap(x=post)),
+            tool_call("t1", 1, "a", snap(x=pre), snap(x=pre)),
         ]
-        with pytest.raises(ChainBreak):
-            segment_stream(self.events(lines))
+        if breaks:
+            with pytest.raises(ChainBreak):
+                segment_stream(self.events(lines))
+        else:
+            assert len(segment_stream(self.events(lines)).states) == 3
 
     def test_post_only_log_with_initial(self):
         lines = [
@@ -179,8 +207,8 @@ class TestSegmentStream:
         ]
         trace = segment_stream(self.events(lines))
         assert len(trace) == 2
-        assert trace.states[0].value("x").data == 0
-        assert trace.states[2].value("x").data == 2
+        assert trace.states[0].value("x") == 0
+        assert trace.states[2].value("x") == 2
 
 
 class TestRoundTrip:

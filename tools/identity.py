@@ -19,16 +19,22 @@ terminal ``success`` label) and non-default ``--success-mode any
 --failure-mode all``, a ``check`` of the rule's label and an ``export``,
 then a detector flow (``detector_flow``): ``score`` and ``monitor --once``
 on the anomalous log with non-default ``DETECTOR_FLAGS``, so that both the
-run-level and the checkpoint thresholds are compared at another alpha.
-One process per command, with ``--iteration-log`` added to each refine.
+run-level and the checkpoint thresholds are compared at another alpha,
+then a typed flow (``typed_flow``): the training log rewritten by
+``write_typed_log``, so that each snapshot also holds a float, a nested
+list and a ``-0.0`` (values the generator never writes), run through
+``learn --gamma 0 --min-leaf 1``, ``build``, ``check``, ``score``,
+``monitor --once`` and ``export``.  One process per command, with
+``--iteration-log`` added to each refine.
 Every command's standard output, standard error and exit code are kept
 next to the files the commands write (the stores, ``scores.jsonl``, each
 refine's iteration log, the exports).  ``diff -r`` then compares the two
 trees' outputs; the script prints the differences and exits 1 if there are
 any, else 0.
 
-Both trees' flows read PARENT_SRC's corpus files, so the training-log
-path a store's manifest records is the same on both sides.  Nothing is
+Both trees' flows read PARENT_SRC's corpus files (and the typed log written
+from them), so the training-log path a store's manifest records is the
+same on both sides.  Nothing is
 written into either source tree or into ``perfbench/``: processes run
 with ``PYTHONDONTWRITEBYTECODE=1`` and all files go to a temporary
 directory that is removed at the end.
@@ -37,6 +43,7 @@ directory that is removed at the end.
 from __future__ import annotations
 
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -96,6 +103,39 @@ def detector_flow(anomalous: str) -> list[tuple[str, list[str]]]:
     ]
 
 
+def write_typed_log(train: str, out: str) -> None:
+    """Copies the training log, adding ``ratio``, ``items`` and ``zero`` to each snapshot's state.
+
+    The values are a function of the snapshot, so a step's ``pre`` still
+    equals the previous ``post``: ``ratio`` one of seven floats in [-0.5,
+    1.0], ``items`` a list of zero to two entries, the first a nested list
+    of an int, a float and a bool, and ``zero`` always ``-0.0``.
+    """
+    with open(train, "r", encoding="utf-8") as src, open(out, "w", encoding="utf-8") as dst:
+        for line in src:
+            record = json.loads(line)
+            for key in ("pre", "post", "state"):
+                snapshot = record.get(key)
+                if isinstance(snapshot, dict):
+                    blob = json.dumps(snapshot, sort_keys=True).encode("utf-8")
+                    n = int(hashlib.sha256(blob).hexdigest()[:8], 16)
+                    items = [[n % 3, (n % 5) * 0.5, n % 2 == 0], "x"][: n % 3]
+                    snapshot["state"].update(ratio=(n % 7) / 4 - 0.5, items=items, zero=-0.0)
+            dst.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def typed_flow(typed: str) -> list[tuple[str, list[str]]]:
+    """Learns a deep tree on the typed log, then builds, checks, scores, monitors and exports it."""
+    return [
+        ("learn", ["learn", "--log", typed, "--out", "typed-tree.json", "--gamma", "0", "--min-leaf", "1"]),
+        ("build", ["build", "--log", typed, "--tree", "typed-tree.json", "--out", "typed"]),
+        ("check", ["check", "--store", "typed", "--prop", 'Pmax=? [F "success"]']),
+        ("score", ["score", "--store", "typed", "--log", typed, "--out", "typed-scores.jsonl"]),
+        ("monitor", ["monitor", "--store", "typed", "--follow", typed, "--once"]),
+        ("export", ["export", "--store", "typed", "--out", "typed-exported"]),
+    ]
+
+
 def run_flow(commands: list[tuple[str, list[str]]], src: str, out_dir: str) -> None:
     """Runs the command sequence under ``src`` in ``out_dir``, keeping every output."""
     os.makedirs(out_dir)
@@ -143,8 +183,10 @@ def main(argv: list[str]) -> int:
                     print(f"DIFFERENT corpus files for {case}: {', '.join(different)}")
                     return 1
                 corpus = paths["parent"]
+                typed = os.path.join(corpora["parent"], "typed.jsonl")
+                write_typed_log(corpus["train"], typed)
                 flow = [*commands(workload, corpus), EXTRA_REFINE, *labeled_flow(corpus["train"]),
-                        *detector_flow(corpus["anomalous"])]
+                        *detector_flow(corpus["anomalous"]), *typed_flow(typed)]
                 for side, src in sides.items():
                     run_flow(flow, src, os.path.join(work, side, case))
                 print(f"{case}: ran {len(flow)} commands under each tree", flush=True)
