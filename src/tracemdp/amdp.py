@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SchemaViolation, UnknownVariable
-from .predicate_tree import BooleanEq, Predicate, ScalarThreshold
+from .predicate_tree import Predicate
 from .trace_model import CHECK, GOAL, AbstractPath, ConcreteState, TerminalStatus, TraceLog
 
 SUCCESS_LABEL = "success"
@@ -167,8 +167,8 @@ class LabelRule:
         if self.mode not in LABEL_MODES:
             raise ValueError(f"unknown label mode {self.mode!r}")
         for atom in self.atoms:
-            if not isinstance(atom, (BooleanEq, ScalarThreshold)):
-                raise ValueError("label rules take BooleanEq / ScalarThreshold atoms only")
+            if atom.kind not in ("bool_eq", "num_gt"):
+                raise ValueError("label rules take bool_eq / num_gt atoms only")
 
     def holds(self, state: ConcreteState) -> bool:
         for atom in self.atoms:

@@ -1,5 +1,21 @@
 """Predicate grammar, entropy / information gain, and decision-tree abstraction.
 
+The grammar has five kinds of ``Predicate``, and each is one comparison of
+one variable's feature with the predicate's parameter.  A value's feature
+depends only on its type tag: numbers and integers compare as floats,
+booleans as bools, text as the string itself and collections by their
+cardinality.
+
+    num_gt        var > threshold          numbers, integers
+    bool_eq       var == expected          booleans
+    text_eq       var == expected          text
+    coll_empty    card(var) == 0           collections
+    coll_card_gt  card(var) > threshold    collections
+
+Routing tests one value (``Predicate.test``) and learning tests a column of
+features (``Predicate.mask``, ``LabeledBatch.column``) with the same
+comparison.
+
 A predicate tree routes a concrete state from the root to a leaf by
 evaluating one predicate per internal node (false -> child 0, true ->
 child 1).  Leaves are the abstract states.  Trees are immutable values:
@@ -16,8 +32,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyBatch, EmptyLog, InvalidConfig, SchemaViolation, UnknownLeaf
 from .trace_model import (
@@ -45,173 +62,95 @@ END_LABEL = "⊥"  # ⊥
 # Predicates
 # ---------------------------------------------------------------------------
 
+class _Kind(NamedTuple):
+    tags: tuple[str, ...]  # type tags of the values the kind reads
+    compare: Callable[[Any, Any], Any]  # applied as compare(feature, param)
+    param_name: str | None  # JSON name of the parameter; None: the kind takes none
+    param_types: tuple[type, ...]  # its exact JSON types; the last one is stored
+    mismatch: str  # SchemaViolation text for a value of another tag
+    text: str  # how the predicate prints
+
+
+_KINDS = {
+    "num_gt": _Kind((NUMBER, INTEGER), operator.gt, "threshold", (int, float),
+                    "value of kind {tag!r} is not numeric", "{var} > {param:g}"),
+    "bool_eq": _Kind((BOOLEAN,), operator.eq, "expected", (bool,),
+                     "{var!r} is not boolean", "{var} == {json}"),
+    "text_eq": _Kind((TEXT,), operator.eq, "expected", (str,),
+                     "{var!r} is not text", "{var} == {param!r}"),
+    "coll_empty": _Kind((COLLECTION,), operator.eq, None, (),
+                        "value of kind {tag!r} has no cardinality", "empty({var})"),
+    "coll_card_gt": _Kind((COLLECTION,), operator.gt, "threshold", (int,),
+                          "value of kind {tag!r} has no cardinality", "card({var}) > {param}"),
+}
+
+# Per type tag: the feature a value is compared as, and the dtype of a column of features.
+_FEATURES = {
+    NUMBER: (float, "float64"),
+    INTEGER: (float, "float64"),
+    BOOLEAN: (bool, "bool"),
+    TEXT: (str, "object"),
+    COLLECTION: (len, "int64"),
+}
+
+
+def _feature(var: str, tag: str, value: object) -> object:
+    """The feature that a value of variable ``var``, of type tag ``tag``, is compared as.
+
+    SchemaViolation naming ``var`` for an integer too large for a float.
+    """
+    try:
+        return _FEATURES[tag][0](value)
+    except OverflowError:
+        raise SchemaViolation(f"value of {var!r} is an integer too large for a float") from None
+
+
 @dataclass(frozen=True)
 class Predicate:
-    """Base predicate over one variable.  Subclasses define the test."""
+    """``compare(feature of var's value, param)``, with the comparison of ``kind``.
 
+    The kind (``_KINDS``) fixes the type tags it reads and its comparison;
+    ``param`` is a float threshold (num_gt), a bool or string to equal
+    (bool_eq, text_eq) or an integer cardinality threshold (coll_card_gt),
+    and coll_empty compares a cardinality with its default 0.  A predicate is
+    its own identity when a tree path excludes it.
+    """
+
+    kind: str
     var: str
-
-    kind = "abstract"
+    param: Any = 0
 
     def test(self, value: object) -> bool:
-        raise NotImplementedError
+        spec = _KINDS[self.kind]
+        tag = kind_of(value)
+        if tag not in spec.tags:
+            raise SchemaViolation(spec.mismatch.format(var=self.var, tag=tag))
+        return spec.compare(_feature(self.var, tag, value), self.param)
 
     def evaluate(self, state: ConcreteState) -> bool:
         """Total and deterministic on any schema-conforming state."""
         return self.test(state.value(self.var))
 
     def mask(self, column: np.ndarray) -> np.ndarray:
-        """Vectorized test over a feature column (see LabeledBatch.column)."""
-        raise NotImplementedError
+        """``test`` over a feature column (see LabeledBatch.column)."""
+        return _KINDS[self.kind].compare(column, self.param)
 
     def sort_key(self) -> tuple:
-        """Deterministic tie-break order: (variable, kind, parameter)."""
-        raise NotImplementedError
-
-    def key(self) -> tuple:
-        """Identity used for exclusion along a tree path."""
-        return self.sort_key()
-
-
-@dataclass(frozen=True)
-class ScalarThreshold(Predicate):
-    """value(var) > threshold, for numeric variables."""
-
-    threshold: float = 0.0
-    kind = "num_gt"
-
-    def test(self, value: object) -> bool:
-        return _numeric(value) > self.threshold
-
-    def mask(self, column: np.ndarray) -> np.ndarray:
-        return column > self.threshold
-
-    def sort_key(self) -> tuple:
-        return (self.var, self.kind, float(self.threshold), "")
+        """Deterministic tie-break order: variable, kind, then parameter, text after every number."""
+        if isinstance(self.param, str):
+            return (self.var, self.kind, math.inf, self.param)
+        return (self.var, self.kind, float(self.param), "")
 
     def __str__(self) -> str:
-        return f"{self.var} > {self.threshold:g}"
-
-
-@dataclass(frozen=True)
-class BooleanEq(Predicate):
-    """value(var) == expected, for boolean flags."""
-
-    expected: bool = True
-    kind = "bool_eq"
-
-    def test(self, value: object) -> bool:
-        if kind_of(value) != BOOLEAN:
-            raise SchemaViolation(f"{self.var!r} is not boolean")
-        return value == self.expected
-
-    def mask(self, column: np.ndarray) -> np.ndarray:
-        return column == self.expected
-
-    def sort_key(self) -> tuple:
-        return (self.var, self.kind, float(self.expected), "")
-
-    def __str__(self) -> str:
-        return f"{self.var} == {str(self.expected).lower()}"
-
-
-@dataclass(frozen=True)
-class TextEq(Predicate):
-    """value(var) == expected, for text variables (identity only)."""
-
-    expected: str = ""
-    kind = "text_eq"
-
-    def test(self, value: object) -> bool:
-        if kind_of(value) != TEXT:
-            raise SchemaViolation(f"{self.var!r} is not text")
-        return value == self.expected
-
-    def mask(self, column: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray([x == self.expected for x in column], dtype=bool)
-
-    def sort_key(self) -> tuple:
-        return (self.var, self.kind, math.inf, self.expected)
-
-    def __str__(self) -> str:
-        return f"{self.var} == {self.expected!r}"
-
-
-@dataclass(frozen=True)
-class StructEmpty(Predicate):
-    """Collection var is empty (cardinality == 0)."""
-
-    kind = "coll_empty"
-
-    def test(self, value: object) -> bool:
-        return _cardinality(value) == 0
-
-    def mask(self, column: np.ndarray) -> np.ndarray:
-        return column == 0
-
-    def sort_key(self) -> tuple:
-        return (self.var, self.kind, 0.0, "")
-
-    def __str__(self) -> str:
-        return f"empty({self.var})"
-
-
-@dataclass(frozen=True)
-class StructCardThreshold(Predicate):
-    """Collection cardinality > threshold (integer threshold)."""
-
-    threshold: int = 0
-    kind = "coll_card_gt"
-
-    def test(self, value: object) -> bool:
-        return _cardinality(value) > self.threshold
-
-    def mask(self, column: np.ndarray) -> np.ndarray:
-        return column > self.threshold
-
-    def sort_key(self) -> tuple:
-        return (self.var, self.kind, float(self.threshold), "")
-
-    def __str__(self) -> str:
-        return f"card({self.var}) > {self.threshold}"
-
-
-def _numeric(value: object) -> float:
-    """A number or integer value as a float; SchemaViolation for any other kind."""
-    kind = kind_of(value)
-    if kind not in (NUMBER, INTEGER):
-        raise SchemaViolation(f"value of kind {kind!r} is not numeric")
-    return float(value)  # type: ignore[arg-type]
-
-
-def _cardinality(value: object) -> int:
-    """A collection value's length; SchemaViolation for any other kind."""
-    kind = kind_of(value)
-    if kind != COLLECTION:
-        raise SchemaViolation(f"value of kind {kind!r} has no cardinality")
-    return len(value)  # type: ignore[arg-type]
+        return _KINDS[self.kind].text.format(var=self.var, param=self.param, json=json.dumps(self.param))
 
 
 def predicate_to_json(pred: Predicate) -> dict:
     out: dict[str, object] = {"type": pred.kind, "var": pred.var}
-    if isinstance(pred, ScalarThreshold):
-        out["threshold"] = pred.threshold
-    elif isinstance(pred, (BooleanEq, TextEq)):
-        out["expected"] = pred.expected
-    elif isinstance(pred, StructCardThreshold):
-        out["threshold"] = pred.threshold
+    name = _KINDS[pred.kind].param_name
+    if name is not None:
+        out[name] = pred.param
     return out
-
-
-def _parameter(raw: Mapping, key: str, *types: type) -> object:
-    """``raw[key]``; ValueError unless its exact type is one of ``types``."""
-    value = raw[key]
-    if type(value) not in types:
-        names = " or ".join(t.__name__ for t in types)
-        raise ValueError(f"{raw['type']} {key} must be {names}, not {value!r}")
-    return value
 
 
 def predicate_from_json(raw: Mapping) -> Predicate:
@@ -221,20 +160,20 @@ def predicate_from_json(raw: Mapping) -> Predicate:
     var = raw["var"]
     if not isinstance(var, str) or not var:
         raise ValueError(f"predicate var must be a non-empty string, not {var!r}")
-    if kind == "num_gt":
-        try:
-            return ScalarThreshold(var, float(_parameter(raw, "threshold", int, float)))
-        except OverflowError:
-            raise ValueError("num_gt threshold is too large for a float") from None
-    if kind == "bool_eq":
-        return BooleanEq(var, _parameter(raw, "expected", bool))
-    if kind == "text_eq":
-        return TextEq(var, _parameter(raw, "expected", str))
-    if kind == "coll_empty":
-        return StructEmpty(var)
-    if kind == "coll_card_gt":
-        return StructCardThreshold(var, _parameter(raw, "threshold", int))
-    raise ValueError(f"unknown predicate type {kind!r}")
+    spec = _KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise ValueError(f"unknown predicate type {kind!r}")
+    name = spec.param_name
+    if name is None:
+        return Predicate(kind, var)
+    value = raw[name]
+    if type(value) not in spec.param_types:
+        types = " or ".join(t.__name__ for t in spec.param_types)
+        raise ValueError(f"{kind} {name} must be {types}, not {value!r}")
+    try:
+        return Predicate(kind, var, spec.param_types[-1](value))
+    except OverflowError:
+        raise ValueError(f"{kind} {name} is too large for a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +205,15 @@ class LabeledBatch:
         return self.states[0].layout if self.states else ({}, {}, {})
 
     def column(self, var: str) -> np.ndarray:
-        """Feature array of a variable: numbers as float64, booleans as bool,
-        collections as int64 cardinalities, text as objects."""
+        """Feature array of a variable: each value's ``_feature``, in the dtype
+        ``_FEATURES`` gives the variable's type tag."""
         col = self._columns.get(var)
         if col is None:
             import numpy as np
 
             values = [s.value(var) for s in self.states]
-            kind = kind_of(values[0])
-            if kind in (NUMBER, INTEGER):
-                col = np.asarray([_numeric(v) for v in values], dtype=np.float64)
-            elif kind == BOOLEAN:
-                col = np.asarray(values, dtype=bool)
-            elif kind == COLLECTION:
-                col = np.asarray([_cardinality(v) for v in values], dtype=np.int64)
-            else:
-                col = np.asarray(values, dtype=object)
+            tag = kind_of(values[0])
+            col = np.asarray([_feature(var, tag, v) for v in values], dtype=_FEATURES[tag][1])
             self._columns[var] = col
         return col
 
@@ -294,12 +226,6 @@ class LabeledBatch:
             self._codes = np.asarray([index[l] for l in self.labels], dtype=np.int64)
             self._label_names = names
         return self._codes, self._label_names  # type: ignore[return-value]
-
-    def label_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for label in self.labels:
-            counts[label] = counts.get(label, 0) + 1
-        return counts
 
     def is_pure(self) -> bool:
         return len(set(self.labels)) <= 1
@@ -337,29 +263,16 @@ def labeled_batch_from_log(
 # Entropy and information gain
 # ---------------------------------------------------------------------------
 
-def entropy(class_counts: Mapping[str, int]) -> float:
-    """Shannon entropy in bits of an empirical class distribution."""
-    total = 0
-    for label, count in class_counts.items():
-        if count < 0:
-            raise ValueError(f"negative count for class {label!r}")
-        total += count
-    if total == 0:
-        raise EmptyBatch("entropy of an empty batch is undefined")
-    h = 0.0
-    for count in class_counts.values():
-        if count:
-            p = count / total
-            h -= p * math.log2(p)
-    return h
-
-
-def _entropy_from_bincount(counts: np.ndarray) -> float:
+def entropy(counts: Sequence[int] | np.ndarray) -> float:
+    """Shannon entropy in bits of an empirical class distribution, given as class counts."""
     import numpy as np
 
+    counts = np.asarray(counts)
+    if (counts < 0).any():
+        raise ValueError(f"negative class count in {counts.tolist()}")
     total = int(counts.sum())
     if total == 0:
-        return 0.0
+        raise EmptyBatch("entropy of an empty batch is undefined")
     p = counts[counts > 0] / total
     return float(-(p * np.log2(p)).sum())
 
@@ -381,9 +294,9 @@ def information_gain(batch: LabeledBatch, predicate: Predicate) -> float:
     if n_true == 0 or n_true == n:
         return 0.0
     n_labels = len(names)
-    parent = _entropy_from_bincount(np.bincount(codes, minlength=n_labels))
-    h_true = _entropy_from_bincount(np.bincount(codes[mask], minlength=n_labels))
-    h_false = _entropy_from_bincount(np.bincount(codes[~mask], minlength=n_labels))
+    parent = entropy(np.bincount(codes, minlength=n_labels))
+    h_true = entropy(np.bincount(codes[mask], minlength=n_labels))
+    h_false = entropy(np.bincount(codes[~mask], minlength=n_labels))
     return parent - (n_true / n) * h_true - ((n - n_true) / n) * h_false
 
 
@@ -412,14 +325,13 @@ class TreeConfig:
             raise InvalidConfig(f"min_gain must be non-negative, got {self.min_gain!r}")
 
 
-def candidate_predicates(batch: LabeledBatch, excluded: Iterable = ()) -> list[Predicate]:
+def candidate_predicates(batch: LabeledBatch, excluded: Iterable[Predicate] = ()) -> list[Predicate]:
     """Candidate splits for a batch, in deterministic sort order.
 
     Numeric variables yield thresholds at the midpoints between sorted
     distinct observed values, booleans one equality test, text variables
     equality against each observed value, collections emptiness plus
-    cardinality thresholds.  Candidates whose key is in ``excluded`` are
-    dropped.
+    cardinality thresholds.  Candidates in ``excluded`` are dropped.
     """
     import numpy as np
 
@@ -431,18 +343,18 @@ def candidate_predicates(batch: LabeledBatch, excluded: Iterable = ()) -> list[P
         if kind in (NUMBER, INTEGER):
             distinct = np.unique(batch.column(var))
             for a, b in zip(distinct[:-1], distinct[1:]):
-                out.append(ScalarThreshold(var, float((a + b) / 2.0)))
+                out.append(Predicate("num_gt", var, float((a + b) / 2.0)))
         elif kind == BOOLEAN:
-            out.append(BooleanEq(var, True))
+            out.append(Predicate("bool_eq", var, True))
         elif kind == TEXT:
             for text in sorted(set(batch.column(var))):
-                out.append(TextEq(var, text))
+                out.append(Predicate("text_eq", var, text))
         elif kind == COLLECTION:
-            out.append(StructEmpty(var))
+            out.append(Predicate("coll_empty", var))
             cards = np.unique(batch.column(var))
             for a, b in zip(cards[:-1], cards[1:]):
-                out.append(StructCardThreshold(var, (int(a) + int(b)) // 2))
-    out = [p for p in out if p.key() not in excluded]
+                out.append(Predicate("coll_card_gt", var, (int(a) + int(b)) // 2))
+    out = [p for p in out if p not in excluded]
     out.sort(key=lambda p: p.sort_key())
     return out
 
@@ -699,7 +611,7 @@ class SplitRejected:
         return False
 
 
-def _best_candidate(batch: LabeledBatch, excluded: Iterable) -> tuple[Predicate | None, float]:
+def _best_candidate(batch: LabeledBatch, excluded: Iterable[Predicate]) -> tuple[Predicate | None, float]:
     best: Predicate | None = None
     best_gain = -math.inf
     for cand in candidate_predicates(batch, excluded):
@@ -713,7 +625,7 @@ def split_leaf(
     tree: PredicateTree,
     leaf: int,
     batch: LabeledBatch,
-    excluded: Iterable = (),
+    excluded: Iterable[Predicate] = (),
     cfg: TreeConfig | None = None,
 ) -> LeafSplit | SplitRejected:
     """Splits the leaf with the max-gain candidate, or reports why not.
@@ -756,7 +668,7 @@ def build_initial_tree(log: TraceLog, cfg: TreeConfig | None = None) -> Predicat
     tree = PredicateTree.single_leaf()
     # Depth-first growth; each successful split adds one leaf to the total,
     # so the max_leaves check inside split_leaf sees the true global count.
-    stack: list[tuple[int, LabeledBatch, frozenset]] = [
+    stack: list[tuple[int, LabeledBatch, frozenset[Predicate]]] = [
         (tree.leaf_node_of(0), batch, frozenset())
     ]
     while stack:
@@ -768,7 +680,7 @@ def build_initial_tree(log: TraceLog, cfg: TreeConfig | None = None) -> Predicat
         tree = result.tree
         pred = result.predicate
         mask = pred.mask(node_batch.column(pred.var))
-        child_excluded = excluded | {pred.key()}
+        child_excluded = excluded | {pred}
         n0 = tree.leaf_node_of(result.children[0])
         n1 = tree.leaf_node_of(result.children[1])
         # Push true side last so the false branch grows first (deterministic).

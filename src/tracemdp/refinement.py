@@ -113,7 +113,7 @@ def refine_once(
         leaf_node = store.tree.leaf_node_of(spurious.leaf)
     except UnknownLeaf:
         return SplitRejected("no_candidates")
-    excluded = {p.key() for p in store.tree.path_predicates(leaf_node)}
+    excluded = set(store.tree.path_predicates(leaf_node))
     batch = batch_for_leaf(store, spurious.leaf)
     result = split_leaf(store.tree, spurious.leaf, batch, excluded, cfg.tree_config())
     if isinstance(result, SplitRejected):

@@ -25,7 +25,7 @@ from tracemdp.amdp import (
     parse_explicit,
 )
 from tracemdp.errors import UnknownVariable
-from tracemdp.predicate_tree import BooleanEq, ScalarThreshold, TreeConfig, build_initial_tree
+from tracemdp.predicate_tree import Predicate, TreeConfig, build_initial_tree
 from tracemdp.trace_model import AbstractPath
 
 
@@ -158,7 +158,7 @@ class TestLabeling:
     def rule(self, mode="all"):
         return LabelRule(
             "success",
-            (BooleanEq("testsPassed", True), BooleanEq("committed", True)),
+            (Predicate("bool_eq", "testsPassed", True), Predicate("bool_eq", "committed", True)),
             mode,
         )
 
@@ -187,12 +187,12 @@ class TestLabeling:
         assert label_states([0], [self.rule(mode="any")], {0: ev}).labeled["success"] == {0}
 
     def test_unknown_variable(self):
-        rule = LabelRule("x", (BooleanEq("nonexistent", True),), "all")
+        rule = LabelRule("x", (Predicate("bool_eq", "nonexistent", True),), "all")
         with pytest.raises(UnknownVariable):
             label_states([0], [rule], {0: [mk_state(check={"testsPassed": True})]})
 
     def test_state_partition_variable_rejected(self):
-        rule = LabelRule("x", (ScalarThreshold("iteration", 3.0),), "all")
+        rule = LabelRule("x", (Predicate("num_gt", "iteration", 3.0),), "all")
         with pytest.raises(UnknownVariable):
             label_states([0], [rule], {0: [mk_state(state={"iteration": 5})]})
 

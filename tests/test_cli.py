@@ -585,7 +585,7 @@ class TestErrors:
         "text, reason",
         [
             ('[{"name":"x","mode":"all","atoms":[{"type":"text_eq","var":"lastFileRead","expected":"b"}]}]',
-             "BooleanEq / ScalarThreshold atoms only"),
+             "bool_eq / num_gt atoms only"),
             ('[{"name":"x","mode":"most","atoms":[{"type":"bool_eq","var":"opsCompleted","expected":true}]}]',
              "unknown label mode"),
             ('[{"name":"x","mode":"all","atoms":[{"type":"num_gt","var":"iteration"}]}]', "KeyError"),
@@ -863,6 +863,44 @@ class TestErrors:
             assert code == 3 and out == "", argv[0]
             error = json.loads(err)
             assert error["error"] == "SchemaViolation"
+
+    @staticmethod
+    def huge_integer_log(path) -> str:
+        """Three two-step traces over an integer ``n``; one snapshot's ``n`` is 10**400."""
+        lines = []
+        for t, values in enumerate(([0, 1, 2], [0, 10**400, 2], [3, 4, 5])):
+            snapshots = [{"goal": {"task": "t"}, "check": {"ok": False}, "state": {"n": v}} for v in values]
+            for seq, action in enumerate(("a", "b")):
+                lines.append({"trace_id": f"t{t}", "seq": seq, "kind": "tool_call", "action": action,
+                              "pre": snapshots[seq], "post": snapshots[seq + 1]})
+            lines.append({"trace_id": f"t{t}", "seq": 2, "kind": "terminal", "status": "success"})
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        return str(path)
+
+    def test_integer_too_large_for_a_float_exit_3(self, capsys, tmp_path):
+        """`learn` and a `build` that routes through `num_gt` on the variable both name it."""
+        log = self.huge_integer_log(tmp_path / "huge.jsonl")
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({
+            "root": 0, "next_node_id": 3, "next_abstract_id": 2,
+            "nodes": [
+                {"id": 0, "kind": "internal", "predicate": {"type": "num_gt", "var": "n", "threshold": 0.5},
+                 "ch0": 1, "ch1": 2},
+                {"id": 1, "kind": "leaf", "abstract_state_id": 0},
+                {"id": 2, "kind": "leaf", "abstract_state_id": 1},
+            ],
+        }))
+        for argv in (
+            ["learn", "--log", log, "--out", str(tmp_path / "learned.json"), "--min-leaf", "1", "--gamma", "0"],
+            ["build", "--log", log, "--tree", str(tree), "--out", str(tmp_path / "store")],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "", argv[0]
+            error = json.loads(err)
+            assert error["error"] == "SchemaViolation"
+            assert "'n'" in error["message"]
+        assert not (tmp_path / "learned.json").exists()
+        assert not (tmp_path / "store").exists()
 
     def test_undeclared_label_exit_3(self, pipeline, capsys):
         code, out, err = run_cli(

@@ -21,9 +21,8 @@ from tracemdp.linked_store import (
     write_model,
 )
 from tracemdp.predicate_tree import (
-    BooleanEq,
+    Predicate,
     PredicateTree,
-    ScalarThreshold,
     SplitRejected,
     TreeConfig,
     END_LABEL,
@@ -125,11 +124,11 @@ class TestBuild:
         ]
         log = mk_log(traces)
         tree, _, _ = PredicateTree.single_leaf().split(
-            PredicateTree.single_leaf().leaf_node_of(0), ScalarThreshold("x", 1.5)
+            PredicateTree.single_leaf().leaf_node_of(0), Predicate("num_gt", "x", 1.5)
         )
         succeeded, ok = (tree.abstract(trace.states[-1]) for trace in traces)
         assert succeeded != ok
-        rules = (LabelRule("success", (BooleanEq("ok", True),), "all"),)
+        rules = (LabelRule("success", (Predicate("bool_eq", "ok", True),), "all"),)
         store = build(log, tree, LabelingConfig(success_mode="any", rules=rules))
         assert store.model.label_ids()["success"] == sorted({succeeded, ok})
         assert store.label_report.labeled["success"] == {ok}
@@ -205,14 +204,12 @@ class TestApplySplit:
 
     def test_one_sided_split_isolates_sibling(self):
         # Split the single leaf by a predicate satisfied by no observed state.
-        from tracemdp.predicate_tree import ScalarThreshold
-
         log = mk_log([mk_trace("t", [{"x": 0}, {"x": 1}], ["go"])])
         store = build(log, PredicateTree.single_leaf())
-        tree2, a0, a1 = store.tree.split(store.tree.leaf_node_of(0), ScalarThreshold("x", 99.0))
+        tree2, a0, a1 = store.tree.split(store.tree.leaf_node_of(0), Predicate("num_gt", "x", 99.0))
         from tracemdp.predicate_tree import LeafSplit
 
-        split = LeafSplit(tree2, store.tree, 0, (a0, a1), ScalarThreshold("x", 99.0))
+        split = LeafSplit(tree2, store.tree, 0, (a0, a1), Predicate("num_gt", "x", 99.0))
         refined = apply_split(store, split)
         assert refined.runs == (AbstractPath((a0, a0), ("go",)),)
         assert len(batch_for_leaf(refined, a0)) == 2
@@ -334,11 +331,11 @@ class TestRuleLabels:
         ] + [mk_trace("f", [{"x": 0, "ok": False}, {"x": 1, "ok": False}], ["go"], check_key="ok")]
         log = mk_log(traces)
         tree, low, high = PredicateTree.single_leaf().split(
-            PredicateTree.single_leaf().leaf_node_of(0), ScalarThreshold("x", 0.5)
+            PredicateTree.single_leaf().leaf_node_of(0), Predicate("num_gt", "x", 0.5)
         )
         rules = (
-            LabelRule("ok_all", (BooleanEq("ok", True),), "all"),
-            LabelRule("ok_any", (BooleanEq("ok", True),), "any"),
+            LabelRule("ok_all", (Predicate("bool_eq", "ok", True),), "all"),
+            LabelRule("ok_any", (Predicate("bool_eq", "ok", True),), "any"),
         )
         store = build(log, tree, LabelingConfig(terminal_labels=False, rules=rules))
         assert store.model.label_ids()["ok_all"] == []
@@ -353,8 +350,8 @@ class TestPersistence:
     def test_labeling_json_format(self):
         labeling = LabelingConfig(
             rules=(
-                LabelRule("done", (BooleanEq("opsCompleted", True),), "all"),
-                LabelRule("late", (ScalarThreshold("iteration", 59.5),), "any"),
+                LabelRule("done", (Predicate("bool_eq", "opsCompleted", True),), "all"),
+                LabelRule("late", (Predicate("num_gt", "iteration", 59.5),), "any"),
             )
         )
         raw = {

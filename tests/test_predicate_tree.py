@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,16 +8,12 @@ import pytest
 from conftest import mk_log, mk_state, mk_trace
 from tracemdp.errors import EmptyBatch, EmptyLog, InvalidConfig, SchemaViolation, UnknownLeaf
 from tracemdp.predicate_tree import (
-    BooleanEq,
     InternalNode,
     LabeledBatch,
     LeafNode,
+    Predicate,
     PredicateTree,
-    ScalarThreshold,
     SplitRejected,
-    StructCardThreshold,
-    StructEmpty,
-    TextEq,
     TreeConfig,
     build_initial_tree,
     candidate_predicates,
@@ -56,23 +53,23 @@ def brute_force_ig(batch, predicate):
 
 class TestEntropy:
     def test_uniform_two_class(self):
-        assert entropy({"a": 2, "b": 2}) == 1.0
+        assert entropy([2, 2]) == 1.0
 
     def test_pure(self):
-        assert entropy({"a": 4}) == 0.0
+        assert entropy([4]) == 0.0
 
     def test_three_one(self):
-        assert entropy({"a": 3, "b": 1}) == pytest.approx(0.811278, abs=1e-6)
+        assert entropy([3, 1]) == pytest.approx(0.811278, abs=1e-6)
 
     def test_empty(self):
         with pytest.raises(EmptyBatch):
-            entropy({})
+            entropy([])
         with pytest.raises(EmptyBatch):
-            entropy({"a": 0})
+            entropy([0])
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            entropy({"a": -1, "b": 2})
+            entropy([-1, 2])
 
 
 class TestInformationGain:
@@ -80,71 +77,106 @@ class TestInformationGain:
         batch = batch_of(
             [({"x": 0}, "r"), ({"x": 1}, "r"), ({"x": 5}, "w"), ({"x": 6}, "w")]
         )
-        assert information_gain(batch, ScalarThreshold("x", 3.0)) == pytest.approx(1.0)
+        assert information_gain(batch, Predicate("num_gt", "x", 3.0)) == pytest.approx(1.0)
 
     def test_degenerate_split_is_zero(self):
         batch = batch_of([({"x": 0}, "r"), ({"x": 1}, "w")])
-        assert information_gain(batch, ScalarThreshold("x", 99.0)) == 0.0
+        assert information_gain(batch, Predicate("num_gt", "x", 99.0)) == 0.0
 
     def test_partial_split(self):
         batch = batch_of(
             [({"x": 0}, "r"), ({"x": 1}, "r"), ({"x": 5}, "r"), ({"x": 6}, "w")]
         )
-        assert information_gain(batch, ScalarThreshold("x", 3.0)) == pytest.approx(
+        assert information_gain(batch, Predicate("num_gt", "x", 3.0)) == pytest.approx(
             0.311278, abs=1e-6
         )
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):
-            information_gain(LabeledBatch([], []), ScalarThreshold("x", 0.0))
+            information_gain(LabeledBatch([], []), Predicate("num_gt", "x", 0.0))
 
     def test_matches_brute_force_on_random_batches(self):
         rng = np.random.default_rng(7)
         labels = ["a", "b", "c", "d"]
+        kinds = set()
         for _ in range(60):
             n = int(rng.integers(1, 50))
             k = int(rng.integers(1, 5))
             batch = batch_of(
                 [
                     (
-                        {"x": float(rng.integers(0, 6)), "b": bool(rng.integers(0, 2))},
+                        {
+                            "x": float(rng.integers(0, 6)),
+                            "b": bool(rng.integers(0, 2)),
+                            "i": int(rng.integers(-2, 3)),
+                            "t": f"s{rng.integers(0, 3)}",
+                            "c": ["e"] * int(rng.integers(0, 4)),
+                        },
                         labels[int(rng.integers(0, k))],
                     )
                     for _ in range(n)
                 ]
             )
-            assert entropy(batch.label_counts()) == pytest.approx(
-                brute_force_entropy(batch.label_counts()), abs=1e-9
-            )
+            counts = Counter(batch.labels)
+            assert entropy(list(counts.values())) == pytest.approx(brute_force_entropy(counts), abs=1e-9)
             for pred in candidate_predicates(batch):
+                kinds.add(pred.kind)
+                mask = pred.mask(batch.column(pred.var))
+                assert mask.tolist() == [pred.evaluate(s) for s in batch.states]
                 got = information_gain(batch, pred)
                 want = brute_force_ig(batch, pred)
                 assert got == pytest.approx(want, abs=1e-9)
-                assert -1e-12 <= got <= entropy(batch.label_counts()) + 1e-12
+                assert -1e-12 <= got <= entropy(list(counts.values())) + 1e-12
+        assert kinds == {"num_gt", "bool_eq", "text_eq", "coll_empty", "coll_card_gt"}
+
+
+@pytest.mark.parametrize(
+    "pred, value, text",
+    [
+        (Predicate("num_gt", "x", 1.0), "a", "value of kind 'text' is not numeric"),
+        (Predicate("bool_eq", "x", True), 1, "'x' is not boolean"),
+        (Predicate("text_eq", "x", "a"), 1.5, "'x' is not text"),
+        (Predicate("coll_empty", "x"), 2, "value of kind 'integer' has no cardinality"),
+        (Predicate("coll_card_gt", "x", 1), True, "value of kind 'boolean' has no cardinality"),
+    ],
+    ids=["num_gt", "bool_eq", "text_eq", "coll_empty", "coll_card_gt"],
+)
+def test_wrongly_typed_value_is_schema_violation(pred, value, text):
+    with pytest.raises(SchemaViolation) as exc:
+        pred.evaluate(mk_state(state={"x": value}))
+    assert str(exc.value) == text
+
+
+def test_integer_too_large_for_a_float_is_schema_violation():
+    state = mk_state(state={"n": 10**400})
+    with pytest.raises(SchemaViolation, match="'n'"):
+        Predicate("num_gt", "n", 1.0).evaluate(state)
+    with pytest.raises(SchemaViolation, match="'n'"):
+        LabeledBatch([state], ["a"]).column("n")
 
 
 class TestCandidates:
     def test_numeric_midpoints(self):
         batch = batch_of([({"x": 1}, "a"), ({"x": 3}, "b"), ({"x": 7}, "a")])
-        preds = [p for p in candidate_predicates(batch) if isinstance(p, ScalarThreshold)]
-        assert [p.threshold for p in preds] == [2.0, 5.0]
+        preds = [p for p in candidate_predicates(batch) if p.kind == "num_gt"]
+        assert [p.param for p in preds] == [2.0, 5.0]
 
     def test_boolean_single_candidate(self):
         batch = batch_of([({"f": True}, "a"), ({"f": False}, "b")])
         preds = candidate_predicates(batch)
-        assert preds == [BooleanEq("f", True)]
+        assert preds == [Predicate("bool_eq", "f", True)]
 
     def test_collection_empty_plus_card_midpoint(self):
         batch = batch_of([({"c": []}, "a"), ({"c": [1, 2]}, "b")])
         preds = candidate_predicates(batch)
-        assert StructEmpty("c") in preds
-        assert StructCardThreshold("c", 1) in preds
+        assert Predicate("coll_empty", "c") in preds
+        assert Predicate("coll_card_gt", "c", 1) in preds
 
     def test_excluded_filtered(self):
         batch = batch_of([({"x": 1}, "a"), ({"x": 3}, "b")])
-        pred = ScalarThreshold("x", 2.0)
+        pred = Predicate("num_gt", "x", 2.0)
         assert pred in candidate_predicates(batch)
-        assert pred not in candidate_predicates(batch, excluded={pred.key()})
+        assert pred not in candidate_predicates(batch, excluded={pred})
 
 
 class TestAbstract:
@@ -154,7 +186,7 @@ class TestAbstract:
 
     def test_boolean_root(self):
         tree = PredicateTree(
-            {0: InternalNode(BooleanEq("testsPassed", True), 1, 2), 1: LeafNode(0), 2: LeafNode(1)},
+            {0: InternalNode(Predicate("bool_eq", "testsPassed", True), 1, 2), 1: LeafNode(0), 2: LeafNode(1)},
             root=0,
             next_node_id=3,
             next_abstract_id=2,
@@ -166,9 +198,9 @@ class TestAbstract:
         # Route: filesWritten>0 ? (iteration>4 ? L3 : L2) : (lastFileRead=="a.txt" ? L1 : L0)
         tree = PredicateTree(
             {
-                0: InternalNode(ScalarThreshold("filesWritten", 0.0), 1, 2),
-                1: InternalNode(TextEq("lastFileRead", "a.txt"), 3, 4),
-                2: InternalNode(ScalarThreshold("iteration", 4.0), 5, 6),
+                0: InternalNode(Predicate("num_gt", "filesWritten", 0.0), 1, 2),
+                1: InternalNode(Predicate("text_eq", "lastFileRead", "a.txt"), 3, 4),
+                2: InternalNode(Predicate("num_gt", "iteration", 4.0), 5, 6),
                 3: LeafNode(0),
                 4: LeafNode(1),
                 5: LeafNode(2),
@@ -186,7 +218,7 @@ class TestAbstract:
 
     def test_missing_variable_raises(self):
         tree = PredicateTree(
-            {0: InternalNode(BooleanEq("f", True), 1, 2), 1: LeafNode(0), 2: LeafNode(1)},
+            {0: InternalNode(Predicate("bool_eq", "f", True), 1, 2), 1: LeafNode(0), 2: LeafNode(1)},
             root=0,
             next_node_id=3,
             next_abstract_id=2,
@@ -226,7 +258,7 @@ class TestBuildInitialTree:
         tree = build_initial_tree(two_regime_log, TreeConfig(min_leaf_size=1))
         root = tree.node(tree.root)
         assert isinstance(root, InternalNode)
-        assert root.predicate == BooleanEq("flag", True)
+        assert root.predicate == Predicate("bool_eq", "flag", True)
 
     def test_gamma_infinite_single_leaf(self, two_regime_log):
         tree = build_initial_tree(two_regime_log, TreeConfig(min_gain=math.inf))
@@ -271,9 +303,9 @@ class TestSplitLeaf:
             [({"f": True}, "w"), ({"f": True}, "w"), ({"f": False}, "r"), ({"f": False}, "r")]
         )
         result = split_leaf(tree, 0, batch, cfg=TreeConfig(min_leaf_size=1))
-        assert result.predicate == BooleanEq("f", True)
+        assert result.predicate == Predicate("bool_eq", "f", True)
         assert information_gain(batch, result.predicate) == pytest.approx(
-            entropy(batch.label_counts())
+            entropy(list(Counter(batch.labels).values()))
         )
         # Children are fresh ids; the parent id is retired.
         assert result.children == (1, 2)
@@ -310,8 +342,8 @@ class TestSerialization:
     @staticmethod
     def three_leaf_json() -> dict:
         """Root 0 splits into leaf 1 and internal node 2, which splits into leaves 3 and 4."""
-        tree, _a1, a2 = PredicateTree.single_leaf().split(0, ScalarThreshold("x", 0.5))
-        tree, _a3, _a4 = tree.split(tree.leaf_node_of(a2), BooleanEq("f", True))
+        tree, _a1, a2 = PredicateTree.single_leaf().split(0, Predicate("num_gt", "x", 0.5))
+        tree, _a3, _a4 = tree.split(tree.leaf_node_of(a2), Predicate("bool_eq", "f", True))
         raw = tree.to_json_dict()
         assert [n["kind"] for n in raw["nodes"]] == ["internal", "leaf", "internal", "leaf", "leaf"]
         return raw

@@ -1,3 +1,5 @@
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -278,7 +280,7 @@ def test_batch_for_leaf_labels():
     log = real_failure_log()
     store = build(log, PredicateTree.single_leaf())
     batch = batch_for_leaf(store, 0)
-    counts = batch.label_counts()
+    counts = Counter(batch.labels)
     assert counts["risky"] == 1
     assert counts["safe"] == 3
     assert counts["⊥"] == 4

@@ -17,6 +17,9 @@ store, so its refs are compared too, and a labeled flow
 ``bool_eq`` rule on ``opsCompleted`` named ``success``, so it adds to the
 terminal ``success`` label) and non-default ``--success-mode any
 --failure-mode all``, a ``check`` of the rule's label and an ``export``,
+then two more ``build --labels`` (``WRONGLY_TYPED``) whose rules compare
+the text goal variable ``task`` as a number and as a boolean, so that the
+exit code and error text of each are compared and no store may be written,
 then a detector flow (``detector_flow``): ``score`` and ``monitor --once``
 on the anomalous log with non-default ``DETECTOR_FLAGS``, so that both the
 run-level and the checkpoint thresholds are compared at another alpha,
@@ -59,6 +62,10 @@ SEEDS = (0, 1)
 EXTRA_REFINE = ("refine", ["refine", "--store", "store", "--prop", 'Pmax<=0.5 [F "failure"]', "--max-iters", "3"])
 RULES = [{"name": "success", "mode": "all",
           "atoms": [{"type": "bool_eq", "var": "opsCompleted", "expected": True}]}]
+WRONGLY_TYPED = {
+    "task-num": [{"name": "late", "mode": "any", "atoms": [{"type": "num_gt", "var": "task", "threshold": 1}]}],
+    "task-bool": [{"name": "done", "mode": "all", "atoms": [{"type": "bool_eq", "var": "task", "expected": True}]}],
+}
 DETECTOR_FLAGS = ["--alpha", "0.2", "--checkpoints", "5,15,40"]
 MAKE_CORPUS = "import json, sys; from corpus import make_corpus; print(json.dumps(make_corpus(*json.loads(sys.argv[1]))))"
 
@@ -85,12 +92,15 @@ def differing_files(a_dir: str, b_dir: str) -> list[str]:
 
 
 def labeled_flow(train: str) -> list[tuple[str, list[str]]]:
-    """Builds a second store with ``RULES`` and non-default modes, checks the rule's label, exports it."""
+    """Builds a second store with ``RULES`` and non-default modes, checks the rule's label, exports
+    it, then tries a build with each rule file of ``WRONGLY_TYPED``."""
     return [
         ("build", ["build", "--log", train, "--tree", "tree.json", "--out", "labeled", "--labels", "rules.json",
                    "--success-mode", "any", "--failure-mode", "all"]),
         ("check", ["check", "--store", "labeled", "--prop", f'Pmax=? [F "{RULES[0]["name"]}"]']),
         ("export", ["export", "--store", "labeled", "--out", "labeled-exported"]),
+        *(("build", ["build", "--log", train, "--tree", "tree.json", "--out", name, "--labels", f"{name}.json"])
+          for name in WRONGLY_TYPED),
     ]
 
 
@@ -139,8 +149,9 @@ def typed_flow(typed: str) -> list[tuple[str, list[str]]]:
 def run_flow(commands: list[tuple[str, list[str]]], src: str, out_dir: str) -> None:
     """Runs the command sequence under ``src`` in ``out_dir``, keeping every output."""
     os.makedirs(out_dir)
-    with open(os.path.join(out_dir, "rules.json"), "w", encoding="utf-8") as fh:
-        json.dump(RULES, fh)
+    for name, rules in {"rules": RULES, **WRONGLY_TYPED}.items():
+        with open(os.path.join(out_dir, f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(rules, fh)
     for i, (name, args) in enumerate(commands):
         stem = os.path.join(out_dir, f"{i:02d}-{name}")
         if name == "refine":
