@@ -21,14 +21,18 @@ armed checkpoint k, which use only historical runs of length >= k truncated
 to their first k transitions; ``RunMonitor`` and ``score_run`` compare a
 prefix score with the table.
 
-The statistics (means, deviations, quantiles, skew) are numpy's, which
-fixes their last digits; only the functions that compute them import it.
+The statistics (means, deviations, quantiles, skew) are computed in plain
+Python that repeats numpy's arithmetic term for term (``_sum``,
+``_mean_std``, ``_quantile``), so they keep numpy's digits without loading
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InsufficientData, InvalidConfig
@@ -122,16 +126,16 @@ class OfflineDetector:
         finite = [score.loglik for score in scores if score.finite]
         if len(finite) < 2:
             raise InsufficientData(f"need at least 2 finite scores, got {len(finite)}")
-        import numpy as np
-
-        arr = np.asarray(finite)
-        self.mu, self.sigma = float(arr.mean()), float(arr.std(ddof=1))
-        ordered = np.asarray(sorted(finite))
-        centered = ordered - ordered.mean()
-        m2 = float((centered**2).mean())
-        skew = float((centered**3).mean()) / m2**1.5 if m2 else 0.0
+        self.mu, self.sigma = _mean_std(finite)
+        ordered = sorted(finite)
+        n = len(ordered)
+        mean = _sum(ordered) / n
+        centered = [score - mean for score in ordered]
+        # numpy squares as c * c and, without AVX-512, cubes with libm's pow, as c**3 does.
+        m2 = _sum([c * c for c in centered]) / n
+        skew = _sum([c**3 for c in centered]) / n / m2**1.5 if m2 else 0.0
         if abs(skew) > SKEW_LIMIT:
-            self.mode, self.threshold = "empirical", float(np.quantile(ordered, self.cfg.alpha))
+            self.mode, self.threshold = "empirical", _quantile(ordered, self.cfg.alpha)
         else:
             self.mode, self.threshold = "normal", _normal_threshold(self.mu, self.sigma, self.cfg.alpha)
         return self
@@ -176,8 +180,6 @@ def prefix_stats(
     once, up to the last checkpoint it reaches or its first unseen
     transition, and its prefix score is read off at every checkpoint.
     """
-    import numpy as np
-
     ks = sorted(set(checkpoints))
     unseen = dict.fromkeys(ks, 0)
     finite: dict[int, list[float]] = {k: [] for k in ks}
@@ -199,8 +201,7 @@ def prefix_stats(
         # sigma, and with them the printed thresholds.
         scores = sorted(finite[k])
         if len(scores) >= 2:
-            arr = np.asarray(scores)
-            mu, sigma = float(arr.mean()), float(arr.std(ddof=1))
+            mu, sigma = _mean_std(scores)
         else:
             mu = sigma = None
         n_runs = len(scores) + unseen[k]  # every run reaching k ends up finite or unseen
@@ -249,6 +250,48 @@ class RunMonitor:
                 }
             ]
         return []
+
+
+# ---------------------------------------------------------------------------
+# numpy's float64 arithmetic, term for term
+# ---------------------------------------------------------------------------
+
+def _sum(values: Sequence[float]) -> float:
+    """``numpy.add.reduce`` of the values as a float64 vector, bit for bit.
+
+    numpy adds its pairwise sum to the identity 0.0: fewer than 8 terms in
+    sequence; up to 128 terms in 8 strided accumulators, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in sequence; longer
+    runs split at half their length rounded down to a multiple of 8.  Adding
+    0.0 at every level instead of once changes no sum: it turns only a -0.0
+    into 0.0, and a zero added to a sum changes nothing else.
+    """
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    tail = n - n % 8
+    r = [reduce(add, values[j:tail:8]) for j in range(8)]
+    return 0.0 + reduce(add, values[tail:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
+def _mean_std(values: Sequence[float]) -> tuple[float, float]:
+    """numpy's ``mean()`` and ``std(ddof=1)`` of at least two values, bit for bit."""
+    n = len(values)
+    mean = _sum(values) / n
+    return mean, math.sqrt(_sum([(v - mean) * (v - mean) for v in values]) / (n - 1))
+
+
+def _quantile(ordered: Sequence[float], q: float) -> float:
+    """numpy's default (linear) ``quantile`` of at least two sorted values, bit for bit."""
+    virtual = (len(ordered) - 1) * q
+    i = math.floor(virtual)
+    gamma = virtual - i
+    a, b = ordered[i], ordered[i + 1]
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 # ---------------------------------------------------------------------------

@@ -148,40 +148,47 @@ def reach_values(
     are probabilities, so a change of 1 or more cannot be seen, and a larger
     ``epsilon`` would stop after one sweep.
     """
-    import numpy as np
-
     if not 0 < epsilon < 1:
         raise InvalidConfig(f"epsilon must be in (0, 1), got {epsilon!r}")
     target = _target(model, query)
     frozen = set(target)
     if query.direction == MAX:
         frozen |= _cannot_reach(model.rows, frozen)
-    # Each active state's choices as int64 destinations and float64
-    # probabilities: numpy's dot product fixes the last digits of a value.
+    # Each active state's choices as (destination, probability) pairs.  A
+    # choice's value is their products summed left to right from 0.0: plain
+    # IEEE arithmetic, so the digits are the same on every CPU.
     active = [
-        (i, [(np.asarray(d, dtype=np.int64), np.asarray(p, dtype=np.float64)) for _, d, p in row])
+        (i, [tuple(zip(dsts, probs)) for _, dsts, probs in row])
         for i, row in enumerate(model.rows)
         if i not in frozen and row
     ]
 
-    x = np.zeros(model.n_states)
+    x = [0.0] * model.n_states
     for t in target:
         x[t] = 1.0
-    pick = max if query.direction == MAX else min
+    maximize = query.direction == MAX
 
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         delta = 0.0
         for i, choices in active:
-            best = pick(float(probs @ x[dsts]) for dsts, probs in choices)
-            delta = max(delta, abs(best - x[i]))
+            best = None
+            for pairs in choices:
+                value = 0.0
+                for dst, prob in pairs:
+                    value += prob * x[dst]
+                if best is None or (value > best if maximize else value < best):
+                    best = value
+            change = abs(best - x[i])
+            if change > delta:
+                delta = change
             x[i] = best
         if delta < epsilon:
             converged = True
             break
 
-    values = {s: float(x[i]) for i, s in enumerate(model.states)}
+    values = dict(zip(model.states, x))
     return ValueIterationResult(values, iterations, converged)
 
 
@@ -209,7 +216,9 @@ def optimizing_scheduler(
         best_action = None
         best_value = None
         for action, dsts, probs in row:
-            v = sum(p * x[d] for d, p in zip(dsts, probs))
+            v = 0.0  # summed as reach_values sums: builtin sum compensates from Python 3.12
+            for d, p in zip(dsts, probs):
+                v += p * x[d]
             if best_action is None or pick_better(v, best_value):
                 best_action, best_value = action, v
         if best_action is not None:

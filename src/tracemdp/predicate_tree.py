@@ -155,7 +155,7 @@ def predicate_to_json(pred: Predicate) -> dict:
 
 def predicate_from_json(raw: Mapping) -> Predicate:
     """The predicate ``predicate_to_json`` wrote; ValueError if its type is
-    unknown or a parameter has the wrong JSON type."""
+    unknown or a parameter has the wrong JSON type or is not finite."""
     kind = raw["type"]
     var = raw["var"]
     if not isinstance(var, str) or not var:
@@ -171,9 +171,13 @@ def predicate_from_json(raw: Mapping) -> Predicate:
         types = " or ".join(t.__name__ for t in spec.param_types)
         raise ValueError(f"{kind} {name} must be {types}, not {value!r}")
     try:
-        return Predicate(kind, var, spec.param_types[-1](value))
+        param = spec.param_types[-1](value)
     except OverflowError:
         raise ValueError(f"{kind} {name} is too large for a float") from None
+    # json parses NaN and Infinity as floats, but JSON cannot write them back.
+    if isinstance(param, float) and not math.isfinite(param):
+        raise ValueError(f"{kind} {name} must be finite, not {param!r}")
+    return Predicate(kind, var, param)
 
 
 # ---------------------------------------------------------------------------

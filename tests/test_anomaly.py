@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from conftest import count_probability, count_totals
 from tracemdp.amdp import from_counts
 from tracemdp.anomaly import (
+    _mean_std,
+    _quantile,
+    _sum,
     CheckpointStats,
     DetectorConfig,
     OfflineDetector,
@@ -543,6 +547,40 @@ class TestScorersAgainstReference:
             assert alerts == [{"kind": "checkpoint", **w} for w in expected] + unseen
             if total is not None:
                 assert monitor.loglik == total
+
+
+# ---------------------------------------------------------------------------
+# The plain-Python statistics against numpy, bit for bit
+# ---------------------------------------------------------------------------
+
+@st.composite
+def float_lists(draw, min_size=1, max_size=1100):
+    """Lengths that cross numpy's 8-term and 128-term blocks and its recursive
+    split; drawn edge floats first, then seeded values of mixed sign and magnitude."""
+    n = draw(st.integers(min_size, max_size))
+    head = draw(st.lists(st.floats(-1e100, 1e100), max_size=min(n, 16)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return head + [rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-12, 12) for _ in range(n - len(head))]
+
+
+class TestNumpyDigits:
+    @settings(max_examples=150, deadline=None)
+    @given(float_lists())
+    def test_sum_is_add_reduce(self, values):
+        assert _sum(values).hex() == float(np.add.reduce(np.asarray(values))).hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(float_lists(min_size=2))
+    def test_mean_std_are_mean_and_std_ddof_1(self, values):
+        arr = np.asarray(values)
+        mu, sigma = _mean_std(values)
+        assert (mu.hex(), sigma.hex()) == (float(arr.mean()).hex(), float(arr.std(ddof=1)).hex())
+
+    @settings(max_examples=150, deadline=None)
+    @given(float_lists(min_size=2), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    def test_quantile_is_linear_quantile(self, values, alpha):
+        ordered = sorted(values)
+        assert _quantile(ordered, alpha).hex() == float(np.quantile(np.asarray(ordered), alpha)).hex()
 
 
 # ---------------------------------------------------------------------------

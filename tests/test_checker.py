@@ -217,6 +217,36 @@ class TestReachValues:
                 for s in m.states:
                     assert vi.values[s] == pytest.approx(oracle[s], abs=1e-6)
 
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    def test_left_to_right_gauss_seidel_digits(self, direction):
+        """Each choice sums p * x[d] left to right from 0.0; states update in place, in index order."""
+        m = model_from_counts(
+            {(0, "a", 1): 1, (0, "a", 2): 2, (0, "b", 1): 2, (0, "b", 4): 1,
+             (1, "a", 2): 2, (1, "a", 3): 2, (1, "a", 4): 7,
+             (2, "a", 0): 3, (2, "a", 3): 1, (2, "a", 4): 1},
+            labels={"goal": {4}},
+        )
+        assert m.states == (0, 1, 2, 3, 4) and m.rows[0][0][1] == (1, 2)
+        x = [0.0, 0.0, 0.0, 0.0, 1.0]
+        pick = max if direction == "max" else min
+        for sweeps in itertools.count(1):
+            delta = 0.0
+            for i in (0, 1, 2):
+                values = []
+                for _action, dsts, probs in m.rows[i]:
+                    value = 0.0
+                    for dst, prob in zip(dsts, probs):
+                        value += prob * x[dst]
+                    values.append(value)
+                best = pick(values)
+                delta = max(delta, abs(best - x[i]))
+                x[i] = best
+            if delta < 1e-8:
+                break
+        vi = reach_values(m, ReachQuery(direction, "goal"))
+        assert vi.converged and vi.iterations == sweeps > 10
+        assert [vi.values[s].hex() for s in m.states] == [v.hex() for v in x]
+
     def test_not_converged_flag(self):
         m = model_from_counts(
             {(0, "a", 0): 99, (0, "a", 1): 1}, labels={"goal": {1}}

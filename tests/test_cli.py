@@ -8,6 +8,9 @@ import pytest
 
 from tracemdp.cli import main
 
+# num_gt thresholds that Python's json reads as floats but JSON cannot hold, by test id.
+NON_FINITE = {"nan_threshold": "nan", "infinite_threshold": "inf", "negative_infinite_threshold": "-inf"}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -600,6 +603,8 @@ class TestErrors:
              "num_gt threshold must be int or float, not True"),
             ('[{"name":"x","mode":"all","atoms":[{"type":"num_gt","var":"iteration","threshold":1%s}]}]' % ("0" * 400),
              "num_gt threshold is too large for a float"),
+            ('[{"name":"x","mode":"all","atoms":[{"type":"num_gt","var":"iteration","threshold":-Infinity}]}]',
+             "num_gt threshold must be finite, not -inf"),
             ('[{"name":"x","mode":"all","atoms":[{"type":"coll_card_gt","var":"iteration","threshold":2.7}]}]',
              "coll_card_gt threshold must be int, not 2.7"),
             ('[{"name":"x","mode":"all","atoms":[{"type":"bool_eq","var":5,"expected":true}]}]',
@@ -614,7 +619,7 @@ class TestErrors:
              "label name must be"),
         ],
         ids=["text_atom", "unknown_mode", "missing_threshold", "not_json", "bool_as_string", "text_as_number",
-             "threshold_as_string", "threshold_as_bool", "threshold_too_large", "fractional_card", "var_not_string", "var_empty",
+             "threshold_as_string", "threshold_as_bool", "threshold_too_large", "threshold_infinite", "fractional_card", "var_not_string", "var_empty",
              "name_not_string", "name_with_space", "name_init"],
     )
     def test_malformed_labels_exit_3(self, pipeline, capsys, tmp_path, text, reason):
@@ -761,13 +766,16 @@ class TestErrors:
             raw["next_abstract_id"] = max(n["abstract_state_id"] for n in leaves)
         elif defect == "no_nodes":
             del raw["nodes"]
+        elif defect in NON_FINITE:
+            # json writes these floats as the bare tokens NaN, Infinity and -Infinity.
+            internal["predicate"] = {"type": "num_gt", "var": "iteration", "threshold": float(NON_FINITE[defect])}
         else:
             return "not json"
         return json.dumps(raw)
 
     @pytest.mark.parametrize(
         "defect",
-        ["undefined_child", "shared_abstract_id", "next_abstract_id_in_use", "no_nodes", "not_json"],
+        ["undefined_child", "shared_abstract_id", "next_abstract_id_in_use", "no_nodes", "not_json", *NON_FINITE],
     )
     def test_malformed_tree_exit_3(self, pipeline, capsys, tmp_path, defect):
         tree = tmp_path / "tree.json"
@@ -785,6 +793,9 @@ class TestErrors:
             error = json.loads(err)
             assert error["error"] == "InvalidConfig"
             assert "tree.json" in error["message"]
+            if defect in NON_FINITE:
+                assert f"num_gt threshold must be finite, not {float(NON_FINITE[defect])!r}" in error["message"]
+        assert not (tmp_path / "built").exists()
 
     @pytest.mark.parametrize(
         "name, damage",
@@ -992,15 +1003,20 @@ class TestImports:
         truth = tmp_path / "truth.jsonl"
         truth.write_text('{"trace_id": "a", "anomaly": "too_long"}\n')
         store = str(tmp_path / "store")
+        anomalous = str(pipeline["corpus"] / "anomalous.jsonl")
         loaded = loaded_modules(
             ["build", "--log", str(pipeline["corpus"] / "baseline.jsonl"),
              "--tree", str(pipeline["tree"]), "--out", store],
             ["export", "--store", store, "--out", str(tmp_path / "export")],
             ["report", "--scores", str(scores), "--truth", str(truth), "--json"],
             ["--version"],
+            ["check", "--store", store, "--prop", 'Pmin=? [F "failure"]'],
+            ["check", "--store", store, "--prop", 'Pmax>=0.5 [F "success"]'],
+            ["score", "--store", store, "--log", anomalous, "--out", str(tmp_path / "scored.jsonl")],
+            ["monitor", "--store", store, "--follow", anomalous, "--once"],
         )
-        assert (tmp_path / "export" / "model.tra").exists()
-        assert "tracemdp.linked_store" in loaded
+        assert (tmp_path / "export" / "model.tra").exists() and (tmp_path / "scored.jsonl").exists()
+        assert {"tracemdp.linked_store", "tracemdp.checker", "tracemdp.anomaly"} <= set(loaded)
         assert not [m for m in loaded if m.split(".")[0] == "numpy"]
 
     def test_pipeline_commands_do_not_load_the_generator(self, pipeline, tmp_path):

@@ -33,7 +33,10 @@ Every command's standard output, standard error and exit code are kept
 next to the files the commands write (the stores, ``scores.jsonl``, each
 refine's iteration log, the exports).  ``diff -r`` then compares the two
 trees' outputs; the script prints the differences and exits 1 if there are
-any, else 0.
+any, else 0.  It then names each differing file that parses as JSON or as
+JSON lines on both sides (``json_values``): ``float-only, max N ulps`` when
+the two values differ only in float leaves, at most N units in the last
+place apart (``max_ulps``), else ``structural``.
 
 Both trees' flows read PARENT_SRC's corpus files (and the typed log written
 from them), so the training-log path a store's manifest records is the
@@ -49,6 +52,7 @@ import filecmp
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -89,6 +93,67 @@ def differing_files(a_dir: str, b_dir: str) -> list[str]:
     names = sorted(set(os.listdir(a_dir)) | set(os.listdir(b_dir)))
     _, mismatch, errors = filecmp.cmpfiles(a_dir, b_dir, names, shallow=False)
     return mismatch + errors
+
+
+def json_values(path: str):
+    """The file's JSON value, else the list of its non-blank lines' JSON values; None if neither."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            return json.loads(text)
+        except ValueError:
+            return [json.loads(line) for line in text.splitlines() if line.strip()]
+    except ValueError:
+        return None
+
+
+def _ordinal(x: float) -> int:
+    """The float's rank among doubles: adjacent doubles differ by 1, and -0.0 sits just below 0.0."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else bits ^ 0x7FFFFFFFFFFFFFFF
+
+
+def max_ulps(a, b) -> int | None:
+    """The largest ulp distance between matching float leaves of two JSON values.
+
+    None when they differ in anything but float leaves: a type, a key or
+    its order, a length, or a non-float leaf.
+    """
+    if type(a) is not type(b):
+        return None
+    if isinstance(a, float):
+        return abs(_ordinal(a) - _ordinal(b))
+    if isinstance(a, dict):
+        if list(a) != list(b):
+            return None
+        parts = [max_ulps(a[key], b[key]) for key in a]
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            return None
+        parts = [max_ulps(x, y) for x, y in zip(a, b)]
+    else:
+        return 0 if a == b else None
+    return None if None in parts else max(parts, default=0)
+
+
+def json_differences(a_dir: str, b_dir: str) -> list[str]:
+    """``PATH: float-only, max N ulps`` or ``PATH: structural`` for each file under both
+    directories that differs and parses as JSON or JSON lines on both sides."""
+    lines = []
+    for root, dirs, files in os.walk(a_dir):
+        dirs.sort()
+        for name in sorted(files):
+            rel = os.path.relpath(os.path.join(root, name), a_dir)
+            a, b = os.path.join(a_dir, rel), os.path.join(b_dir, rel)
+            if not os.path.isfile(b) or filecmp.cmp(a, b, shallow=False):
+                continue
+            a_value, b_value = json_values(a), json_values(b)
+            if a_value is None or b_value is None:
+                continue
+            ulps = max_ulps(a_value, b_value)
+            lines.append(f"{rel}: " + ("structural" if ulps is None else f"float-only, max {ulps} ulps"))
+    return lines
 
 
 def labeled_flow(train: str) -> list[tuple[str, list[str]]]:
@@ -206,6 +271,8 @@ def main(argv: list[str]) -> int:
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
         print(diff.stdout, end="")
+        for line in json_differences(os.path.join(work, "parent"), os.path.join(work, "change")):
+            print(line)
     if diff.returncode == 0:
         print(f"identical: {len(WORKLOADS) * len(SEEDS)} flows, stdout, stderr, exit codes and files")
         return 0
