@@ -5,8 +5,10 @@ one model that the checker, the explicit-state export and the scorer read.
 Successor probabilities are unsmoothed empirical frequencies
 P(s,a,s') = C(s,a,s') / C(s,a), computed in ``from_counts`` alone;
 unobserved transitions are absent, and states without an outgoing counted
-action are terminal.  The label functions return label maps, which
-``induce`` attaches to the model.  ``export_explicit`` writes the model in
+action are terminal.  ``label_states`` tallies the terminal-status and
+rule evidence of every abstract state in one scan of the runs and lifts it
+to the label map that ``induce`` attaches to the model; ``LabelingConfig``
+holds the labeling policy.  ``export_explicit`` writes the model in
 the PRISM text format it describes, and ``parse_explicit`` reads it back.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SchemaViolation, UnknownVariable
-from .predicate_tree import Predicate
+from .predicate_tree import Predicate, predicate_from_json, predicate_to_json
 from .trace_model import CHECK, GOAL, AbstractPath, ConcreteState, TerminalStatus, TraceLog
 
 SUCCESS_LABEL = "success"
@@ -187,78 +189,92 @@ class LabelRule:
         return True
 
 
-@dataclass
-class LabelReport:
-    """Outcome of a labeling pass; mixed states are refinement candidates."""
+@dataclass(frozen=True)
+class LabelingConfig:
+    """How abstract states get their success/failure/rule labels; rule names are unique."""
 
-    labeled: dict[str, set[int]] = field(default_factory=dict)
-    mixed: dict[str, set[int]] = field(default_factory=dict)
+    terminal_labels: bool = True
+    success_mode: str = "all"
+    failure_mode: str = "any"
+    rules: tuple[LabelRule, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.terminal_labels, bool):
+            raise ValueError(f"terminal_labels must be a boolean, not {self.terminal_labels!r}")
+        for mode in (self.success_mode, self.failure_mode):
+            if mode not in LABEL_MODES:
+                raise ValueError(f"unknown label mode {mode!r}")
+        names: set[str] = set()
+        for rule in self.rules:
+            if rule.name in names:
+                raise ValueError(f"duplicate label rule name {rule.name!r}")
+            names.add(rule.name)
 
-def _lift(report: LabelReport, name: str, mode: str, tallies: Mapping[int, tuple[int, int]]) -> None:
-    """Lifts each state's evidence, (matching, other) counts, to label ``name`` in ``report``.
+    def to_json_dict(self) -> dict:
+        return {
+            "terminal_labels": self.terminal_labels,
+            "success_mode": self.success_mode,
+            "failure_mode": self.failure_mode,
+            "rules": [
+                {"name": r.name, "mode": r.mode, "atoms": [predicate_to_json(a) for a in r.atoms]}
+                for r in self.rules
+            ],
+        }
 
-    Mode "all" labels a state whose evidence all matches and reports it
-    mixed when only some does; mode "any" labels it when any evidence
-    matches.  Any other mode raises ValueError.
-    """
-    if mode not in LABEL_MODES:
-        raise ValueError(f"unknown label mode {mode!r}")
-    labeled = report.labeled[name] = set()
-    mixed = report.mixed[name] = set()
-    for state_id, (matching, others) in tallies.items():
-        if matching:
-            (mixed if mode == "all" and others else labeled).add(state_id)
+    @staticmethod
+    def from_json_dict(raw: dict) -> "LabelingConfig":
+        return LabelingConfig(
+            terminal_labels=raw.get("terminal_labels", True),
+            success_mode=raw.get("success_mode", "all"),
+            failure_mode=raw.get("failure_mode", "any"),
+            rules=tuple(
+                LabelRule(r["name"], tuple(predicate_from_json(a) for a in r["atoms"]), r["mode"])
+                for r in raw.get("rules", [])
+            ),
+        )
 
 
 def label_states(
-    states: Iterable[int],
-    rules: Sequence[LabelRule],
-    evidence: Mapping[int, Sequence[ConcreteState]],
-) -> LabelReport:
-    """Applies label rules to abstract states using their concrete evidence.
-
-    Under mode "all", states whose evidence is split (some satisfy, some do
-    not) stay unlabeled and are reported as mixed.
-    """
-    report = LabelReport()
-    for rule in rules:
-        tallies: dict[int, tuple[int, int]] = {}
-        for state_id in sorted(states):
-            outcomes = [rule.holds(s) for s in evidence.get(state_id, ())]
-            tallies[state_id] = (matching := sum(outcomes), len(outcomes) - matching)
-        _lift(report, rule.name, rule.mode, tallies)
-    return report
-
-
-def label_by_terminal(
     log: TraceLog,
     runs: Sequence[AbstractPath],
-    success_mode: str = "all",
-    failure_mode: str = "any",
-) -> LabelReport:
-    """Labels abstract states from the terminal status of traces ending there.
+    labeling: LabelingConfig,
+) -> tuple[dict[str, set[int]], dict[str, set[int]]]:
+    """Labels abstract states in one scan of the runs: (labels, mixed), each label to its state ids.
 
-    ``runs[i]`` is the abstract run of ``log[i]``; its last state is where
-    the trace ended.  Success is lifted conservatively (mode "all" by
-    default: every trace ending in the state succeeded), failure
-    permissively (mode "any": some trace ending there failed).  Truncated
-    traces contribute no evidence.
+    ``runs[i]`` is the abstract run of ``log[i]``.  Each label tallies
+    matching and other evidence per state.  The terminal labels, named
+    after the statuses ``success`` and ``failure``, count only where each
+    run that succeeded or failed ended (truncated runs give no evidence); a
+    rule counts every routed state, matching where its conjunction holds.
+    Mode "all" then labels a state whose evidence all matches and reports
+    it mixed when only some does; mode "any" labels it when any matches.
+    A rule named like a terminal label adds its states to that label, and
+    ``mixed`` keeps the rule's own.
     """
-    endings: dict[int, Counter[str]] = {}
+    ends: Counter[tuple[int, bool]] = Counter()  # (last state, succeeded) -> runs that ended
+    rules = [(rule, Counter()) for rule in labeling.rules]  # (state, holds) -> n
     for trace, run in zip(log, runs):
-        if not run.states:
-            continue
-        if trace.terminal_status not in (TerminalStatus.SUCCESS, TerminalStatus.FAILURE):
-            continue
-        endings.setdefault(run.states[-1], Counter())[trace.terminal_status.value] += 1
+        if labeling.terminal_labels and run.states and trace.terminal_status is not TerminalStatus.TRUNCATED:
+            ends[run.states[-1], trace.terminal_status is TerminalStatus.SUCCESS] += 1
+        if rules:
+            for abstract_id, state in zip(run.states, trace.states):
+                for rule, tally in rules:
+                    tally[abstract_id, rule.holds(state)] += 1
 
-    report = LabelReport()
-    # The labels are named after the statuses: "success" and "failure".
-    for name, mode in ((SUCCESS_LABEL, success_mode), (FAILURE_LABEL, failure_mode)):
-        tallies = {s: (counts[name], sum(counts.values()) - counts[name]) for s, counts in endings.items()}
-        _lift(report, name, mode, tallies)
-    return report
+    lifts = [(rule.name, rule.mode, tally) for rule, tally in rules]
+    if labeling.terminal_labels:
+        failed = Counter({(s, not succeeded): n for (s, succeeded), n in ends.items()})
+        lifts[:0] = [(SUCCESS_LABEL, labeling.success_mode, ends),
+                     (FAILURE_LABEL, labeling.failure_mode, failed)]
+    labels: dict[str, set[int]] = {}
+    mixed: dict[str, set[int]] = {}
+    for name, mode, tally in lifts:
+        labeled = labels.setdefault(name, set())
+        split = mixed[name] = set()
+        for state_id, matched in tally:
+            if matched:
+                (split if mode == "all" and tally[state_id, False] else labeled).add(state_id)
+    return labels, mixed
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import time
 from typing import Iterator
 
 from . import __version__
+from .amdp import LabelingConfig
 from .anomaly import (
     DetectorConfig,
     OfflineDetector,
@@ -34,14 +35,7 @@ from .anomaly import (
 )
 from .checker import check, parse_property
 from .errors import InvalidConfig, MalformedRecord, PropertySyntaxError, SchemaViolation, TraceMdpError
-from .linked_store import (
-    LabelingConfig,
-    build,
-    load_store,
-    load_store_inputs,
-    save_store,
-    write_model,
-)
+from .linked_store import build, load_store, load_store_inputs, save_store, write_model
 from .predicate_tree import PredicateTree, TreeConfig, abstract_trace, build_initial_tree
 from .refinement import RefinementConfig, verify_refine_loop
 from .trace_model import SnapshotTable, parse_event_line, read_trace_log
@@ -141,7 +135,7 @@ def _cmd_build(args) -> int:
             "states": store.model.n_states,
             "transitions": len(store.model.counts3),
             "labels": store.model.label_ids(),
-            "mixed": {k: sorted(v) for k, v in sorted(store.label_report.mixed.items()) if v},
+            "mixed": {k: sorted(v) for k, v in sorted(store.mixed.items()) if v},
         }
     )
     return 0
@@ -446,11 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prop", required=True)
     p.add_argument("--max-iters", type=int, default=20)
     p.add_argument("--iteration-log", help="write per-iteration JSONL here")
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--max-leaves", type=int, default=256)
-    p.add_argument("--min-leaf", type=int, default=1)
-    p.set_defaults(func=_cmd_refine)
+    _add_tree_flags(p)
+    p.set_defaults(func=_cmd_refine, min_leaf=1)
 
     p = sub.add_parser("export", help="re-export the stored model")
     p.add_argument("--store", required=True)

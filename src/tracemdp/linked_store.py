@@ -3,12 +3,13 @@
 ``build`` routes every state of the log through the tree exactly once and
 keeps the abstract runs (``LinkedStore.runs``, one per trace, in log
 order).  The runs are the store's only record of where each concrete state
-routes: the labels, then the one count model (``amdp.induce``, read by the
-checker, the export and the scorer) and, saved with the store, the
-detectors of ``score`` and ``monitor`` are built from them, a refinement
-witness is realized against them (``refinement.concretize``), and the
-concrete states behind an abstract state are read straight off them
-(``batch_for_leaf``).  ``check_invariants`` verifies two invariants:
+routes: the labels (``amdp.label_states``, whose mixed states the store
+keeps as ``LinkedStore.mixed``), then the one count model
+(``amdp.induce``, read by the checker, the export and the scorer) and,
+saved with the store, the detectors of ``score`` and ``monitor`` are built
+from them, a refinement witness is realized against them
+(``refinement.concretize``), and the concrete states behind an abstract
+state are read straight off them (``batch_for_leaf``).  ``check_invariants`` verifies two invariants:
 
 * I2  there is one run per trace, and each run is its trace re-abstracted
       under the tree;
@@ -29,9 +30,10 @@ A saved store is a directory of five files:
 
 A store file that is not the JSON it should be, lacks a key, holds a
 value of the wrong shape (a list where an object belongs), or (the
-manifest) holds a labeling config ``LabelingConfig`` rejects, raises
-``DamagedStore`` naming the file; a malformed tree file raises
-``InvalidConfig`` (``PredicateTree.load``).
+manifest) holds a labeling config ``amdp.LabelingConfig`` rejects (an
+unknown mode, a ``terminal_labels`` that is not a boolean, two rules of
+one name), raises ``DamagedStore`` naming the file; a malformed tree file
+raises ``InvalidConfig`` (``PredicateTree.load``).
 
 ``load_store`` hashes the training log and refuses it if the hash no longer
 matches the manifest (``StaleLog``), but never parses it: it returns a
@@ -50,9 +52,9 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from . import amdp as amdp_mod
-from .amdp import LABEL_MODES, CompiledModel, LabelReport, LabelRule
+from .amdp import CompiledModel, LabelingConfig
 from .errors import DamagedStore, StaleLog, StaleSplit, TraceMdpError
 from .predicate_tree import (
     LabeledBatch,
@@ -60,50 +62,8 @@ from .predicate_tree import (
     PredicateTree,
     abstract_trace,
     labeled_batch_from_log,
-    predicate_from_json,
-    predicate_to_json,
 )
-from .trace_model import PARTITIONS, AbstractPath, ConcreteState, Layout, TraceLog, read_trace_log
-
-
-@dataclass(frozen=True)
-class LabelingConfig:
-    """How abstract states get their success/failure/custom labels."""
-
-    terminal_labels: bool = True
-    success_mode: str = "all"
-    failure_mode: str = "any"
-    rules: tuple[LabelRule, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.terminal_labels, bool):
-            raise ValueError(f"terminal_labels must be a boolean, not {self.terminal_labels!r}")
-        for mode in (self.success_mode, self.failure_mode):
-            if mode not in LABEL_MODES:
-                raise ValueError(f"unknown label mode {mode!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "terminal_labels": self.terminal_labels,
-            "success_mode": self.success_mode,
-            "failure_mode": self.failure_mode,
-            "rules": [
-                {"name": r.name, "mode": r.mode, "atoms": [predicate_to_json(a) for a in r.atoms]}
-                for r in self.rules
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(raw: dict) -> "LabelingConfig":
-        return LabelingConfig(
-            terminal_labels=raw.get("terminal_labels", True),
-            success_mode=raw.get("success_mode", "all"),
-            failure_mode=raw.get("failure_mode", "any"),
-            rules=tuple(
-                LabelRule(r["name"], tuple(predicate_from_json(a) for a in r["atoms"]), r["mode"])
-                for r in raw.get("rules", [])
-            ),
-        )
+from .trace_model import PARTITIONS, AbstractPath, Layout, TraceLog, read_trace_log
 
 
 @dataclass
@@ -112,8 +72,8 @@ class LinkedStore:
     model: CompiledModel
     log: TraceLog
     runs: tuple[AbstractPath, ...]  # runs[i] is log[i] routed through tree
-    labeling: LabelingConfig = field(default_factory=LabelingConfig)
-    label_report: LabelReport = field(default_factory=LabelReport)
+    labeling: LabelingConfig
+    mixed: dict[str, set[int]]  # each label's mixed states (amdp.label_states)
 
 
 def build(
@@ -121,30 +81,12 @@ def build(
     tree: PredicateTree,
     labeling: LabelingConfig | None = None,
 ) -> LinkedStore:
-    """Routes a log through a tree, labels the abstract states, then induces the model.
-
-    A rule label named like a terminal label adds its states to that
-    label's; ``label_report`` keeps the rule's own states and mixed states.
-    """
+    """Routes a log through a tree, labels the abstract states, then induces the model."""
     labeling = labeling or LabelingConfig()
     runs = tuple(abstract_trace(tree, trace) for trace in log)
-    states = tree.abstract_ids()
-    report = LabelReport()
-    if labeling.terminal_labels:
-        report = amdp_mod.label_by_terminal(log, runs, labeling.success_mode, labeling.failure_mode)
-    labels = {name: set(members) for name, members in report.labeled.items()}
-    if labeling.rules:
-        evidence: dict[int, list[ConcreteState]] = {}
-        for trace, run in zip(log, runs):
-            for abstract_id, state in zip(run.states, trace.states):
-                evidence.setdefault(abstract_id, []).append(state)
-        rule_report = amdp_mod.label_states(states, labeling.rules, evidence)
-        for name, members in rule_report.labeled.items():
-            labels.setdefault(name, set()).update(members)
-        report.labeled.update(rule_report.labeled)
-        report.mixed.update(rule_report.mixed)
-    model = amdp_mod.induce(runs, states, labels)
-    return LinkedStore(tree, model, log, runs, labeling, report)
+    labels, mixed = amdp_mod.label_states(log, runs, labeling)
+    model = amdp_mod.induce(runs, tree.abstract_ids(), labels)
+    return LinkedStore(tree, model, log, runs, labeling, mixed)
 
 
 def batch_for_leaf(store: LinkedStore, abstract_id: int) -> LabeledBatch:
@@ -268,8 +210,8 @@ def _reading(path: str):
         raise DamagedStore(f"store file {path!r} is damaged: {type(exc).__name__}: {exc}") from None
 
 
-def _open_store(directory: str, log_path: str | None) -> tuple[dict, PredicateTree, str]:
-    """A saved store's manifest, tree and training log path.
+def _open_store(directory: str, log_path: str | None) -> tuple[PredicateTree, str, LabelingConfig]:
+    """A saved store's tree, training log path and labeling config.
 
     Without ``log_path`` the manifest's log is named, and it must still hash
     to the manifest's SHA-256, else StaleLog.  An explicit ``log_path``
@@ -285,16 +227,14 @@ def _open_store(directory: str, log_path: str | None) -> tuple[dict, PredicateTr
                 raise StaleLog(
                     f"store {directory!r}: training log {log_path!r} changed since the store was built"
                 )
-        return manifest, tree, log_path
+        return tree, log_path, LabelingConfig.from_json_dict(manifest.get("labeling", {}))
 
 
 def load_store_inputs(
     directory: str, log_path: str | None = None
 ) -> tuple[TraceLog, PredicateTree, LabelingConfig]:
     """Reads a saved store's training log, tree and labeling config (see ``_open_store``)."""
-    manifest, tree, log_path = _open_store(directory, log_path)
-    with _reading(os.path.join(directory, MANIFEST_FILE)):
-        labeling = LabelingConfig.from_json_dict(manifest.get("labeling", {}))
+    tree, log_path, labeling = _open_store(directory, log_path)
     return read_trace_log(log_path), tree, labeling
 
 
@@ -304,7 +244,7 @@ def load_store(directory: str) -> SavedStore:
     The model is induced from the runs exactly as ``build`` induces it,
     with the saved labels.
     """
-    _manifest, tree, _log_path = _open_store(directory, None)
+    tree, _log_path, _labeling = _open_store(directory, None)
     path = os.path.join(directory, RUNS_FILE)
     with _reading(path), open(path, "r", encoding="utf-8") as fh:
         saved = json.load(fh)

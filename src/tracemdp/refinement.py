@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from .amdp import LabelingConfig
 from .checker import ReachQuery, check
 from .errors import InvalidConfig, UnknownLeaf
-from .linked_store import LabelingConfig, LinkedStore, apply_split, batch_for_leaf, build
+from .linked_store import LinkedStore, apply_split, batch_for_leaf, build
 from .predicate_tree import LeafSplit, PredicateTree, SplitRejected, TreeConfig, split_leaf
 from .trace_model import AbstractPath, TraceLog
 

@@ -16,17 +16,17 @@ from conftest import (
     mk_trace,
 )
 from tracemdp.amdp import (
+    LabelingConfig,
     LabelRule,
     export_explicit,
     from_counts,
     induce,
-    label_by_terminal,
     label_states,
     parse_explicit,
 )
 from tracemdp.errors import UnknownVariable
-from tracemdp.predicate_tree import Predicate, TreeConfig, build_initial_tree
-from tracemdp.trace_model import AbstractPath
+from tracemdp.predicate_tree import Predicate, PredicateTree, TreeConfig, build_initial_tree
+from tracemdp.trace_model import AbstractPath, TerminalStatus, Trace, TraceLog
 
 
 def random_counts(rng, n_draws, n_states=5, n_actions=3):
@@ -149,52 +149,131 @@ class TestInduce:
         assert whole.initial == Counter(part_a.initial) + Counter(part_b.initial)
 
 
-class TestLabeling:
-    def evidence(self, **by_state):
-        return {
-            s: [mk_state(check=vars_) for vars_ in snaps] for s, snaps in by_state.items()
-        }
+def recount_labels(log, runs, labeling):
+    """(labels, mixed) by brute force: every (trace, k) asked for evidence, one label at a time."""
 
-    def rule(self, mode="all"):
-        return LabelRule(
-            "success",
-            (Predicate("bool_eq", "testsPassed", True), Predicate("bool_eq", "committed", True)),
-            mode,
-        )
+    def terminal(name):
+        def outcome(t, k):
+            trace = log[t]
+            if k == trace.n_states - 1 and trace.terminal_status.value in ("success", "failure"):
+                return trace.terminal_status.value == name
+            return None  # no evidence
+
+        return outcome
+
+    lifts = [(rule.name, rule.mode, lambda t, k, rule=rule: rule.holds(log[t].states[k])) for rule in labeling.rules]
+    if labeling.terminal_labels:
+        lifts[:0] = [("success", labeling.success_mode, terminal("success")),
+                     ("failure", labeling.failure_mode, terminal("failure"))]
+    labels, mixed = {}, {}
+    for name, mode, outcome in lifts:
+        evidence = {}
+        for t, run in enumerate(runs):
+            for k, state_id in enumerate(run.states):
+                seen = outcome(t, k)
+                if seen is not None:
+                    evidence.setdefault(state_id, []).append(seen)
+        lift = all if mode == "all" else any
+        labels[name] = labels.get(name, set()) | {s for s, seen in evidence.items() if lift(seen)}
+        mixed[name] = {s for s, seen in evidence.items() if mode == "all" and any(seen) and not all(seen)}
+    return labels, mixed
+
+
+def assert_recounted(log, runs, labeling):
+    """``label_states`` equals the brute-force recount, or both raise UnknownVariable; returns (labels, mixed) or None."""
+    try:
+        expected = recount_labels(log, runs, labeling)
+    except UnknownVariable:
+        with pytest.raises(UnknownVariable):
+            label_states(log, runs, labeling)
+        return None
+    got = label_states(log, runs, labeling)
+    assert got == expected
+    return got
+
+
+BOTH_TRUE = {"testsPassed": True, "committed": True}
+ONE_FALSE = {"testsPassed": False, "committed": True}
+
+# Snapshots of one layout: state var x, check vars ok and n, goal var g.
+SNAPSHOTS = st.builds(
+    lambda x, ok, n, g: mk_state(state={"x": x}, check={"ok": ok, "n": n}, goal={"g": g}),
+    st.integers(0, 3), st.booleans(), st.integers(0, 3), st.booleans(),
+)
+SPLITS = [Predicate("num_gt", "x", 0.5), Predicate("num_gt", "x", 1.5), Predicate("bool_eq", "ok", True),
+          Predicate("num_gt", "n", 1.5), Predicate("bool_eq", "g", False)]
+# Rule atoms: mostly check/goal atoms, plus a state-partition and an unknown variable.
+ATOMS = st.sampled_from(
+    [Predicate("bool_eq", "ok", True), Predicate("bool_eq", "ok", False), Predicate("num_gt", "n", 0.5),
+     Predicate("num_gt", "n", 2.5), Predicate("bool_eq", "g", True)] * 3
+    + [Predicate("num_gt", "x", 1.5), Predicate("bool_eq", "nonexistent", True)]
+)
+RULES = st.lists(
+    st.builds(LabelRule, st.sampled_from(["success", "failure", "ok", "late"]),
+              st.lists(ATOMS, max_size=2).map(tuple), st.sampled_from(["all", "any"])),
+    max_size=3, unique_by=lambda rule: rule.name,
+)
+
+
+@st.composite
+def labeling_cases(draw):
+    """(log, runs, labeling): a few traces, state-less and truncated ones among them, routed through a random tree."""
+    log = TraceLog()
+    for i in range(draw(st.integers(0, 6))):
+        states = draw(st.lists(SNAPSHOTS, max_size=4))
+        status = draw(st.sampled_from(list(TerminalStatus)))
+        log.append(Trace(f"t{i}", tuple(states), ("go",) * max(len(states) - 1, 0), status))
+    tree = PredicateTree.single_leaf()
+    for _ in range(draw(st.integers(0, 3))):
+        leaf = draw(st.sampled_from(tree.abstract_ids()))
+        tree, _, _ = tree.split(tree.leaf_node_of(leaf), draw(st.sampled_from(SPLITS)))
+    labeling = LabelingConfig(
+        terminal_labels=draw(st.booleans()),
+        success_mode=draw(st.sampled_from(["all", "any"])),
+        failure_mode=draw(st.sampled_from(["all", "any"])),
+        rules=tuple(draw(RULES)),
+    )
+    return log, mk_runs(log, tree), labeling
+
+
+class TestLabeling:
+    @settings(max_examples=300, deadline=None)
+    @given(labeling_cases())
+    def test_matches_brute_force_recount(self, case):
+        assert_recounted(*case)
+
+    def rule_case(self, snapshots, mode="all", var="testsPassed"):
+        """One truncated trace of ``snapshots`` (check vars) routed to state 0, and a rule named
+        ``success`` on ``var`` and ``committed``, with terminal labels off."""
+        log = mk_log([Trace("t", tuple(mk_state(check=c) for c in snapshots), ("go",) * (len(snapshots) - 1))])
+        rule = LabelRule("success", (Predicate("bool_eq", var, True), Predicate("bool_eq", "committed", True)), mode)
+        return log, mk_runs(log, PredicateTree.single_leaf()), LabelingConfig(terminal_labels=False, rules=(rule,))
 
     def test_all_mode_labels_uniform_leaf(self):
-        ev = self.evidence(
-            **{"0": [{"testsPassed": True, "committed": True}] * 3}
-        )
-        report = label_states([0], [self.rule()], {0: ev["0"]})
-        assert report.labeled["success"] == {0}
-        assert report.mixed["success"] == set()
+        labels, mixed = assert_recounted(*self.rule_case([BOTH_TRUE] * 3))
+        assert labels["success"] == {0}
+        assert mixed["success"] == set()
 
     def test_all_mode_mixed_leaf_reported(self):
-        ev = [
-            mk_state(check={"testsPassed": True, "committed": True}),
-            mk_state(check={"testsPassed": False, "committed": True}),
-        ]
-        report = label_states([0], [self.rule()], {0: ev})
-        assert report.labeled["success"] == set()
-        assert report.mixed["success"] == {0}
+        labels, mixed = assert_recounted(*self.rule_case([BOTH_TRUE, ONE_FALSE]))
+        assert labels["success"] == set()
+        assert mixed["success"] == {0}
 
     def test_any_mode(self):
-        ev = [
-            mk_state(check={"testsPassed": True, "committed": True}),
-            mk_state(check={"testsPassed": False, "committed": True}),
-        ]
-        assert label_states([0], [self.rule(mode="any")], {0: ev}).labeled["success"] == {0}
+        labels, mixed = assert_recounted(*self.rule_case([BOTH_TRUE, ONE_FALSE], mode="any"))
+        assert labels["success"] == {0}
+        assert mixed["success"] == set()
 
     def test_unknown_variable(self):
-        rule = LabelRule("x", (Predicate("bool_eq", "nonexistent", True),), "all")
-        with pytest.raises(UnknownVariable):
-            label_states([0], [rule], {0: [mk_state(check={"testsPassed": True})]})
+        with pytest.raises(UnknownVariable, match="unknown variable 'nonexistent'"):
+            label_states(*self.rule_case([BOTH_TRUE], var="nonexistent"))
 
     def test_state_partition_variable_rejected(self):
+        log = mk_log([mk_trace("t", [{"iteration": 5}], [])])
         rule = LabelRule("x", (Predicate("num_gt", "iteration", 3.0),), "all")
-        with pytest.raises(UnknownVariable):
-            label_states([0], [rule], {0: [mk_state(state={"iteration": 5})]})
+        runs = mk_runs(log, PredicateTree.single_leaf())
+        with pytest.raises(UnknownVariable, match="outside check/goal"):
+            label_states(log, runs, LabelingConfig(rules=(rule,)))
 
     def test_terminal_labeling_matches_recount(self):
         traces = [
@@ -204,7 +283,7 @@ class TestLabeling:
         ]
         log = mk_log(traces)
         tree = build_initial_tree(log, TreeConfig(min_leaf_size=1, min_gain=0.0))
-        labels = label_by_terminal(log, mk_runs(log, tree)).labeled
+        labels, _mixed = assert_recounted(log, mk_runs(log, tree), LabelingConfig())
         success_ends = {tree.abstract(t.states[-1]) for t in traces[:3]}
         fail_end = tree.abstract(traces[3].states[1])
         assert labels["failure"] == {fail_end}
@@ -214,10 +293,8 @@ class TestLabeling:
 
     @pytest.mark.parametrize("modes", [("most", "any"), ("all", "")])
     def test_unknown_terminal_mode_rejected(self, modes):
-        log = mk_log([mk_trace("s", [{"x": 0}, {"x": 1}], ["go"], status="success")])
-        runs = mk_runs(log, build_initial_tree(log, TreeConfig(min_leaf_size=1)))
         with pytest.raises(ValueError, match="unknown label mode"):
-            label_by_terminal(log, runs, *modes)
+            LabelingConfig(success_mode=modes[0], failure_mode=modes[1])
 
 
 class TestExport:

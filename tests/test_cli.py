@@ -617,10 +617,13 @@ class TestErrors:
              "label name must be"),
             ('[{"name":"init","mode":"all","atoms":[{"type":"bool_eq","var":"opsCompleted","expected":true}]}]',
              "label name must be"),
+            ('[{"name":"ok","mode":"all","atoms":[{"type":"bool_eq","var":"opsCompleted","expected":true}]},'
+             '{"name":"ok","mode":"all","atoms":[{"type":"bool_eq","var":"opsCompleted","expected":false}]}]',
+             "duplicate label rule name 'ok'"),
         ],
         ids=["text_atom", "unknown_mode", "missing_threshold", "not_json", "bool_as_string", "text_as_number",
              "threshold_as_string", "threshold_as_bool", "threshold_too_large", "threshold_infinite", "fractional_card", "var_not_string", "var_empty",
-             "name_not_string", "name_with_space", "name_init"],
+             "name_not_string", "name_with_space", "name_init", "duplicate_name"],
     )
     def test_malformed_labels_exit_3(self, pipeline, capsys, tmp_path, text, reason):
         labels = tmp_path / "labels.json"
@@ -835,11 +838,14 @@ class TestErrors:
             {"terminal_labels": "false"},
             {"terminal_labels": 1},
             {"success_mode": "most", "terminal_labels": "false"},
+            {"rules": [{"name": "ok", "mode": "all", "atoms": [
+                {"type": "bool_eq", "var": "opsCompleted", "expected": expected}]} for expected in (True, False)]},
         ],
-        ids=["success_mode", "failure_mode", "text_terminal_labels", "number_terminal_labels", "both"],
+        ids=["success_mode", "failure_mode", "text_terminal_labels", "number_terminal_labels", "both",
+             "duplicate_rule_names"],
     )
     def test_bad_manifest_labeling_exit_3(self, pipeline, capsys, tmp_path, labeling):
-        """A manifest's labeling config is validated, not lifted permissively."""
+        """A manifest's labeling config is validated, not lifted permissively, by every store reader."""
         store = tmp_path / "store"
         shutil.copytree(pipeline["store"], store)
         manifest = json.loads((store / "manifest.json").read_text())
@@ -849,6 +855,8 @@ class TestErrors:
         for argv in (
             ["refine", "--store", str(store), "--prop", 'Pmax<=0.5 [F "failure"]'],
             ["check", "--store", str(store), "--prop", 'Pmax=? [F "success"]', "--log", log],
+            ["check", "--store", str(store), "--prop", 'Pmax=? [F "success"]'],
+            ["export", "--store", str(store), "--out", str(tmp_path / "exported")],
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 3 and out == "", argv[0]

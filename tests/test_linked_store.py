@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk_log, mk_trace
-from tracemdp.amdp import LabelRule, induce
+from tracemdp.amdp import LabelingConfig, LabelRule, induce
 from tracemdp.errors import StaleSplit
 from tracemdp.linked_store import (
-    LabelingConfig,
     SavedStore,
     apply_split,
     build,
@@ -117,7 +116,7 @@ class TestBuild:
         assert fail_end in store.model.label_ids()["failure"]
 
     def test_rule_label_adds_to_terminal_label(self):
-        """A rule named like a terminal label adds its states; the report keeps the rule's own."""
+        """A rule named like a terminal label adds its states; `mixed` keeps the rule's own."""
         traces = [
             mk_trace("s", [{"x": 0, "ok": False}, {"x": 1, "ok": False}], ["go"], check_key="ok"),
             mk_trace("f", [{"x": 0, "ok": False}, {"x": 2, "ok": True}], ["go"], "failure", "ok"),
@@ -131,8 +130,12 @@ class TestBuild:
         rules = (LabelRule("success", (Predicate("bool_eq", "ok", True),), "all"),)
         store = build(log, tree, LabelingConfig(success_mode="any", rules=rules))
         assert store.model.label_ids()["success"] == sorted({succeeded, ok})
-        assert store.label_report.labeled["success"] == {ok}
-        assert store.label_report.mixed["success"] == set()
+        assert store.mixed["success"] == set()
+        # A failure ending in `succeeded` makes it mixed for the terminal lift, not for the rule.
+        ended_twice = mk_log([*traces, mk_trace("g", [{"x": 0, "ok": False}, {"x": 1, "ok": False}], ["go"],
+                                                "failure", "ok")])
+        assert build(ended_twice, tree).mixed["success"] == {succeeded}
+        assert build(ended_twice, tree, LabelingConfig(rules=rules)).mixed["success"] == set()
 
 
 class TestCheckInvariants:
@@ -339,11 +342,11 @@ class TestRuleLabels:
         )
         store = build(log, tree, LabelingConfig(terminal_labels=False, rules=rules))
         assert store.model.label_ids()["ok_all"] == []
-        assert store.label_report.mixed["ok_all"] == {low, high}
+        assert store.mixed["ok_all"] == {low, high}
         assert set(store.model.label_ids()["ok_any"]) == {low, high}
         uniform = build(mk_log(traces[:2]), tree, LabelingConfig(terminal_labels=False, rules=rules))
         assert set(uniform.model.label_ids()["ok_all"]) == {low, high}
-        assert uniform.label_report.mixed["ok_all"] == set()
+        assert uniform.mixed["ok_all"] == set()
 
 
 class TestPersistence:

@@ -13,10 +13,13 @@ prints them and exits 1.  It then runs the command sequence of
 ``perfbench/run.commands`` under each source tree, followed by one more
 refine (``EXTRA_REFINE``) that ends with a realized witness on the deep
 store, so its refs are compared too, and a labeled flow
-(``labeled_flow``): a second ``build`` with a rule file (``RULES``, a
+(``labeled_flow``): a second ``build`` with a rule file (``RULES``: a
 ``bool_eq`` rule on ``opsCompleted`` named ``success``, so it adds to the
-terminal ``success`` label) and non-default ``--success-mode any
---failure-mode all``, a ``check`` of the rule's label and an ``export``,
+terminal ``success`` label, plus two rule-only labels, ``stalled``, an
+``all``-mode rule on ``opsCompleted == false``, and ``visited``, an
+``any``-mode rule with no atoms, which holds everywhere) and non-default
+``--success-mode any --failure-mode all``, a ``check`` of the first
+rule's label and an ``export``,
 then two more ``build --labels`` (``WRONGLY_TYPED``) whose rules compare
 the text goal variable ``task`` as a number and as a boolean, so that the
 exit code and error text of each are compared and no store may be written,
@@ -65,7 +68,10 @@ WORKLOADS = ("desk", "deep", "x10")
 SEEDS = (0, 1)
 EXTRA_REFINE = ("refine", ["refine", "--store", "store", "--prop", 'Pmax<=0.5 [F "failure"]', "--max-iters", "3"])
 RULES = [{"name": "success", "mode": "all",
-          "atoms": [{"type": "bool_eq", "var": "opsCompleted", "expected": True}]}]
+          "atoms": [{"type": "bool_eq", "var": "opsCompleted", "expected": True}]},
+         {"name": "stalled", "mode": "all",
+          "atoms": [{"type": "bool_eq", "var": "opsCompleted", "expected": False}]},
+         {"name": "visited", "mode": "any", "atoms": []}]
 WRONGLY_TYPED = {
     "task-num": [{"name": "late", "mode": "any", "atoms": [{"type": "num_gt", "var": "task", "threshold": 1}]}],
     "task-bool": [{"name": "done", "mode": "all", "atoms": [{"type": "bool_eq", "var": "task", "expected": True}]}],
