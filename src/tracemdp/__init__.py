@@ -10,8 +10,8 @@ the `linked_store` routes the log once, keeps the routed runs and builds
 the labels and the model from them.
 
 Import each name from the module that defines it: the package itself loads
-nothing, so a command imports only the modules (and numpy only where the
-arithmetic needs it) that it runs.
+nothing, so a command imports only the modules that it runs.  Only the
+corpus generator (`generator`, the `gen` command) loads numpy.
 """
 
 __version__ = "0.1.0"

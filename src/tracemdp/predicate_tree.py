@@ -12,9 +12,9 @@ cardinality.
     coll_empty    card(var) == 0           collections
     coll_card_gt  card(var) > threshold    collections
 
-Routing tests one value (``Predicate.test``) and learning tests a column of
-features (``Predicate.mask``, ``LabeledBatch.column``) with the same
-comparison.
+Routing tests one value (``Predicate.test``) and learning counts the
+classes on each side of a split with the same comparison
+(``LabeledBatch.true_counts``).
 
 A predicate tree routes a concrete state from the root to a leaf by
 evaluating one predicate per internal node (false -> child 0, true ->
@@ -23,9 +23,11 @@ construction and splitting return new trees, and abstract-state ids are
 never reused after a split retires them.
 
 Splits are chosen greedily by information gain of the next-action label
-distribution, computed with base-2 entropy.  Only learning needs numpy:
-the functions that build columns and count labels import it, so routing a
-state through a loaded tree does not.
+distribution, computed with base-2 entropy over integer class counts: one
+table per variable and batch holds each distinct feature's class counts in
+sorted order with their suffix sums, so every threshold's two sides are
+read off it (Fayyad & Irani's boundary-point scan).  Everything here is
+plain Python.
 """
 
 from __future__ import annotations
@@ -33,8 +35,11 @@ from __future__ import annotations
 import json
 import math
 import operator
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from itertools import compress
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyBatch, EmptyLog, InvalidConfig, SchemaViolation, UnknownLeaf
 from .trace_model import (
@@ -50,9 +55,6 @@ from .trace_model import (
     TraceLog,
     kind_of,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Class label assigned to a trace's final state, which has no next action.
 END_LABEL = "⊥"  # ⊥
@@ -84,14 +86,8 @@ _KINDS = {
                           "value of kind {tag!r} has no cardinality", "card({var}) > {param}"),
 }
 
-# Per type tag: the feature a value is compared as, and the dtype of a column of features.
-_FEATURES = {
-    NUMBER: (float, "float64"),
-    INTEGER: (float, "float64"),
-    BOOLEAN: (bool, "bool"),
-    TEXT: (str, "object"),
-    COLLECTION: (len, "int64"),
-}
+# Per type tag: the feature a value is compared as.
+_FEATURES = {NUMBER: float, INTEGER: float, BOOLEAN: bool, TEXT: str, COLLECTION: len}
 
 
 def _feature(var: str, tag: str, value: object) -> object:
@@ -100,7 +96,7 @@ def _feature(var: str, tag: str, value: object) -> object:
     SchemaViolation naming ``var`` for an integer too large for a float.
     """
     try:
-        return _FEATURES[tag][0](value)
+        return _FEATURES[tag](value)
     except OverflowError:
         raise SchemaViolation(f"value of {var!r} is an integer too large for a float") from None
 
@@ -131,9 +127,10 @@ class Predicate:
         """Total and deterministic on any schema-conforming state."""
         return self.test(state.value(self.var))
 
-    def mask(self, column: np.ndarray) -> np.ndarray:
+    def mask(self, column: Sequence) -> list[bool]:
         """``test`` over a feature column (see LabeledBatch.column)."""
-        return _KINDS[self.kind].compare(column, self.param)
+        compare, param = _KINDS[self.kind].compare, self.param
+        return [compare(feature, param) for feature in column]
 
     def sort_key(self) -> tuple:
         """Deterministic tie-break order: variable, kind, then parameter, text after every number."""
@@ -184,11 +181,21 @@ def predicate_from_json(raw: Mapping) -> Predicate:
 # Labeled batches
 # ---------------------------------------------------------------------------
 
+class _CountTable(NamedTuple):
+    """One variable's class counts over a batch, classes in sorted label order."""
+
+    tag: str  # the variable's type tag
+    rows: dict  # distinct feature -> class counts of the rows holding it
+    keys: list  # the distinct features, sorted
+    suffix: list[list[int]]  # suffix[i]: class counts of the rows whose feature is in keys[i:]
+
+
 class LabeledBatch:
     """Concrete states paired with their next-action class labels.
 
-    Columns (per-variable feature arrays) are materialized lazily and cached,
-    so repeated gain computations over one batch stay cheap.
+    Feature columns and per-variable count tables are built lazily, once
+    per batch, so each candidate's gain reads class counts without a pass
+    over the rows.
     """
 
     def __init__(self, states: Sequence[ConcreteState], labels: Sequence[str]):
@@ -196,9 +203,11 @@ class LabeledBatch:
             raise ValueError("states and labels must have equal length")
         self.states = list(states)
         self.labels = list(labels)
-        self._columns: dict[str, np.ndarray] = {}
-        self._codes: np.ndarray | None = None
-        self._label_names: list[str] | None = None
+        counts = Counter(self.labels)
+        self._classes = {name: i for i, name in enumerate(sorted(counts))}
+        self._counts = [counts[name] for name in self._classes]
+        self._columns: dict[str, list] = {}
+        self._tables: dict[str, _CountTable] = {}
 
     def __len__(self) -> int:
         return len(self.states)
@@ -208,39 +217,54 @@ class LabeledBatch:
         """The batch's schema: its first state's layout (empty partitions if none)."""
         return self.states[0].layout if self.states else ({}, {}, {})
 
-    def column(self, var: str) -> np.ndarray:
-        """Feature array of a variable: each value's ``_feature``, in the dtype
-        ``_FEATURES`` gives the variable's type tag."""
+    def column(self, var: str) -> list:
+        """Feature list of a variable: each value's ``_feature``."""
         col = self._columns.get(var)
         if col is None:
-            import numpy as np
-
-            values = [s.value(var) for s in self.states]
-            tag = kind_of(values[0])
-            col = np.asarray([_feature(var, tag, v) for v in values], dtype=_FEATURES[tag][1])
-            self._columns[var] = col
+            tag = kind_of(self.states[0].value(var))
+            col = self._columns[var] = [_feature(var, tag, s.value(var)) for s in self.states]
         return col
 
-    def label_codes(self) -> tuple[np.ndarray, list[str]]:
-        if self._codes is None:
-            import numpy as np
+    def class_counts(self) -> list[int]:
+        """Each label's count, labels in sorted order."""
+        return self._counts
 
-            names = sorted(set(self.labels))
-            index = {name: i for i, name in enumerate(names)}
-            self._codes = np.asarray([index[l] for l in self.labels], dtype=np.int64)
-            self._label_names = names
-        return self._codes, self._label_names  # type: ignore[return-value]
+    def _table(self, var: str) -> _CountTable:
+        table = self._tables.get(var)
+        if table is None:
+            rows: dict = {}
+            for feature, label in zip(self.column(var), self.labels):
+                row = rows.get(feature)
+                if row is None:
+                    row = rows[feature] = [0] * len(self._counts)
+                row[self._classes[label]] += 1
+            keys = sorted(rows)
+            suffix = [[0] * len(self._counts)]
+            for key in reversed(keys):
+                suffix.append([a + b for a, b in zip(rows[key], suffix[-1])])
+            suffix.reverse()
+            tag = kind_of(self.states[0].value(var))
+            table = self._tables[var] = _CountTable(tag, rows, keys, suffix)
+        return table
 
-    def is_pure(self) -> bool:
-        return len(set(self.labels)) <= 1
+    def true_counts(self, predicate: Predicate) -> list[int]:
+        """Class counts (as ``class_counts``) of the rows where ``predicate`` holds.
 
-    def subset(self, mask: np.ndarray) -> "LabeledBatch":
-        import numpy as np
+        A ``gt`` kind holds on the features above its parameter, the suffix
+        after ``bisect_right``; an ``eq`` kind on one feature's row.
+        """
+        spec = _KINDS[predicate.kind]
+        table = self._table(predicate.var)
+        if table.tag not in spec.tags:
+            raise SchemaViolation(spec.mismatch.format(var=predicate.var, tag=table.tag))
+        if spec.compare is operator.gt:
+            return table.suffix[bisect_right(table.keys, predicate.param)]
+        return table.rows.get(predicate.param, table.suffix[-1])
 
-        idx = np.flatnonzero(mask)
-        sub = LabeledBatch([self.states[i] for i in idx], [self.labels[i] for i in idx])
+    def subset(self, mask: Sequence[bool]) -> "LabeledBatch":
+        sub = LabeledBatch(list(compress(self.states, mask)), list(compress(self.labels, mask)))
         for var, col in self._columns.items():
-            sub._columns[var] = col[idx]
+            sub._columns[var] = list(compress(col, mask))
         return sub
 
 
@@ -267,18 +291,14 @@ def labeled_batch_from_log(
 # Entropy and information gain
 # ---------------------------------------------------------------------------
 
-def entropy(counts: Sequence[int] | np.ndarray) -> float:
+def entropy(counts: Sequence[int]) -> float:
     """Shannon entropy in bits of an empirical class distribution, given as class counts."""
-    import numpy as np
-
-    counts = np.asarray(counts)
-    if (counts < 0).any():
-        raise ValueError(f"negative class count in {counts.tolist()}")
-    total = int(counts.sum())
+    if any(c < 0 for c in counts):
+        raise ValueError(f"negative class count in {list(counts)}")
+    total = sum(counts)
     if total == 0:
         raise EmptyBatch("entropy of an empty batch is undefined")
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    return -sum(p * math.log2(p) for p in (c / total for c in counts if c))
 
 
 def information_gain(batch: LabeledBatch, predicate: Predicate) -> float:
@@ -287,21 +307,15 @@ def information_gain(batch: LabeledBatch, predicate: Predicate) -> float:
     Degenerate splits (one side empty) get gain 0 by convention and are
     never selected.
     """
-    import numpy as np
-
     if len(batch) == 0:
         raise EmptyBatch("information gain over an empty batch is undefined")
-    codes, names = batch.label_codes()
-    mask = predicate.mask(batch.column(predicate.var))
-    n_true = int(mask.sum())
-    n = len(batch)
+    counts = batch.class_counts()
+    c_true = batch.true_counts(predicate)
+    n, n_true = len(batch), sum(c_true)
     if n_true == 0 or n_true == n:
         return 0.0
-    n_labels = len(names)
-    parent = entropy(np.bincount(codes, minlength=n_labels))
-    h_true = entropy(np.bincount(codes[mask], minlength=n_labels))
-    h_false = entropy(np.bincount(codes[~mask], minlength=n_labels))
-    return parent - (n_true / n) * h_true - ((n - n_true) / n) * h_false
+    c_false = [c - t for c, t in zip(counts, c_true)]
+    return entropy(counts) - (n_true / n) * entropy(c_true) - ((n - n_true) / n) * entropy(c_false)
 
 
 # ---------------------------------------------------------------------------
@@ -337,27 +351,21 @@ def candidate_predicates(batch: LabeledBatch, excluded: Iterable[Predicate] = ()
     equality against each observed value, collections emptiness plus
     cardinality thresholds.  Candidates in ``excluded`` are dropped.
     """
-    import numpy as np
-
     if len(batch) == 0:
         raise EmptyBatch("cannot derive candidates from an empty batch")
     excluded = set(excluded)
     out: list[Predicate] = []
     for var, kind in sorted(item for part in batch.var_catalog for item in part.items()):
+        distinct = batch._table(var).keys
         if kind in (NUMBER, INTEGER):
-            distinct = np.unique(batch.column(var))
-            for a, b in zip(distinct[:-1], distinct[1:]):
-                out.append(Predicate("num_gt", var, float((a + b) / 2.0)))
+            out += [Predicate("num_gt", var, (a + b) / 2.0) for a, b in zip(distinct, distinct[1:])]
         elif kind == BOOLEAN:
             out.append(Predicate("bool_eq", var, True))
         elif kind == TEXT:
-            for text in sorted(set(batch.column(var))):
-                out.append(Predicate("text_eq", var, text))
+            out += [Predicate("text_eq", var, text) for text in distinct]
         elif kind == COLLECTION:
             out.append(Predicate("coll_empty", var))
-            cards = np.unique(batch.column(var))
-            for a, b in zip(cards[:-1], cards[1:]):
-                out.append(Predicate("coll_card_gt", var, (int(a) + int(b)) // 2))
+            out += [Predicate("coll_card_gt", var, (a + b) // 2) for a, b in zip(distinct, distinct[1:])]
     out = [p for p in out if p not in excluded]
     out.sort(key=lambda p: p.sort_key())
     return out
@@ -432,14 +440,6 @@ class PredicateTree:
             if isinstance(n, InternalNode)
             for child in (n.ch0, n.ch1)
         }
-
-    def depth_of(self, node_id: int) -> int:
-        parents = self.parent_map()
-        depth = 0
-        while node_id in parents:
-            node_id = parents[node_id]
-            depth += 1
-        return depth
 
     def path_predicates(self, node_id: int) -> list[Predicate]:
         """Predicates on the root-to-node path (node excluded)."""
@@ -615,16 +615,6 @@ class SplitRejected:
         return False
 
 
-def _best_candidate(batch: LabeledBatch, excluded: Iterable[Predicate]) -> tuple[Predicate | None, float]:
-    best: Predicate | None = None
-    best_gain = -math.inf
-    for cand in candidate_predicates(batch, excluded):
-        gain = information_gain(batch, cand)
-        if gain > best_gain:
-            best, best_gain = cand, gain
-    return best, best_gain
-
-
 def split_leaf(
     tree: PredicateTree,
     leaf: int,
@@ -640,19 +630,22 @@ def split_leaf(
     """
     cfg = cfg or TreeConfig()
     leaf_node = tree.leaf_node_of(leaf)  # raises UnknownLeaf
-    if len(batch) == 0 or batch.is_pure():
+    if len(batch.class_counts()) <= 1:
         return SplitRejected("pure")
     if len(batch) < 2 * cfg.min_leaf_size:
         return SplitRejected("size")
-    if tree.depth_of(leaf_node) >= cfg.max_depth:
+    if len(tree.path_predicates(leaf_node)) >= cfg.max_depth:
         return SplitRejected("depth")
     if tree.n_leaves + 1 > cfg.max_leaves:
         return SplitRejected("leaves")
-    best, best_gain = _best_candidate(batch, excluded)
-    if best is None:
+    candidates = candidate_predicates(batch, excluded)
+    if not candidates:
         return SplitRejected("no_candidates")
+    gains = [information_gain(batch, cand) for cand in candidates]
+    best_gain = max(gains)  # the first candidate of the highest gain wins
     if best_gain <= cfg.min_gain:
         return SplitRejected("min_gain")
+    best = candidates[gains.index(best_gain)]
     new_tree, a0, a1 = tree.split(leaf_node, best)
     return LeafSplit(new_tree, tree, leaf, (a0, a1), best)
 
@@ -689,5 +682,5 @@ def build_initial_tree(log: TraceLog, cfg: TreeConfig | None = None) -> Predicat
         n1 = tree.leaf_node_of(result.children[1])
         # Push true side last so the false branch grows first (deterministic).
         stack.append((n1, node_batch.subset(mask), child_excluded))
-        stack.append((n0, node_batch.subset(~mask), child_excluded))
+        stack.append((n0, node_batch.subset([not m for m in mask]), child_excluded))
     return tree

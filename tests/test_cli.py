@@ -1042,6 +1042,8 @@ class TestImports:
         )
         assert "tracemdp.refinement" in loaded
         assert "tracemdp.generator" not in loaded
+        # learn and refine split by plain-Python class counts: only gen loads numpy.
+        assert not [m for m in loaded if m.split(".")[0] == "numpy"]
 
     def test_cli_imports_every_traced_layer(self):
         """``import tracemdp.cli`` loads every traced layer that is a module of the package."""

@@ -122,7 +122,7 @@ class TestInformationGain:
             for pred in candidate_predicates(batch):
                 kinds.add(pred.kind)
                 mask = pred.mask(batch.column(pred.var))
-                assert mask.tolist() == [pred.evaluate(s) for s in batch.states]
+                assert mask == [pred.evaluate(s) for s in batch.states]
                 got = information_gain(batch, pred)
                 want = brute_force_ig(batch, pred)
                 assert got == pytest.approx(want, abs=1e-9)
