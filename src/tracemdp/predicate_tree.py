@@ -304,15 +304,16 @@ def entropy(counts: Sequence[int]) -> float:
 def information_gain(batch: LabeledBatch, predicate: Predicate) -> float:
     """Entropy reduction of the label distribution under a predicate split.
 
-    Degenerate splits (one side empty) get gain 0 by convention and are
-    never selected.
+    A split whose children keep the parent's class proportions, exactly in
+    integers, carries no information and gains exactly 0.0; so does a
+    degenerate split (one side empty).  Such a split is never selected.
     """
     if len(batch) == 0:
         raise EmptyBatch("information gain over an empty batch is undefined")
     counts = batch.class_counts()
     c_true = batch.true_counts(predicate)
     n, n_true = len(batch), sum(c_true)
-    if n_true == 0 or n_true == n:
+    if all(t * n == c * n_true for c, t in zip(counts, c_true)):
         return 0.0
     c_false = [c - t for c, t in zip(counts, c_true)]
     return entropy(counts) - (n_true / n) * entropy(c_true) - ((n - n_true) / n) * entropy(c_false)

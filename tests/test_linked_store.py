@@ -221,21 +221,15 @@ class TestApplySplit:
         assert check_invariants(refined) == []
 
     def test_stale_split_rejected(self):
-        log = small_log()
-        tree = build_initial_tree(log, TreeConfig(min_leaf_size=1))
-        store = build(log, tree)
-        for leaf in store.tree.abstract_ids():
-            batch = batch_for_leaf(store, leaf)
-            result = split_leaf(
-                store.tree, leaf, batch, cfg=TreeConfig(min_gain=0.0, min_leaf_size=1)
-            )
-            if isinstance(result, SplitRejected):
-                continue
-            refined = apply_split(store, result)
-            with pytest.raises(StaleSplit):
-                apply_split(refined, result)
-            return
-        pytest.fail("no splittable leaf in fixture")
+        # The single leaf holds every state, so it has a split of real gain.
+        store = build(small_log(), PredicateTree.single_leaf())
+        result = split_leaf(
+            store.tree, 0, batch_for_leaf(store, 0), cfg=TreeConfig(min_gain=0.0, min_leaf_size=1)
+        )
+        assert not isinstance(result, SplitRejected)
+        refined = apply_split(store, result)
+        with pytest.raises(StaleSplit):
+            apply_split(refined, result)
 
     def test_handle_ids_not_reused(self):
         rng = np.random.default_rng(3)

@@ -1,9 +1,12 @@
 import json
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_log, mk_state, mk_trace
 from tracemdp.errors import EmptyBatch, EmptyLog, InvalidConfig, SchemaViolation, UnknownLeaf
@@ -128,6 +131,111 @@ class TestInformationGain:
                 assert got == pytest.approx(want, abs=1e-9)
                 assert -1e-12 <= got <= entropy(list(counts.values())) + 1e-12
         assert kinds == {"num_gt", "bool_eq", "text_eq", "coll_empty", "coll_card_gt"}
+
+
+# Feature values at the edges of the count table: adjacent floats (a
+# midpoint rounds onto a neighbour), -0.0 beside 0.0, the largest floats
+# (their midpoint overflows), integers above 2**53 that share a float, and
+# empty collections.
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -1.5, 1.0, math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0),
+    math.nextafter(1.0, 0.0), 1e308, 1.7976931348623157e308,
+]
+EDGE_INTS = [-1, 0, 1, 2**53, 2**53 + 1, 2**53 + 2, 2**53 + 3, 2**60]
+
+edge_rows = st.lists(
+    st.tuples(
+        st.sampled_from(EDGE_FLOATS),
+        st.sampled_from(EDGE_INTS),
+        st.booleans(),
+        st.sampled_from(["", "a", "b"]),
+        st.integers(0, 3),
+        st.sampled_from("abc"),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def edge_batch(rows):
+    return batch_of(
+        [({"f": f, "i": i, "b": b, "t": t, "c": [0] * c}, label) for f, i, b, t, c, label in rows]
+    )
+
+
+def brute_force_true_counts(batch, predicate):
+    """Class counts, labels in sorted order, of the rows where ``predicate`` holds."""
+    held = Counter(l for s, l in zip(batch.states, batch.labels) if predicate.evaluate(s))
+    return [held[name] for name in sorted(set(batch.labels))]
+
+
+def decimal_gain(counts, c_true):
+    """Information gain of a split given as class counts, at 50 decimal digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def h(cs):
+            total = sum(cs)
+            return -sum(Decimal(c) / total * (Decimal(c) / total).ln() for c in cs if c) / Decimal(2).ln()
+
+        n, n_true = sum(counts), sum(c_true)
+        if n_true in (0, n):
+            return Decimal(0)
+        c_false = [c - t for c, t in zip(counts, c_true)]
+        return h(counts) - Decimal(n_true) / n * h(c_true) - Decimal(n - n_true) / n * h(c_false)
+
+
+class TestCountTable:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_rows)
+    def test_true_counts_match_brute_force(self, rows):
+        batch = edge_batch(rows)
+        counts = Counter(batch.labels)
+        assert batch.class_counts() == [counts[name] for name in sorted(counts)]
+        for pred in candidate_predicates(batch):
+            assert batch.true_counts(pred) == brute_force_true_counts(batch, pred), pred
+
+    def test_midpoint_rounding_onto_a_neighbour(self):
+        above = math.nextafter(1.0, 2.0)
+        batch = batch_of([({"f": 1.0}, "a"), ({"f": above}, "b")])
+        (pred,) = candidate_predicates(batch)
+        assert pred == Predicate("num_gt", "f", 1.0)  # (1.0 + above) / 2 rounds to 1.0
+        assert batch.true_counts(pred) == [0, 1]
+        assert information_gain(batch, pred) == 1.0
+
+    def test_wrongly_typed_predicate_is_schema_violation(self):
+        batch = batch_of([({"t": "a"}, "a"), ({"t": "b"}, "b")])
+        with pytest.raises(SchemaViolation, match="value of kind 'text' is not numeric"):
+            batch.true_counts(Predicate("num_gt", "t", 0.5))
+
+
+class TestExactGain:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        st.integers(1, 4),
+        st.integers(1, 4),
+    )
+    def test_proportional_split_gains_exactly_zero(self, base, k_true, k_false):
+        """Children with the parent's class proportions carry no information."""
+        pairs = [
+            ({"x": side}, f"l{i}")
+            for i, count in enumerate(base)
+            for side, k in ((1, k_true), (0, k_false))
+            for _ in range(k * count)
+        ]
+        assert information_gain(batch_of(pairs), Predicate("num_gt", "x", 0.5)) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_rows)
+    def test_gains_are_non_negative_and_match_a_decimal_reference(self, rows):
+        batch = edge_batch(rows)
+        counts = batch.class_counts()
+        for pred in candidate_predicates(batch):
+            gain = information_gain(batch, pred)
+            assert gain >= 0.0, pred
+            want = decimal_gain(counts, brute_force_true_counts(batch, pred))
+            assert abs(Decimal(gain) - want) <= Decimal("1e-12"), pred
 
 
 @pytest.mark.parametrize(
