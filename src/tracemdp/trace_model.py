@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -106,12 +107,14 @@ def kind_of(value: object) -> str:
 
 def _from_json(raw: object) -> object:
     """A JSON value as a snapshot holds it: a string interned, an array as
-    ``(tag, value)`` pairs, any other value as it is."""
+    ``(tag, value)`` pairs, any other value as it is.  NaN and ±Infinity,
+    which ``json`` parses but JSON has not, are MalformedRecord."""
     if type(raw) is str:
         return sys.intern(raw)
     if isinstance(raw, list):
         return tuple([(kind_of(item), item) for item in map(_from_json, raw)])
-    if kind_of(raw) == COLLECTION:  # a tuple is no JSON value
+    tag = kind_of(raw)
+    if tag == COLLECTION or (tag == NUMBER and not math.isfinite(raw)):  # a tuple is no JSON value
         raise MalformedRecord(f"unsupported JSON value: {raw!r}")
     return raw
 

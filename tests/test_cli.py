@@ -921,6 +921,24 @@ class TestErrors:
         assert not (tmp_path / "learned.json").exists()
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_number_exit_3(self, capsys, tmp_path, value):
+        """JSON has no NaN or Infinity, though Python's ``json`` parses them; `learn` names the line."""
+        lines = []
+        for t, values in enumerate(([0.5, 1.5, 2.5], [0.5, value, 2.5], [3.5, 4.5, 5.5])):
+            snapshots = [{"goal": {}, "check": {}, "state": {"x": v}} for v in values]
+            for seq, action in enumerate(("a", "b")):
+                lines.append({"trace_id": f"t{t}", "seq": seq, "kind": "tool_call", "action": action,
+                              "pre": snapshots[seq], "post": snapshots[seq + 1]})
+            lines.append({"trace_id": f"t{t}", "seq": 2, "kind": "terminal", "status": "success"})
+        log = tmp_path / "non-finite.jsonl"
+        log.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out_tree = tmp_path / "learned.json"
+        code, out, err = run_cli(capsys, "learn", "--log", str(log), "--out", str(out_tree), "--min-leaf", "1")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "MalformedRecord", "message": f"line 4: unsupported JSON value: {value!r}"}
+        assert not out_tree.exists()
+
     def test_undeclared_label_exit_3(self, pipeline, capsys):
         code, out, err = run_cli(
             capsys, "check", "--store", str(pipeline["store"]), "--prop", 'Pmax=? [F "nolabel"]'

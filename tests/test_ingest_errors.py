@@ -107,6 +107,31 @@ INGEST_ERRORS = {
         MalformedRecord,
         "line 1: unsupported JSON value: None",
     ),
+    "nan_in_pre": (
+        lambda: read_events([line("t1", 0, snap(x=0.5), snap(x=1.5)), line("t2", 0, snap(x=float("nan")), snap(x=1.5))]),
+        MalformedRecord,
+        "line 2: unsupported JSON value: nan",
+    ),
+    "infinity_in_post": (
+        lambda: read_events([line("t1", 0, snap(x=0.5), snap(x=float("inf")))]),
+        MalformedRecord,
+        "line 1: unsupported JSON value: inf",
+    ),
+    "negative_infinity_in_initial_state": (
+        lambda: read_events(
+            [
+                line("t1", 0, snap(x=0.5), snap(x=1.5)),
+                json.dumps({"trace_id": "t2", "seq": 0, "kind": "initial", "state": snap(x=float("-inf"))}),
+            ]
+        ),
+        MalformedRecord,
+        "line 2: unsupported JSON value: -inf",
+    ),
+    "nan_in_nested_list": (
+        lambda: read_events([line("t1", 0, snap(x=[[0.5]]), snap(x=[[0.5], [float("nan")]]))]),
+        MalformedRecord,
+        "line 1: unsupported JSON value: nan",
+    ),
     "non_object_snapshot": (
         lambda: read_events([line("t1", 0, [1], snap(x=1))]),
         MalformedRecord,

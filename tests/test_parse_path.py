@@ -27,7 +27,7 @@ SCALARS = {
     "integer": st.one_of(st.integers(), st.sampled_from([-(2**70), 2**64, 0])),
     "boolean": st.booleans(),
     "number": st.one_of(
-        st.floats(allow_nan=False),
+        st.floats(allow_nan=False, allow_infinity=False),
         st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, 2.0**53 + 1]),
     ),
     "text": st.text(),
