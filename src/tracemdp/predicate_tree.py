@@ -226,7 +226,7 @@ class LabeledBatch:
         return col
 
     def class_counts(self) -> list[int]:
-        """Each label's count, labels in sorted order."""
+        """Each label's count, labels in sorted order (the batch's own list: do not mutate)."""
         return self._counts
 
     def _table(self, var: str) -> _CountTable:
@@ -248,7 +248,7 @@ class LabeledBatch:
         return table
 
     def true_counts(self, predicate: Predicate) -> list[int]:
-        """Class counts (as ``class_counts``) of the rows where ``predicate`` holds.
+        """Class counts (as ``class_counts``, the table's own list) of the rows where ``predicate`` holds.
 
         A ``gt`` kind holds on the features above its parameter, the suffix
         after ``bisect_right``; an ``eq`` kind on one feature's row.
