@@ -220,8 +220,7 @@ MONITOR_SNAPSHOTS = 1024
 
 def _cmd_monitor(args) -> int:
     store, _cfg, thresholds = _detector_setup(args)
-    schema = store.schema
-    table: SnapshotTable = {}
+    table = SnapshotTable(store.schema)
 
     monitors: dict[str, RunMonitor] = {}
     # Each open run's last snapshot and its abstract state: a step's pre is
@@ -231,7 +230,7 @@ def _cmd_monitor(args) -> int:
         line = line.strip()
         if not line:
             continue
-        event = parse_event_line(line, schema, table)
+        event = parse_event_line(line, table)
         if len(table) >= MONITOR_SNAPSHOTS:
             table.clear()
         if event.kind == "terminal":

@@ -27,26 +27,28 @@ A snapshot's layout is its schema: one dict per partition, in
 goal/check/state order, from variable name to type tag, computed once when
 the snapshot is built.  Snapshots are equal when their values and their
 layouts are, so ``1``, ``1.0`` and ``true`` stay apart.  Unknown top-level
-keys are ignored.  The schema is frozen on first sight; any later event
-whose layout differs is rejected with
-:class:`~tracemdp.errors.SchemaViolation`, never coerced, and only then are
-``(partition, tag)`` pairs built, to name the difference.
+keys are ignored.  The schema is frozen at the first snapshot read, a
+step's ``post`` before its ``pre``; any later snapshot whose layout differs
+is rejected with :class:`~tracemdp.errors.SchemaViolation`, never coerced,
+and only then are ``(partition, tag)`` pairs and the event's location
+built, to name the difference.
 
 Parsing costs little more than ``json.loads``:
 
 * string values, action names and variable names are interned, so a log
   keeps one copy of each rather than one per line;
-* snapshots are interned too, through a table that the reader owns:
+* each line is parsed once, and its snapshots are converted, checked and
+  interned in one place, a ``SnapshotTable`` that owns the schema:
   ``read_events`` keeps one per read and ``monitor`` one that it empties
-  at a fixed size.  A snapshot's key is each partition's names and values
-  in order plus the exact type of every value, so ``1``, ``1.0`` and
-  ``true`` stay apart.  Only a snapshot whose ``goal``, ``check`` and
-  ``state`` partitions are all present as objects, and whose values are all
-  ``str``, ``int`` or ``bool``, gets a key; any other is converted afresh,
-  so a float is never shared (``-0.0 == 0.0`` would let a shared snapshot
-  print the wrong sign).  A snapshot whose key is in the table is that
-  table's object, converted and checked against the schema once; a table
-  serves only the schema it was filled under;
+  at a fixed size, keeping its schema.  A snapshot's key is each
+  partition's names and values in order plus the exact type of every
+  value, so ``1``, ``1.0`` and ``true`` stay apart.  Only a snapshot whose
+  ``goal``, ``check`` and ``state`` partitions are all present as objects,
+  and whose values are all ``str``, ``int`` or ``bool``, gets a key; any
+  other is converted and checked afresh, so a float is never shared
+  (``-0.0 == 0.0`` would let a shared snapshot print the wrong sign).  A
+  snapshot whose key is in the table is that table's object, converted
+  and checked against the schema once;
 * a ``Trace`` is the concrete twin of the abstract run it routes to: its
   ``states`` (one more than its ``actions``, or none at all), its action
   names and one ``args_digest`` or None per action.  ``segment_stream``
@@ -344,26 +346,22 @@ def _pairs(layout: Layout) -> dict[str, tuple[str, str]]:
     return {name: (part, tag) for part, names in zip(PARTITIONS, layout) for name, tag in names.items()}
 
 
-def _check_schema(state: ConcreteState, schema: Layout, where: str) -> None:
-    if state.layout == schema:
-        return
-    actual, expected = _pairs(state.layout), _pairs(schema)
+def _violation(layout: Layout, schema: Layout, where: str) -> SchemaViolation:
+    """The SchemaViolation that names how ``layout`` differs from ``schema``."""
+    actual, expected = _pairs(layout), _pairs(schema)
     extra = sorted(set(actual) - set(expected))
     missing = sorted(set(expected) - set(actual))
     if extra:
-        raise SchemaViolation(f"{where}: unknown variable {extra[0]!r} after schema freeze")
+        return SchemaViolation(f"{where}: unknown variable {extra[0]!r} after schema freeze")
     if missing:
-        raise SchemaViolation(f"{where}: missing variable {missing[0]!r}")
+        return SchemaViolation(f"{where}: missing variable {missing[0]!r}")
     for name in sorted(expected):
         if actual[name] != expected[name]:
-            raise SchemaViolation(
+            return SchemaViolation(
                 f"{where}: variable {name!r} has {actual[name]}, schema requires {expected[name]}"
             )
-    raise SchemaViolation(f"{where}: snapshot does not conform to schema")
+    return SchemaViolation(f"{where}: snapshot does not conform to schema")
 
-
-# A snapshot's typed content key -> the one ConcreteState built for it.
-SnapshotTable = dict[tuple, ConcreteState]
 
 _KEYED_TYPES = frozenset((str, int, bool))
 
@@ -389,39 +387,54 @@ def _content_key(raw: object) -> tuple | None:
     return (*goal, None, *check, None, *state, values, types)
 
 
-def _snapshot(
-    raw: Mapping[str, object], table: SnapshotTable | None, new: SnapshotTable
-) -> tuple[ConcreteState, bool]:
-    """The snapshot of ``raw``, and whether it still needs the schema check.
+class SnapshotTable:
+    """The schema a reader checks snapshots against, and the snapshots it has checked.
 
-    A keyed snapshot in ``table`` is returned as that object, which passed
-    the check when it was stored.  Keyed snapshots converted by this line
-    go to ``new`` (so ``pre`` and ``post`` of one line share one object);
-    the caller stores them in ``table`` once they pass the check.
+    ``schema`` is the layout given, or else that of the first snapshot
+    converted.  A keyed snapshot (see ``_content_key``) is converted and
+    checked the first time its key is seen and stored; later it is the
+    stored object.  Any other snapshot is converted and checked every time.
     """
-    if table is None or (key := _content_key(raw)) is None:
-        return ConcreteState.from_json(raw), True
-    state = table.get(key)
-    if state is not None:
-        return state, False
-    state = new.get(key)
-    if state is None:
-        state = new[key] = ConcreteState.from_json(raw)
-    return state, True
+
+    def __init__(self, schema: Layout | None = None):
+        self.schema = schema
+        self._states: dict[tuple, ConcreteState] = {}
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def clear(self) -> None:
+        """Drops the stored snapshots; the schema stays."""
+        self._states.clear()
+
+    def snapshot(self, raw: Mapping[str, object], trace_id: str, seq: int, role: str) -> ConcreteState:
+        """The snapshot of ``raw``, the ``role`` snapshot of event ``trace_id#seq``.
+
+        MalformedRecord if it cannot be converted, SchemaViolation naming the
+        event and role if its layout is not the schema.
+        """
+        key = _content_key(raw)
+        if key is not None and (state := self._states.get(key)) is not None:
+            return state
+        state = ConcreteState.from_json(raw)
+        if self.schema is None:
+            self.schema = state.layout
+        elif state.layout != self.schema:
+            raise _violation(state.layout, self.schema, f"{trace_id}#{seq} {role}")
+        if key is not None:
+            self._states[key] = state
+        return state
 
 
-def parse_event_line(
-    line: str,
-    schema: Layout | None = None,
-    table: SnapshotTable | None = None,
-) -> Event:
+def parse_event_line(line: str, table: SnapshotTable | None = None) -> Event:
     """Parses one JSONL record into a typed event.
 
-    If ``schema`` is given, every snapshot in the record is validated against
-    it (missing or retyped variables raise SchemaViolation).  ``table``, read
-    and filled only when ``schema`` is given, interns the record's snapshots:
-    a snapshot whose typed content is already in it is that object, neither
-    converted nor checked again.  A table must only ever serve one schema.
+    Every snapshot of the record comes from ``table`` (see SnapshotTable),
+    so it is checked against the table's schema: a missing, extra or
+    retyped variable raises SchemaViolation.  Without a table a fresh one is
+    used, so the record's snapshots are checked against each other.  A
+    step's ``post`` is read before its ``pre``, so a table without a schema
+    freezes it at the ``post``.
     """
     try:
         raw = json.loads(line)
@@ -437,9 +450,8 @@ def parse_event_line(
         raise MalformedRecord("missing or invalid 'trace_id'")
     if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
         raise MalformedRecord("missing or invalid 'seq'")
-    if schema is None:
-        table = None
-    new: SnapshotTable = {}
+    if table is None:
+        table = SnapshotTable()
 
     if kind == TOOL_CALL:
         action = raw.get("action")
@@ -448,18 +460,11 @@ def parse_event_line(
         action = sys.intern(action)
         if "post" not in raw:
             raise MalformedRecord("tool_call event needs a 'post' snapshot")
-        pre, check_pre = _snapshot(raw["pre"], table, new) if "pre" in raw else (None, False)
-        post, check_post = _snapshot(raw["post"], table, new)
+        post = table.snapshot(raw["post"], trace_id, seq, "post")
+        pre = table.snapshot(raw["pre"], trace_id, seq, "pre") if "pre" in raw else None
         digest = raw.get("args_digest")
         if digest is None and "args" in raw:
             digest = _digest_args(raw["args"])
-        if schema is not None:
-            if check_pre:
-                _check_schema(pre, schema, f"{trace_id}#{seq} pre")  # type: ignore[arg-type]
-            if check_post:
-                _check_schema(post, schema, f"{trace_id}#{seq} post")
-            if table is not None:
-                table.update(new)
         return Event(TOOL_CALL, trace_id, seq, action=action, args_digest=digest, pre=pre, post=post)
 
     if kind == TERMINAL:
@@ -471,13 +476,7 @@ def parse_event_line(
     if kind == INITIAL:
         if "state" not in raw:
             raise MalformedRecord("initial event needs a 'state' snapshot")
-        state, check_state = _snapshot(raw["state"], table, new)
-        if schema is not None:
-            if check_state:
-                _check_schema(state, schema, f"{trace_id}#{seq} initial")
-            if table is not None:
-                table.update(new)
-        return Event(INITIAL, trace_id, seq, state=state)
+        return Event(INITIAL, trace_id, seq, state=table.snapshot(raw["state"], trace_id, seq, "initial"))
 
     raise MalformedRecord(f"unknown event kind: {kind!r}")
 
@@ -555,34 +554,23 @@ def read_events(lines: Iterable[str]) -> TraceLog:
     """Builds a TraceLog from JSONL lines.
 
     Traces are ordered by first appearance of their id; events within a trace
-    are ordered by seq.  The schema freezes at the first snapshot seen.
-    Snapshots are interned through one table, dropped with the read.
+    are ordered by seq.  Every line is parsed once, through one snapshot
+    table dropped with the read, so the schema freezes at the first snapshot
+    read (a step's ``post`` before its ``pre``).
     """
     by_trace: dict[str, list[Event]] = {}
-    schema: Layout | None = None
-    table: SnapshotTable = {}
+    table = SnapshotTable()
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            event = parse_event_line(line, schema, table)
+            event = parse_event_line(line, table)
         except (MalformedRecord, SchemaViolation) as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
-        if schema is None:
-            snap = event.post or event.pre or event.state
-            if snap is not None:
-                schema = snap.layout
-                # Re-validate the freezing record itself against its own schema
-                # (catches pre/post disagreement inside one event); its
-                # snapshots start the table.
-                try:
-                    event = parse_event_line(line, schema, table)
-                except SchemaViolation as exc:
-                    raise SchemaViolation(f"line {lineno}: {exc}") from None
         by_trace.setdefault(event.trace_id, []).append(event)
 
-    log = TraceLog(schema)
+    log = TraceLog(table.schema)
     for trace_id, events in by_trace.items():
         events.sort(key=lambda e: e.seq)
         log.append(segment_stream(events))

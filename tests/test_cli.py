@@ -438,12 +438,12 @@ class TestMonitorRouting:
         original = cli.parse_event_line
         sizes = []
 
-        def counting(line, schema=None, table=None):
+        def counting(line, table=None):
             sizes.append(len(table))
-            return original(line, schema, table)
+            return original(line, table)
 
-        def tableless(line, schema=None, table=None):
-            return original(line, schema)
+        def tableless(line, table=None):
+            return original(line, cli.SnapshotTable(table.schema))
 
         argv = ("monitor", "--store", str(pipeline["store"]), "--follow", str(follow), "--once")
         monkeypatch.setattr(cli, "parse_event_line", counting)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import mk_state
 from tracemdp.errors import ChainBreak, MalformedRecord, SchemaViolation
-from tracemdp.trace_model import Trace, kind_of, parse_event_line, read_events
+from tracemdp.trace_model import SnapshotTable, Trace, kind_of, parse_event_line, read_events
 
 
 def snap(**state_vars):
@@ -48,7 +48,7 @@ INGEST_ERRORS = {
         "line 2: t2#0 post: variable 'x' has ('state', 'text'), schema requires ('state', 'integer')",
     ),
     "variable_in_other_partition": (
-        lambda: parse_event_line(line("t1", 3, None, {"check": {"x": 1}}), ({}, {}, {"x": "integer"})),
+        lambda: parse_event_line(line("t1", 3, None, {"check": {"x": 1}}), SnapshotTable(({}, {}, {"x": "integer"}))),
         SchemaViolation,
         "t1#3 post: variable 'x' has ('check', 'integer'), schema requires ('state', 'integer')",
     ),
@@ -71,6 +71,11 @@ INGEST_ERRORS = {
         lambda: read_events([line("t1", 0, snap(x=0), snap(x=0.5))]),
         SchemaViolation,
         "line 1: t1#0 pre: variable 'x' has ('state', 'integer'), schema requires ('state', 'number')",
+    ),
+    "tableless_pre_misses_variable": (
+        lambda: parse_event_line(line("t1", 0, snap(x=0), snap(x=0, y=1))),
+        SchemaViolation,
+        "t1#0 pre: missing variable 'y'",
     ),
     "chain_break_at_step": (
         lambda: read_events([line("t1", 0, snap(x=0), snap(x=1)), line("t1", 1, snap(x=5), snap(x=6))]),

@@ -14,6 +14,7 @@ from tracemdp import trace_model
 from tracemdp.errors import MalformedRecord, SchemaViolation, TraceMdpError
 from tracemdp.trace_model import (
     ConcreteState,
+    SnapshotTable,
     TerminalStatus,
     Trace,
     kind_of,
@@ -207,9 +208,16 @@ def outcome(lines):
 
 
 def tableless_outcome(lines):
-    """``outcome`` with every line parsed on its own, without a snapshot table."""
+    """``outcome`` with every line parsed through a fresh table that carries only the schema frozen so far."""
     parse = trace_model.parse_event_line
-    with mock.patch.object(trace_model, "parse_event_line", lambda line, schema=None, table=None: parse(line, schema)):
+
+    def parse_alone(line, table):
+        fresh = SnapshotTable(table.schema)
+        event = parse(line, fresh)
+        table.schema = fresh.schema
+        return event
+
+    with mock.patch.object(trace_model, "parse_event_line", parse_alone):
         return outcome(lines)
 
 
@@ -217,6 +225,32 @@ def tableless_outcome(lines):
 @given(logs())
 def test_table_reads_like_no_table(lines):
     assert outcome(lines) == tableless_outcome(lines)
+
+
+def test_two_faults_report_the_post():
+    """A line whose pre and post are both faulty reports its post's fault, read with a table or without."""
+    lines = [tool_call(snap(x=0.5), snap(x=1.5)), tool_call(snap(x=math.nan), snap(x="one")).replace('"t"', '"u"')]
+    message = "line 2: u#0 post: variable 'x' has ('state', 'text'), schema requires ('state', 'number')"
+    assert outcome(lines) == tableless_outcome(lines) == (SchemaViolation, message)
+
+
+def test_each_line_parsed_once_and_each_snapshot_converted_once():
+    """``json.loads`` runs once per non-blank line and ``from_json`` once per distinct keyed snapshot."""
+    lines = [
+        tool_call(snap(x=1), snap(x=2)),
+        "  ",
+        tool_call(snap(x=1), snap(x=2)).replace('"t"', '"u"'),
+        json.dumps({"trace_id": "v", "seq": 0, "kind": "initial", "state": snap(x=2)}),
+        json.dumps({"trace_id": "v", "seq": 1, "kind": "tool_call", "action": "a", "post": snap(x=3)}),
+        json.dumps({"trace_id": "v", "seq": 2, "kind": "terminal", "status": "success"}),
+    ]
+    loads = mock.Mock(wraps=json.loads)
+    from_json = mock.Mock(wraps=ConcreteState.from_json)
+    with mock.patch.object(trace_model.json, "loads", loads), mock.patch.object(ConcreteState, "from_json", from_json):
+        log = read_events(lines)
+    assert [len(trace) for trace in log] == [1, 1, 1]
+    assert loads.call_count == 5
+    assert from_json.call_count == 3
 
 
 @pytest.mark.parametrize("look_alike, kind", [(1.0, "number"), (True, "boolean")])

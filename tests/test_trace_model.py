@@ -10,6 +10,7 @@ from tracemdp.predicate_tree import abstract_trace, build_initial_tree
 from tracemdp.trace_model import (
     AbstractPath,
     ConcreteState,
+    SnapshotTable,
     TerminalStatus,
     kind_of,
     parse_event_line,
@@ -79,13 +80,13 @@ class TestParseEventLine:
         schema = ({}, {}, {"iteration": "integer"})
         line = tool_call("t1", 0, "a", snap(iteration=0), snap(iteration="three"))
         with pytest.raises(SchemaViolation):
-            parse_event_line(line, schema)
+            parse_event_line(line, SnapshotTable(schema))
 
     def test_unknown_variable_after_freeze(self):
         schema = ({}, {}, {"iteration": "integer"})
         line = tool_call("t1", 0, "a", snap(iteration=0), snap(iteration=1, extra=2))
         with pytest.raises(SchemaViolation):
-            parse_event_line(line, schema)
+            parse_event_line(line, SnapshotTable(schema))
 
     def test_unknown_top_level_keys_ignored(self):
         line = tool_call("t1", 0, "a", snap(x=1), snap(x=2), comment="hi", zz=[1])
