@@ -108,8 +108,7 @@ class Predicate:
     The kind (``_KINDS``) fixes the type tags it reads and its comparison;
     ``param`` is a float threshold (num_gt), a bool or string to equal
     (bool_eq, text_eq) or an integer cardinality threshold (coll_card_gt),
-    and coll_empty compares a cardinality with its default 0.  A predicate is
-    its own identity when a tree path excludes it.
+    and coll_empty compares a cardinality with its default 0.
     """
 
     kind: str
@@ -344,22 +343,23 @@ class TreeConfig:
             raise InvalidConfig(f"min_gain must be non-negative, got {self.min_gain!r}")
 
 
-def candidate_predicates(batch: LabeledBatch, excluded: Iterable[Predicate] = ()) -> list[Predicate]:
+def candidate_predicates(batch: LabeledBatch) -> list[Predicate]:
     """Candidate splits for a batch, in deterministic sort order.
 
-    Numeric variables yield thresholds at the midpoints between sorted
-    distinct observed values, booleans one equality test, text variables
-    equality against each observed value, collections emptiness plus
-    cardinality thresholds.  Candidates in ``excluded`` are dropped.
+    Numeric variables yield one threshold between each two sorted distinct
+    observed values: their midpoint, or the lower value where the midpoint
+    rounds onto either value or overflows.  Booleans yield one equality
+    test, text variables equality against each observed value, collections
+    emptiness plus cardinality thresholds.
     """
     if len(batch) == 0:
         raise EmptyBatch("cannot derive candidates from an empty batch")
-    excluded = set(excluded)
     out: list[Predicate] = []
     for var, kind in sorted(item for part in batch.var_catalog for item in part.items()):
         distinct = batch._table(var).keys
         if kind in (NUMBER, INTEGER):
-            out += [Predicate("num_gt", var, (a + b) / 2.0) for a, b in zip(distinct, distinct[1:])]
+            mids = ((a, (a + b) / 2.0, b) for a, b in zip(distinct, distinct[1:]))
+            out += [Predicate("num_gt", var, m if a < m < b else a) for a, m, b in mids]
         elif kind == BOOLEAN:
             out.append(Predicate("bool_eq", var, True))
         elif kind == TEXT:
@@ -367,7 +367,6 @@ def candidate_predicates(batch: LabeledBatch, excluded: Iterable[Predicate] = ()
         elif kind == COLLECTION:
             out.append(Predicate("coll_empty", var))
             out += [Predicate("coll_card_gt", var, (a + b) // 2) for a, b in zip(distinct, distinct[1:])]
-    out = [p for p in out if p not in excluded]
     out.sort(key=lambda p: p.sort_key())
     return out
 
@@ -620,7 +619,6 @@ def split_leaf(
     tree: PredicateTree,
     leaf: int,
     batch: LabeledBatch,
-    excluded: Iterable[Predicate] = (),
     cfg: TreeConfig | None = None,
 ) -> LeafSplit | SplitRejected:
     """Splits the leaf with the max-gain candidate, or reports why not.
@@ -639,7 +637,7 @@ def split_leaf(
         return SplitRejected("depth")
     if tree.n_leaves + 1 > cfg.max_leaves:
         return SplitRejected("leaves")
-    candidates = candidate_predicates(batch, excluded)
+    candidates = candidate_predicates(batch)
     if not candidates:
         return SplitRejected("no_candidates")
     gains = [information_gain(batch, cand) for cand in candidates]
@@ -656,7 +654,8 @@ def build_initial_tree(log: TraceLog, cfg: TreeConfig | None = None) -> Predicat
 
     Recursion stops at a node when the batch is pure, the best gain does not
     exceed ``min_gain``, or a depth / leaf-count / batch-size bound is hit.
-    A predicate used on the path is not offered again below it.
+    A predicate on the path holds on every state below it, so offered again
+    there it gains exactly 0.0 and is never chosen.
     """
     cfg = cfg or TreeConfig()
     if log.n_transitions == 0:
@@ -666,22 +665,17 @@ def build_initial_tree(log: TraceLog, cfg: TreeConfig | None = None) -> Predicat
     tree = PredicateTree.single_leaf()
     # Depth-first growth; each successful split adds one leaf to the total,
     # so the max_leaves check inside split_leaf sees the true global count.
-    stack: list[tuple[int, LabeledBatch, frozenset[Predicate]]] = [
-        (tree.leaf_node_of(0), batch, frozenset())
-    ]
+    stack: list[tuple[int, LabeledBatch]] = [(0, batch)]
     while stack:
-        leaf_node, node_batch, excluded = stack.pop()
-        abstract_id = tree.node(leaf_node).abstract_id  # type: ignore[union-attr]
-        result = split_leaf(tree, abstract_id, node_batch, excluded, cfg)
+        abstract_id, node_batch = stack.pop()
+        result = split_leaf(tree, abstract_id, node_batch, cfg)
         if isinstance(result, SplitRejected):
             continue
         tree = result.tree
         pred = result.predicate
         mask = pred.mask(node_batch.column(pred.var))
-        child_excluded = excluded | {pred}
-        n0 = tree.leaf_node_of(result.children[0])
-        n1 = tree.leaf_node_of(result.children[1])
+        a0, a1 = result.children
         # Push true side last so the false branch grows first (deterministic).
-        stack.append((n1, node_batch.subset(mask), child_excluded))
-        stack.append((n0, node_batch.subset([not m for m in mask]), child_excluded))
+        stack.append((a1, node_batch.subset(mask)))
+        stack.append((a0, node_batch.subset([not m for m in mask])))
     return tree

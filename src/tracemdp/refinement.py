@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .amdp import LabelingConfig
 from .checker import ReachQuery, check
-from .errors import InvalidConfig, UnknownLeaf
+from .errors import InvalidConfig
 from .linked_store import LinkedStore, apply_split, batch_for_leaf, build
 from .predicate_tree import LeafSplit, PredicateTree, SplitRejected, TreeConfig, split_leaf
 from .trace_model import AbstractPath, TraceLog
@@ -109,14 +109,11 @@ def concretize(runs: Sequence[AbstractPath], witness: AbstractPath) -> Real | Sp
 def refine_once(
     store: LinkedStore, spurious: Spurious, cfg: RefinementConfig
 ) -> tuple[LinkedStore, LeafSplit] | SplitRejected:
-    """Splits the divergence leaf by max gain, excluding path predicates."""
-    try:
-        leaf_node = store.tree.leaf_node_of(spurious.leaf)
-    except UnknownLeaf:
+    """Splits the divergence leaf by max gain; an unknown leaf has no candidates."""
+    if spurious.leaf not in store.tree.leaves():
         return SplitRejected("no_candidates")
-    excluded = set(store.tree.path_predicates(leaf_node))
     batch = batch_for_leaf(store, spurious.leaf)
-    result = split_leaf(store.tree, spurious.leaf, batch, excluded, cfg.tree_config())
+    result = split_leaf(store.tree, spurious.leaf, batch, cfg.tree_config())
     if isinstance(result, SplitRejected):
         return result
     return apply_split(store, result), result

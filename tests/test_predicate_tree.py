@@ -203,6 +203,23 @@ class TestCountTable:
         assert batch.true_counts(pred) == [0, 1]
         assert information_gain(batch, pred) == 1.0
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0)],
+            [1.5e308, 1.7e308],
+            [-1.7e308, -1.5e308],
+        ],
+        ids=["adjacent_floats", "sum_overflows_up", "sum_overflows_down"],
+    )
+    def test_every_boundary_is_offered(self, values):
+        """Each threshold splits its two neighbours, even where their midpoint rounds or overflows."""
+        batch = batch_of([({"f": value}, f"l{i}") for i, value in enumerate(values)])
+        preds = candidate_predicates(batch)
+        n = len(values)
+        assert [batch.true_counts(pred) for pred in preds] == [[0] * k + [1] * (n - k) for k in range(1, n)]
+        assert all(math.isfinite(pred.param) for pred in preds)
+
     def test_wrongly_typed_predicate_is_schema_violation(self):
         batch = batch_of([({"t": "a"}, "a"), ({"t": "b"}, "b")])
         with pytest.raises(SchemaViolation, match="value of kind 'text' is not numeric"):
@@ -280,11 +297,18 @@ class TestCandidates:
         assert Predicate("coll_empty", "c") in preds
         assert Predicate("coll_card_gt", "c", 1) in preds
 
-    def test_excluded_filtered(self):
-        batch = batch_of([({"x": 1}, "a"), ({"x": 3}, "b")])
-        pred = Predicate("num_gt", "x", 2.0)
-        assert pred in candidate_predicates(batch)
-        assert pred not in candidate_predicates(batch, excluded={pred})
+    def test_path_predicate_gains_zero_and_is_not_chosen(self):
+        """A predicate holds on every state routed below it: offered again there, it gains exactly 0.0."""
+        pred = Predicate("bool_eq", "f", True)
+        tree, _a0, a1 = PredicateTree.single_leaf().split(0, pred)
+        cfg = TreeConfig(min_gain=0.0, min_leaf_size=1)
+        batch = batch_of([({"f": True, "x": 1}, "a"), ({"f": True, "x": 3}, "b")])
+        assert candidate_predicates(batch) == [pred, Predicate("num_gt", "x", 2.0)]
+        assert information_gain(batch, pred) == 0.0
+        assert split_leaf(tree, a1, batch, cfg=cfg).predicate == Predicate("num_gt", "x", 2.0)
+        alone = batch_of([({"f": True, "x": 1}, "a"), ({"f": True, "x": 1}, "b")])
+        assert candidate_predicates(alone) == [pred]
+        assert split_leaf(tree, a1, alone, cfg=cfg) == SplitRejected("min_gain")
 
 
 class TestAbstract:
