@@ -15,8 +15,11 @@ wins at least nine tenths of the pairs, and its median is better than the
 parent's by more than the distance between the parent's quartiles.  Next
 to that it prints the change's median relative to the parent's against
 the metric's ``bound``, and marks a metric whose median got worse by more
-than its bound.  It exits 1 if any run reports ``correct: false`` or gives
-no result line.
+than its bound.  It also marks a metric as unresolved when the parent's
+quartile spread, relative to its median, is wider than the bound, unless
+every run of the change beats every run of the parent: a spread that
+wide cannot tell a change within the bound from one past it.  It exits 1
+if any run reports ``correct: false`` or gives no result line.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
     """One line: both sides' quartiles, the change's wins and whether they clear the bar,
-    and the change of the median against the metric's regression bound."""
+    the change of the median against the metric's regression bound, and whether
+    the parent's spread is too wide for that bound to be resolved."""
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     p1, p_med, p3 = quartiles(parent)
@@ -63,12 +67,15 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     gain = sign * (c_med - p_med)
     clears = wins >= math.ceil(0.9 * len(parent)) and gain > p3 - p1
     relative = (c_med - p_med) / p_med
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    unresolved = (p3 - p1) / p_med > bound and not beats_all
     return (
         f"parent {p_med:.6g} [{p1:.6g}, {p3:.6g}]  change {c_med:.6g} [{c1:.6g}, {c3:.6g}]  "
         f"wins {wins}/{len(parent)}  gain {gain:+.6g} vs parent spread {p3 - p1:.6g}  "
         f"{'CLEARS' if clears else 'does not clear'} the bar  "
         f"median {relative:+.1%} vs bound {bound:.0%}"
         + ("  WORSE than its bound" if -sign * relative > bound else "")
+        + ("  UNRESOLVED: parent spread wider than its bound" if unresolved else "")
     )
 
 
